@@ -2,7 +2,8 @@
 
 Exit codes: 0 normal completion (a false theorem condition is a normal
 answer), 1 when a check that can only fail through an implementation bug
-(lemma, equivalence, chain) reports a violation, 2 for usage errors.
+(lemma, equivalence, chain) reports a violation or an internal invariant
+fails, 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -14,21 +15,18 @@ import sys
 from . import conditions, properties, search
 from .algfile import AlgebraFormatError, load_algebra
 from .expr import EvalError, ParseError, eval_expr, parse_expr
-from .relations import BinRel, FamilyBoundError, RelFamily, enumerate_relations
+from .relations import (
+    BinRel,
+    FamilyBoundError,
+    InvariantViolation,
+    RelFamily,
+    enumerate_relations,
+)
 
 META_CHECKS = ("EQ_X2", "EQ_X3", "EQ_X3A", "EQ_REMARK", "CHAIN_X2", "CHAIN_X3", "T4_I", "T4_II")
 
 # verdicts on these mean "implementation bug", not "property of the algebra"
-_MUST_HOLD = set(conditions.THEOREM_IDS) | {
-    "EQ_X2",
-    "EQ_X3",
-    "EQ_X3A",
-    "EQ_REMARK",
-    "CHAIN_X2",
-    "CHAIN_X3",
-    "T4_I",
-    "T4_II",
-}
+_MUST_HOLD = set(conditions.THEOREM_IDS) | set(META_CHECKS)
 
 
 def _pairs_text(rel: BinRel) -> str:
@@ -300,6 +298,9 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ParseError, EvalError, AlgebraFormatError, FamilyBoundError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,6 +7,12 @@ with the set of all 2x2 matrices of term-operation values whose rows vary
 along R and columns along S (cross-checked against a bounded term
 enumeration in the test suite).
 
+M(R, S) stays in the bitset encoding of `TupleSet`: bit
+((x*n + y)*n + z)*n + w, so the n*n bits at offset (x*n + y)*n*n form the
+slice at top row (x, y), the bottom rows (z, w) as `BinRel` bits.
+K(R, S; V) is the OR of the slices at the pairs of V, and [R, S | 1]_W
+has (x, w) iff bit (x, w) of the slice at (x, x) is set.
+
 Results are memoized per (algebra, R, S); all functions are pure, so
 concurrent calls with equal arguments return equal values.
 """
@@ -15,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import FiniteAlgebra, QuadSet, subuniverse_closure
+from .algebra import FiniteAlgebra, TupleSet, subuniverse_closure
 from .relations import (
     BinRel,
     cg,
@@ -26,25 +32,28 @@ from .relations import (
 
 
 @lru_cache(maxsize=65536)
-def m_set(alg: FiniteAlgebra, r: BinRel, s: BinRel) -> QuadSet:
-    """The matrix set M(R, S) as a QuadSet of (x, y, z, w) tuples, where
+def m_set(alg: FiniteAlgebra, r: BinRel, s: BinRel) -> TupleSet:
+    """The matrix set M(R, S) as a TupleSet of (x, y, z, w) tuples, where
     x and y sit on the top row, z and w on the bottom."""
     require_reflexive_admissible(alg, r, "R")
     require_reflexive_admissible(alg, s, "S")
     gens = [(a, a, a2, a2) for (a, a2) in r.pairs()]
     gens += [(b, b2, b, b2) for (b, b2) in s.pairs()]
-    closed = subuniverse_closure(alg, 4, gens)
-    return QuadSet.from_tuples(alg.size, closed)
+    return subuniverse_closure(alg, 4, gens)
 
 
-def _bottom_rows(m: QuadSet, v: BinRel) -> BinRel:
-    """Pairs (z, w) of matrices in m whose top row (x, y) lies in v."""
-    n = m.size
+def _bottom_rows(m: TupleSet, v: BinRel) -> BinRel:
+    """Pairs (z, w) of matrices in m whose top row (x, y) lies in v: the
+    OR of the slices of m at the pairs of v."""
+    nn = m.size * m.size
+    mask = (1 << nn) - 1
     bits = 0
-    for (x, y, z, w) in m.members():
-        if v.contains(x, y):
-            bits |= 1 << (z * n + w)
-    return BinRel(n, bits)
+    rem = v.bits
+    while rem:
+        low = rem & -rem
+        rem ^= low
+        bits |= (m.bits >> ((low.bit_length() - 1) * nn)) & mask
+    return BinRel(m.size, bits)
 
 
 def k_op(alg: FiniteAlgebra, r: BinRel, s: BinRel, v: BinRel) -> BinRel:
@@ -66,10 +75,11 @@ def comm_weak(alg: FiniteAlgebra, r: BinRel, s: BinRel) -> BinRel:
     """[R, S | 1]_W: pairs (x, w) with the matrix (x, x; x, w) in M(R, S)."""
     m = m_set(alg, r, s)
     n = alg.size
+    row = (1 << n) - 1
     bits = 0
-    for (x, y, z, w) in m.members():
-        if x == y == z:
-            bits |= 1 << (x * n + w)
+    for x in range(n):
+        # row x of the slice at (x, x)
+        bits |= (m.bits >> (x * (n + 1) * n * n)) & (row << (x * n))
     return BinRel(n, bits)
 
 

@@ -22,6 +22,7 @@ from .relations import (
     REFLEXIVE_ADMISSIBLE,
     TOLERANCE,
     BinRel,
+    InvariantViolation,
     RelFamily,
     adm_close,
     cg,
@@ -336,16 +337,17 @@ def check_theorem_x4(alg, part: str, family: RelFamily) -> PropertyReport:
 def evaluate_problem_profile(alg, family: RelFamily | None = None) -> dict[str, bool]:
     """The five-bit truth profile of the open-problem conditions,
     exhaustively quantified.  Derivable implications between the bits are
-    asserted; a violation would be an implementation bug."""
+    checked; a violation is an implementation bug (InvariantViolation)."""
     family = family or RelFamily(mode="exhaustive")
     profile = {
         cid: check_condition(alg, cid, family).holds
         for cid in conditions.PROBLEM_IDS
     }
     for stronger, weaker in conditions.PROBLEM_IMPLICATIONS:
-        assert not (profile[stronger] and not profile[weaker]), (
-            f"profile implication {stronger} => {weaker} violated: {profile}"
-        )
+        if profile[stronger] and not profile[weaker]:
+            raise InvariantViolation(
+                f"profile implication {stronger} => {weaker} violated: {profile}"
+            )
     return profile
 
 

@@ -58,6 +58,10 @@ class FamilyBoundError(ValueError):
     pass
 
 
+class InvariantViolation(RuntimeError):
+    """An internal consistency check failed: a bug, not a usage error."""
+
+
 @dataclass(frozen=True)
 class BinRel:
     """A binary relation on {0..size-1}; (a, b) is related iff bit a*n+b."""
@@ -247,8 +251,7 @@ def adm_close(alg: FiniteAlgebra, r: BinRel) -> BinRel:
     """Smallest compatible relation containing r (closure in the square)."""
     if alg.size != r.size:
         raise SizeMismatch(f"algebra size {alg.size} vs relation size {r.size}")
-    closed = subuniverse_closure(alg, 2, r.pairs())
-    return BinRel.from_pairs(r.size, closed)
+    return BinRel(r.size, subuniverse_closure(alg, 2, r.pairs()).bits)
 
 
 @lru_cache(maxsize=65536)
@@ -263,7 +266,9 @@ def cg(alg: FiniteAlgebra, r: BinRel) -> BinRel:
     """Smallest congruence containing r."""
     out = star(tol_close(alg, r))
     # transitive closure of an admissible relation stays admissible
-    assert _admissibility_witness(alg, out) is None
+    witness = _admissibility_witness(alg, out)
+    if witness is not None:
+        raise InvariantViolation(f"cg({r!r}) = {out!r} is not admissible: {witness}")
     return out
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -227,3 +228,38 @@ def test_implementation_failure_exits_one(capsys, monkeypatch):
     )
     assert code == 1
     assert "fails" in out
+
+
+def test_invariant_violation_exits_one(capsys, monkeypatch):
+    # an internal invariant that fails is a bug, not a usage error
+    from relcomm import relations
+
+    relations.clear_caches()
+    monkeypatch.setattr(
+        relations, "_admissibility_witness", lambda alg, r: ("+", ((0, 0),), (0, 1))
+    )
+    code, _, err = run(capsys, "eval", "-a", "algebras/z2.alg", "-e", "cg(delta)")
+    relations.clear_caches()
+    assert code == 1
+    assert err.startswith("error: ") and "not admissible" in err
+
+
+# sha1 of `check-all --format structured`, pinned so that refactors can show
+# every verdict, witness and count is unchanged
+GOLDEN_CHECK_ALL = {
+    "trivial1": "9fc0e92847f72819d026d2261ae3e8f5e1bba7f4",
+    "set2": "c3971e54b3fe29be12ab60a70e2f59ae0e30ce74",
+    "z2": "2601da4edca82f9a9a575d56c4150d1a15196dbf",
+    "l2": "580127cb5434c061b6c61da7300ffaa82b5ad1ec",
+    "s2": "6b811ec28c695266982363a3dc76b77e1a729467",
+    "z3": "ac0315862d5ca4aa955460fcd240b4899974b972",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CHECK_ALL))
+def test_check_all_structured_golden(capsys, name):
+    code, out, _ = run(
+        capsys, "check-all", "-a", f"algebras/{name}.alg", "--format", "structured"
+    )
+    assert code == 0
+    assert hashlib.sha1(out.encode("utf-8")).hexdigest() == GOLDEN_CHECK_ALL[name]

@@ -190,6 +190,41 @@ def test_k_op_trivial_containment(algebras, ra_lists):
             assert lhs.is_subset(rhs)
 
 
+def _k_by_decoding(m, v):
+    """K(R, S; V) read off the decoded members of M(R, S)."""
+    n = m.size
+    bits = 0
+    for (x, y, z, w) in m.members():
+        if v.contains(x, y):
+            bits |= 1 << (z * n + w)
+    return bits
+
+
+def _comm_weak_by_decoding(m):
+    """[R, S | 1]_W read off the decoded members of M(R, S)."""
+    n = m.size
+    bits = 0
+    for (x, y, z, w) in m.members():
+        if x == y == z:
+            bits |= 1 << (x * n + w)
+    return bits
+
+
+def test_slicing_matches_decoded_definitions(algebras, ra_lists):
+    # k_op and comm_weak read M(R, S) by slicing its bitset
+    rng = random.Random(5)
+    for name in ("Z2", "L2", "C3", "Set3"):
+        alg = algebras[name]
+        n = alg.size
+        rels = ra_lists[name]
+        for r in rels:
+            for s in rels:
+                m = m_set(alg, r, s)
+                for v in (BinRel.delta(n), BinRel(n, rng.getrandbits(n * n))):
+                    assert k_op(alg, r, s, v).bits == _k_by_decoding(m, v), (name, r, s, v)
+                assert comm_weak(alg, r, s).bits == _comm_weak_by_decoding(m), (name, r, s)
+
+
 def test_cache_returns_equal_values():
     a = comm1(Z2, FULL2, FULL2)
     b = comm1(Z2, BinRel.full(2), BinRel.full(2))

@@ -171,6 +171,24 @@ def test_problem_profiles(algebras):
     }
 
 
+def test_problem_profile_implication_violation_raises(algebras, monkeypatch):
+    # PROB_II => PROB_I is derivable, so a profile breaking it is a bug
+    from relcomm import properties
+    from relcomm.relations import InvariantViolation
+
+    real = properties.check_condition
+
+    def broken(alg, cond_id, family):
+        rep = real(alg, cond_id, family)
+        if cond_id == "PROB_I":
+            rep.holds = False
+        return rep
+
+    monkeypatch.setattr(properties, "check_condition", broken)
+    with pytest.raises(InvariantViolation):
+        evaluate_problem_profile(algebras["L2"])
+
+
 def test_report_records_round_trip(algebras):
     rep = check_condition(algebras["Z2"], "PROB_I", EXH)
     rec = rep.to_record()
