@@ -23,10 +23,8 @@ from .relations import (
     enumerate_relations,
 )
 
-META_CHECKS = ("EQ_X2", "EQ_X3", "EQ_X3A", "EQ_REMARK", "CHAIN_X2", "CHAIN_X3", "T4_I", "T4_II")
-
 # verdicts on these mean "implementation bug", not "property of the algebra"
-_MUST_HOLD = set(conditions.THEOREM_IDS) | set(META_CHECKS)
+_MUST_HOLD = set(conditions.THEOREM_IDS) | set(conditions.META_CHECKS)
 
 
 def _pairs_text(rel: BinRel) -> str:
@@ -155,11 +153,9 @@ def _cmd_eval(args, out):
 
 
 def _run_meta(alg, cond, family):
-    if cond.startswith("EQ_"):
-        for rep in properties.check_equivalence_claims(alg, family):
-            if rep.condition == cond:
-                return rep
-        raise SystemExit2(f"unknown meta check {cond!r}")
+    for group_id, members in conditions.EQUIVALENCE_GROUPS:
+        if cond == group_id:
+            return properties.check_equivalence_group(alg, group_id, members, family)
     if cond.startswith("CHAIN_"):
         return properties.check_implication_chain(alg, cond.split("_", 1)[1], family)
     if cond in ("T4_I", "T4_II"):
@@ -171,14 +167,14 @@ def _cmd_check(args, out):
     alg = load_algebra(args.algebra)
     family = _family_from_args(args)
     cond = args.condition
-    if cond in META_CHECKS:
+    if cond in conditions.META_CHECKS:
         report = _run_meta(alg, cond, family)
     elif cond in conditions.CONDITIONS:
         report = properties.check_condition(alg, cond, family)
     else:
         raise SystemExit2(
             f"unknown condition {cond!r}; valid: "
-            + ", ".join(sorted(conditions.CONDITION_IDS) + sorted(META_CHECKS))
+            + ", ".join(sorted(conditions.CONDITION_IDS) + sorted(conditions.META_CHECKS))
         )
     _emit(_report_records([report]), args.format, out)
     if cond in _MUST_HOLD and not report.holds:

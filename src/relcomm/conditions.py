@@ -287,6 +287,15 @@ EQUIVALENCE_GROUPS = (
     ("EQ_REMARK", ("PROB_III", "REMARK_RT")),
 )
 
+# checks whose verdict is about several conditions at once: the equivalence
+# groups, the two implication chains and the two consequence-theorem parts
+META_CHECKS = tuple(g for g, _ in EQUIVALENCE_GROUPS) + (
+    "CHAIN_X2",
+    "CHAIN_X3",
+    "T4_I",
+    "T4_II",
+)
+
 PROBLEM_IDS = ("PROB_I", "PROB_II", "PROB_III", "PROB_IV", "PROB_V")
 
 # X => Y whenever Y quantifies over a subfamily and its right side is

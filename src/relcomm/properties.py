@@ -18,16 +18,12 @@ from . import conditions
 from .conditions import ANY, CONDITIONS, ConditionSpec
 from .expr import eval_expr
 from .relations import (
-    CONGRUENCE,
-    REFLEXIVE_ADMISSIBLE,
-    TOLERANCE,
     BinRel,
     InvariantViolation,
     RelFamily,
-    adm_close,
     cg,
     enumerate_relations,
-    tol_close,
+    family_closure,
     union_,
 )
 
@@ -163,13 +159,7 @@ def _sample_one(alg, q, env, rng):
     base = BinRel.from_pairs(n, pairs)
     if q.above is not None:
         return cg(alg, union_(eval_expr(alg, env, q.above), base))
-    if q.kind == REFLEXIVE_ADMISSIBLE:
-        return adm_close(alg, union_(BinRel.delta(n), base))
-    if q.kind == TOLERANCE:
-        return tol_close(alg, base)
-    if q.kind == CONGRUENCE:
-        return cg(alg, base)
-    raise ValueError(f"unknown quantifier kind {q.kind!r}")
+    return family_closure(alg, q.kind)(base)
 
 
 def _sampled_bindings(alg, quantifiers, family):
@@ -243,34 +233,37 @@ def check_lemma_x1b(alg, part: str, rels: dict) -> PropertyReport:
     return _check_bound(alg, f"L1B_{part.upper()}", rels)
 
 
-def check_equivalence_claims(alg, family: RelFamily) -> list[PropertyReport]:
-    """Each equivalence group must agree in truth value across members.
+def check_equivalence_group(alg, group_id, members, family: RelFamily) -> PropertyReport:
+    """The members of one equivalence group must agree in truth value.
 
     Disagreement is an implementation failure (the members are proved
     equivalent), reported with the witness of a failing member.
     """
-    out = []
-    for group_id, members in conditions.EQUIVALENCE_GROUPS:
-        reports = {m: check_condition(alg, m, family) for m in members}
-        values = {m: r.holds for m, r in reports.items()}
-        agree = len(set(values.values())) == 1
-        witness = None
-        if not agree:
-            for m in members:
-                if not reports[m].holds:
-                    witness = reports[m].witness
-                    break
-        out.append(
-            PropertyReport(
-                condition=group_id,
-                holds=agree,
-                witness=witness,
-                relations_checked=sum(r.relations_checked for r in reports.values()),
-                family_mode=family.mode,
-                detail={"members": values},
-            )
-        )
-    return out
+    reports = {m: check_condition(alg, m, family) for m in members}
+    values = {m: r.holds for m, r in reports.items()}
+    agree = len(set(values.values())) == 1
+    witness = None
+    if not agree:
+        for m in members:
+            if not reports[m].holds:
+                witness = reports[m].witness
+                break
+    return PropertyReport(
+        condition=group_id,
+        holds=agree,
+        witness=witness,
+        relations_checked=sum(r.relations_checked for r in reports.values()),
+        family_mode=family.mode,
+        detail={"members": values},
+    )
+
+
+def check_equivalence_claims(alg, family: RelFamily) -> list[PropertyReport]:
+    """One report per equivalence group, in table order."""
+    return [
+        check_equivalence_group(alg, group_id, members, family)
+        for group_id, members in conditions.EQUIVALENCE_GROUPS
+    ]
 
 
 def check_implication_chain(alg, theorem: str, family: RelFamily) -> PropertyReport:

@@ -3,7 +3,10 @@
 closures, congruence join) and enumeration of relation families.
 
 Bit (a, b) of a relation lives at position a*n + b of the `bits` integer;
-that encoding is also the documented enumeration order.
+that encoding is also the documented enumeration order.  Each family is
+the set of closed sets of one closure operator (`family_closure`), and
+exhaustive enumeration lists them with Ganter's NextClosure, which visits
+closed sets in ascending order of `bits`.
 """
 
 from __future__ import annotations
@@ -321,59 +324,45 @@ def _family_max_n(kind: str) -> int:
     return _DEFAULT_MAX_N[kind]
 
 
-def _reflexive_candidates(n):
-    """All reflexive relations, ascending in the bit encoding."""
-    off_diag = [a * n + b for a in range(n) for b in range(n) if a != b]
-    delta_bits = BinRel.delta(n).bits
-    for mask in range(1 << len(off_diag)):
-        bits = delta_bits
-        m = mask
-        while m:
-            low = m & -m
-            bits |= 1 << off_diag[low.bit_length() - 1]
-            m ^= low
-        yield BinRel(n, bits)
+def family_closure(alg: FiniteAlgebra, kind: str):
+    """The closure operator whose closed sets are the family `kind`."""
+    if kind == REFLEXIVE_ADMISSIBLE:
+        delta = BinRel.delta(alg.size)
+        return lambda r: adm_close(alg, union_(delta, r))
+    if kind == TOLERANCE:
+        return lambda r: tol_close(alg, r)
+    if kind == CONGRUENCE:
+        return lambda r: cg(alg, r)
+    raise ValueError(f"unknown family kind {kind!r}")
 
 
-def _tolerance_candidates(n):
-    """All reflexive symmetric relations (in free-bit order, not sorted)."""
-    uppers = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    delta_bits = BinRel.delta(n).bits
-    for mask in range(1 << len(uppers)):
-        bits = delta_bits
-        m = mask
-        while m:
-            low = m & -m
-            a, b = uppers[low.bit_length() - 1]
-            bits |= (1 << (a * n + b)) | (1 << (b * n + a))
-            m ^= low
-        yield BinRel(n, bits)
+def _closed_sets(n, close):
+    """Every closed set of `close` on n*n-bit relations, ascending in bits.
 
-
-def _partitions_bits(n):
-    """Equivalence relations of an n-set via restricted growth strings."""
-
-    def rec(i, labels, maxlab):
-        if i == n:
-            bits = 0
-            for a in range(n):
-                for b in range(n):
-                    if labels[a] == labels[b]:
-                        bits |= 1 << (a * n + b)
-            yield bits
+    Ganter's NextClosure with higher bits more significant: the successor
+    of A is close(A's bits above j | bit j) for the least bit j not in A
+    whose closure adds no bit above j.
+    """
+    a = close(BinRel(n, 0)).bits
+    while True:
+        yield BinRel(n, a)
+        for j in range(n * n):
+            bit = 1 << j
+            if a & bit:
+                continue
+            above = -(bit << 1)
+            b = close(BinRel(n, a & above | bit)).bits
+            if b & above & ~a == 0:
+                a = b
+                break
+        else:
             return
-        for lab in range(maxlab + 2):
-            labels.append(lab)
-            yield from rec(i + 1, labels, max(maxlab, lab))
-            labels.pop()
-
-    yield from rec(1, [0], 0)
 
 
 def _sample_relations(alg, kind, sample_count, seed):
     n = alg.size
     rng = random.Random(seed)
-    delta = BinRel.delta(n)
+    close = family_closure(alg, kind)
     seen = set()
     produced = 0
     attempts = 0
@@ -381,15 +370,7 @@ def _sample_relations(alg, kind, sample_count, seed):
         attempts += 1
         k = rng.randint(1, 3)
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(k)]
-        base = BinRel.from_pairs(n, pairs)
-        if kind == REFLEXIVE_ADMISSIBLE:
-            rel = adm_close(alg, union_(delta, base))
-        elif kind == TOLERANCE:
-            rel = tol_close(alg, base)
-        elif kind == CONGRUENCE:
-            rel = cg(alg, base)
-        else:
-            raise ValueError(f"unknown family kind {kind!r}")
+        rel = close(BinRel.from_pairs(n, pairs))
         if rel.bits not in seen:
             seen.add(rel.bits)
             produced += 1
@@ -400,7 +381,8 @@ def enumerate_relations(alg: FiniteAlgebra, family: RelFamily):
     """Stream the relations of a family.
 
     Exhaustive mode yields each member exactly once, in ascending order of
-    the bit encoding; sampled mode yields deduplicated closure-generated
+    the bit encoding: the closed sets of `family_closure(alg, kind)`, listed
+    by NextClosure.  Sampled mode yields deduplicated closure-generated
     relations in generation order, deterministically for a fixed seed.
     """
     kind = family.kind
@@ -417,26 +399,7 @@ def enumerate_relations(alg: FiniteAlgebra, family: RelFamily):
             f"exhaustive {kind} enumeration is capped at n={_family_max_n(kind)} "
             f"(algebra has n={n}); use sampled mode or {_ENV_OVERRIDE}"
         )
-    if kind == REFLEXIVE_ADMISSIBLE:
-        for rel in _reflexive_candidates(n):
-            if is_admissible(alg, rel):
-                yield rel
-    elif kind == TOLERANCE:
-        found = [
-            rel.bits
-            for rel in _tolerance_candidates(n)
-            if is_admissible(alg, rel)
-        ]
-        for bits in sorted(found):
-            yield BinRel(n, bits)
-    else:
-        found = [
-            bits
-            for bits in _partitions_bits(n)
-            if is_admissible(alg, BinRel(n, bits))
-        ]
-        for bits in sorted(found):
-            yield BinRel(n, bits)
+    yield from _closed_sets(n, family_closure(alg, kind))
 
 
 def clear_caches():

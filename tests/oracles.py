@@ -93,6 +93,33 @@ def partition_to_pairs(blocks):
     return pairs
 
 
+def naive_family(size, arities, tables, kind):
+    """Every admissible member of a relation family, as sorted bit ints
+    (pair (a, b) at bit a*size + b).  The candidates are all reflexive
+    relations ("reflexive-admissible"), all reflexive symmetric relations
+    ("tolerance") or all partitions ("congruence")."""
+    if kind == "congruence":
+        candidates = [partition_to_pairs(p) for p in all_partitions(range(size))]
+    else:
+        if kind == "reflexive-admissible":
+            free = [{(a, b)} for a, b in itertools.permutations(range(size), 2)]
+        elif kind == "tolerance":
+            free = [{(a, b), (b, a)} for a, b in itertools.combinations(range(size), 2)]
+        else:
+            raise ValueError(kind)
+        diagonal = {(a, a) for a in range(size)}
+        candidates = [
+            diagonal.union(*chosen)
+            for k in range(len(free) + 1)
+            for chosen in itertools.combinations(free, k)
+        ]
+    return sorted(
+        sum(1 << (a * size + b) for a, b in pairs)
+        for pairs in candidates
+        if naive_is_admissible(size, arities, tables, pairs)
+    )
+
+
 class TermTableOracle:
     """Term functions of a finite algebra in exactly 4 variables, enumerated
     by term-tree depth and deduplicated by their induced value table.

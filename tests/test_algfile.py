@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from relcomm import FiniteAlgebra, format_algebra, load_algebra, parse_algebra
@@ -59,3 +61,10 @@ def test_format_is_parseable_with_multiline_comment():
     alg = FiniteAlgebra(2, (("f", 1, (1, 0)),))
     text = format_algebra(alg, comment="line one\nline two")
     assert parse_algebra(text) == alg
+
+
+def test_catalog_matches_shipped_files():
+    names = {name.lower() for name, _ in catalog()}
+    for name, alg in catalog():
+        assert load_algebra(f"algebras/{name.lower()}.alg") == alg, name
+    assert {path.stem for path in Path("algebras").glob("*.alg")} == names

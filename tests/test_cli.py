@@ -101,6 +101,23 @@ def test_check_meta_conditions(capsys):
         assert code == 0, cond
 
 
+def test_check_equivalence_group_checks_only_its_members(capsys, monkeypatch):
+    from relcomm import properties
+
+    real = properties.check_condition
+    seen = []
+
+    def counting(alg, cond_id, family):
+        seen.append(cond_id)
+        return real(alg, cond_id, family)
+
+    monkeypatch.setattr(properties, "check_condition", counting)
+    code, out, _ = run(capsys, "check", "-a", "algebras/l2.alg", "--condition", "EQ_X3")
+    assert code == 0
+    assert out.startswith("EQ_X3: holds")
+    assert seen == ["T3_I", "T3_IA", "T3_II"]
+
+
 def test_check_unknown_condition(capsys):
     code, _, err = run(capsys, "check", "-a", "algebras/z2.alg", "--condition", "XYZ")
     assert code == 2
@@ -253,6 +270,8 @@ GOLDEN_CHECK_ALL = {
     "l2": "580127cb5434c061b6c61da7300ffaa82b5ad1ec",
     "s2": "6b811ec28c695266982363a3dc76b77e1a729467",
     "z3": "ac0315862d5ca4aa955460fcd240b4899974b972",
+    "z4": "e2b3b7a1f1668194c7246e1beab4efc0ba941e09",
+    "z2xz2": "6a20084c55955b7123bde4322d8fd87167d98b80",
 }
 
 

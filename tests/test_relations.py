@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import refl, rel
-from oracles import naive_compose, naive_is_admissible, naive_transitive_closure
+from oracles import (
+    naive_compose,
+    naive_family,
+    naive_is_admissible,
+    naive_transitive_closure,
+)
 from relcomm import (
     BinRel,
     CONGRUENCE,
@@ -30,6 +35,7 @@ from relcomm import (
     union_,
 )
 from relcomm.relations import FamilyBoundError, SizeMismatch
+from relcomm.search import Signature, random_algebra
 
 Z2 = FiniteAlgebra(2, (("+", 2, (0, 1, 1, 0)),))
 PURE2 = FiniteAlgebra(2, ())
@@ -255,3 +261,30 @@ def test_sampled_mode_deterministic(algebras):
     for bits in a:
         r = BinRel(alg.size, bits)
         assert is_reflexive(r) and is_symmetric(r) and is_admissible(alg, r)
+
+
+def assert_family_matches_oracle(alg):
+    arities = [op.arity for op in alg.operations]
+    tables = [op.table for op in alg.operations]
+    for kind in (REFLEXIVE_ADMISSIBLE, TOLERANCE, CONGRUENCE):
+        got = [r.bits for r in enumerate_relations(alg, RelFamily(kind=kind))]
+        assert got == naive_family(alg.size, arities, tables, kind), kind
+
+
+def test_enumerate_matches_oracle_on_catalog(algebras):
+    for alg in algebras.values():
+        if alg.size <= 4:
+            assert_family_matches_oracle(alg)
+
+
+def test_enumerate_matches_oracle_on_random_groupoids():
+    sig = Signature(size=4, ops=(("f", 2),))
+    for seed in range(3):
+        assert_family_matches_oracle(random_algebra(sig, f"enumerate:{seed}"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.sets(st.sampled_from((0, 1, 2, 3)), min_size=1), st.integers())
+def test_enumerate_matches_oracle_on_mixed_arities(n, arities, seed):
+    sig = Signature(size=n, ops=tuple((f"f{a}", a) for a in sorted(arities)))
+    assert_family_matches_oracle(random_algebra(sig, seed))
