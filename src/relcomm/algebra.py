@@ -161,25 +161,17 @@ def _encoded_tables(alg: FiniteAlgebra, power: int):
                 t = [tu * n + fa for tu in t for fa in op.table]
             out.append(tuple(t))
         elif op.arity == 2 and total * total <= _ENCODED_TABLE_LIMIT:
-            t = list(op.table)
-            size_j = n
-            base = op.table
+            base_rows = [op.table[a * n : (a + 1) * n] for a in range(n)]
+            rows = base_rows
             for _ in range(power - 1):
-                new_size = size_j * n
-                newt = [0] * (new_size * new_size)
-                for u in range(size_j):
-                    urow = t[u * size_j : (u + 1) * size_j]
-                    for a in range(n):
-                        arow = base[a * n : (a + 1) * n]
-                        dst = (u * n + a) * new_size
-                        for v in range(size_j):
-                            hi = urow[v] * n
-                            off = dst + v * n
-                            for b in range(n):
-                                newt[off + b] = hi + arow[b]
-                t = newt
-                size_j = new_size
-            out.append(tuple(t))
+                # row u*n + a of the next table: row u of this one crossed
+                # with row a of the base table
+                rows = [
+                    [h * n + l for h in row for l in base_rows[a]]
+                    for row in rows
+                    for a in range(n)
+                ]
+            out.append(tuple(itertools.chain.from_iterable(rows)))
         else:
             out.append(None)
     return tuple(out)

@@ -256,12 +256,13 @@ _add("SEQ_L", _ra("R"), Cg(R), comp(_c1, R, _c1), relation="equal")
 CONDITIONS: dict[str, ConditionSpec] = {s.id: s for s in _specs}
 
 # aliases: same formulas under the ids their other contexts use
-for alias, original in (
-    ("PROB_I", "T2_I"),
-    ("PROB_II", "T3_I"),
-    ("T4_I_HYP", "T2_I"),
-    ("T4_II_HYP", "T3_I"),
-):
+ALIASES = {
+    "PROB_I": "T2_I",
+    "PROB_II": "T3_I",
+    "T4_I_HYP": "T2_I",
+    "T4_II_HYP": "T3_I",
+}
+for alias, original in ALIASES.items():
     CONDITIONS[alias] = replace(CONDITIONS[original], id=alias)
 
 CONDITION_IDS = tuple(CONDITIONS)

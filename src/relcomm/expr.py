@@ -392,35 +392,73 @@ def _pp(e, min_level):
     return text
 
 
+# The meaning of each node type, defined once: its child attributes and a
+# function of (alg, *child values).  `eval_expr` walks this table, and
+# `properties` compiles condition plans from it.  The functions look up
+# `relations` and `commutator` at call time, so a wrapper installed on a
+# module attribute sees every call.  A child that is not an expression
+# (Literal's pair tuple) is passed to the function as it is.  NameRef is not
+# here: a name's value comes from the binding.
+_LR = ("left", "right")
+NODES = {
+    Delta: ((), lambda alg: BinRel.delta(alg.size)),
+    All: ((), lambda alg: BinRel.full(alg.size)),
+    EmptyRel: ((), lambda alg: BinRel.empty(alg.size)),
+    Literal: (("pairs",), lambda alg, pairs: BinRel.from_pairs(alg.size, pairs)),
+    Converse: (("arg",), lambda alg, r: relations.converse(r)),
+    Star: (("arg",), lambda alg, r: relations.star(r)),
+    TolClose: (("arg",), lambda alg, r: relations.tol_close(alg, r)),
+    AdmClose: (("arg",), lambda alg, r: relations.adm_close(alg, r)),
+    Cg: (("arg",), lambda alg, r: relations.cg(alg, r)),
+    Compose: (_LR, lambda alg, r, s: relations.compose(r, s)),
+    Intersect: (_LR, lambda alg, r, s: relations.intersect(r, s)),
+    Union: (_LR, lambda alg, r, s: relations.union_(r, s)),
+    Comm1: (_LR, lambda alg, r, s: commutator.comm1(alg, r, s)),
+    Comm: (_LR, lambda alg, r, s: commutator.comm(alg, r, s)),
+    CommW: (_LR, lambda alg, r, s: commutator.comm_weak(alg, r, s)),
+    K: (_LR + ("filter",), lambda alg, r, s, v: commutator.k_op(alg, r, s, v)),
+    Join: (_LR, lambda alg, r, s: relations.cong_join(alg, r, s)),
+}
+
+# nodes whose first two children are commutator arguments (close_inputs)
+_COMMUTATORS = (Comm1, Comm, CommW, K)
+
+
+def children(e: RelExpr) -> tuple:
+    """The values of `e`'s child attributes, in argument order."""
+    try:
+        fields = NODES[type(e)][0]
+    except KeyError:
+        raise EvalError(f"unknown expression node {e!r}") from None
+    return tuple(getattr(e, f) for f in fields)
+
+
 def free_names(e: RelExpr) -> set[str]:
-    t = type(e)
-    if t is NameRef:
+    if type(e) is NameRef:
         return {e.name}
-    if t in (Delta, All, EmptyRel, Literal):
-        return set()
-    if t in _POSTFIX or t in (Cg, AdmClose):
-        return free_names(e.arg)
-    if t is K:
-        return free_names(e.left) | free_names(e.right) | free_names(e.filter)
-    return free_names(e.left) | free_names(e.right)
+    out = set()
+    for c in children(e):
+        if isinstance(c, RelExpr):
+            out |= free_names(c)
+    return out
 
 
 def eval_expr(alg, env: dict, e: RelExpr, close_inputs: bool = False) -> BinRel:
     """Evaluate an expression against an algebra and a name environment.
 
-    With close_inputs, arguments of commutator nodes (but not K's filter)
-    are first replaced by their reflexive-admissible closure.
+    This is the reference evaluator, a plain walk over `NODES`, and the one
+    the `eval` command uses; condition sweeps run compiled plans over the
+    same table (`properties`).  With close_inputs, arguments of commutator
+    nodes (but not K's filter) are first replaced by their
+    reflexive-admissible closure.
     """
     n = alg.size
 
     def close(rel):
-        if close_inputs:
-            return relations.adm_close(alg, relations.union_(BinRel.delta(n), rel))
-        return rel
+        return relations.adm_close(alg, relations.union_(BinRel.delta(n), rel))
 
     def ev(node):
-        t = type(node)
-        if t is NameRef:
+        if type(node) is NameRef:
             if node.name not in env:
                 raise EvalError(f"unbound relation name {node.name!r}")
             rel = env[node.name]
@@ -429,42 +467,9 @@ def eval_expr(alg, env: dict, e: RelExpr, close_inputs: bool = False) -> BinRel:
                     f"relation {node.name!r} has size {rel.size}, algebra has {n}"
                 )
             return rel
-        if t is Delta:
-            return BinRel.delta(n)
-        if t is All:
-            return BinRel.full(n)
-        if t is EmptyRel:
-            return BinRel.empty(n)
-        if t is Literal:
-            return BinRel.from_pairs(n, node.pairs)
-        if t is Converse:
-            return relations.converse(ev(node.arg))
-        if t is Star:
-            return relations.star(ev(node.arg))
-        if t is TolClose:
-            return relations.tol_close(alg, ev(node.arg))
-        if t is AdmClose:
-            return relations.adm_close(alg, ev(node.arg))
-        if t is Cg:
-            return relations.cg(alg, ev(node.arg))
-        if t is Compose:
-            return relations.compose(ev(node.left), ev(node.right))
-        if t is Intersect:
-            return relations.intersect(ev(node.left), ev(node.right))
-        if t is Union:
-            return relations.union_(ev(node.left), ev(node.right))
-        if t is Comm1:
-            return commutator.comm1(alg, close(ev(node.left)), close(ev(node.right)))
-        if t is Comm:
-            return commutator.comm(alg, close(ev(node.left)), close(ev(node.right)))
-        if t is CommW:
-            return commutator.comm_weak(alg, close(ev(node.left)), close(ev(node.right)))
-        if t is K:
-            return commutator.k_op(
-                alg, close(ev(node.left)), close(ev(node.right)), ev(node.filter)
-            )
-        if t is Join:
-            return relations.cong_join(alg, ev(node.left), ev(node.right))
-        raise EvalError(f"unknown expression node {node!r}")
+        args = [ev(c) if isinstance(c, RelExpr) else c for c in children(node)]
+        if close_inputs and type(node) in _COMMUTATORS:
+            args[0], args[1] = close(args[0]), close(args[1])
+        return NODES[type(node)][1](alg, *args)
 
     return ev(e)

@@ -5,6 +5,17 @@ family and reports either success over the whole range or the first
 violating binding.  Failed reports always carry a witness that can be
 re-evaluated standalone (`recheck_witness`).
 
+`check_condition` compiles its condition into a plan (`_Plan`): one step
+per distinct subterm, each at a level, the deepest quantifier among its
+free names (or constant).  The sweep lists each quantifier's family once,
+runs the constant steps once, and after binding quantifier i runs only the
+level-i steps, so a subterm is rebuilt only when a name it uses changes.
+Bindings are visited in nested order, the first quantifier outermost and
+each family in enumeration order, and the first violating binding stops
+the sweep: the verdict, witness and count are those of a plain
+per-binding walk with `eval_expr`, which stays the reference (explicit
+bindings and `recheck_witness` use it).
+
 Sampled verdicts are never reported as "holds": a sampled sweep that finds
 nothing says so explicitly.
 """
@@ -16,7 +27,7 @@ from dataclasses import dataclass, field
 
 from . import conditions
 from .conditions import ANY, CONDITIONS, ConditionSpec
-from .expr import eval_expr
+from .expr import NODES, EvalError, NameRef, RelExpr, children, eval_expr
 from .relations import (
     BinRel,
     InvariantViolation,
@@ -102,20 +113,6 @@ def _spec(cond_id) -> ConditionSpec:
         raise ValueError(f"unknown condition id {cond_id!r}") from None
 
 
-def _eval_instance(alg, spec, env):
-    """(ok, violating pair or None) for one binding."""
-    lhs = eval_expr(alg, env, spec.lhs)
-    rhs = eval_expr(alg, env, spec.rhs)
-    if spec.relation == "subset":
-        bad = lhs.bits & ~rhs.bits
-    else:
-        bad = lhs.bits ^ rhs.bits
-    if bad == 0:
-        return True, None
-    i = (bad & -bad).bit_length() - 1
-    return False, divmod(i, alg.size)
-
-
 def _make_witness(spec, env, pair):
     return Witness(
         condition=spec.id,
@@ -124,25 +121,132 @@ def _make_witness(spec, env, pair):
     )
 
 
-def _exhaustive_bindings(alg, quantifiers, family, env):
-    if not quantifiers:
-        yield dict(env)
-        return
-    q = quantifiers[0]
-    if q.kind == ANY:
-        raise ValueError(
-            f"quantifier {q.name!r} ranges over arbitrary relations; "
-            "only sampled mode can sweep it"
-        )
-    for rel in enumerate_relations(alg, family.with_kind(q.kind)):
-        if q.above is not None and not eval_expr(alg, env, q.above).is_subset(rel):
-            continue
-        env[q.name] = rel
-        yield from _exhaustive_bindings(alg, quantifiers[1:], family, env)
-        del env[q.name]
+def _violation(spec, n, lhs, rhs):
+    """The least pair that breaks `lhs <= rhs` (or `lhs == rhs`), or None."""
+    if spec.relation == "subset":
+        bad = lhs.bits & ~rhs.bits
+    else:
+        bad = lhs.bits ^ rhs.bits
+    if bad == 0:
+        return None
+    return divmod((bad & -bad).bit_length() - 1, n)
 
 
-def _sample_one(alg, q, env, rng):
+class _Plan:
+    """A condition compiled into numbered steps over one value array.
+
+    Every distinct subterm of the two sides and of the quantifiers' `above`
+    bounds gets one slot; equal subterms share it.  A step computes one
+    slot from its children's slots with the node's function from
+    `expr.NODES`.  Its level is the deepest quantifier among its free names,
+    and `steps[i + 1]` runs right after quantifier i is bound (`steps[0]`
+    holds the constant steps), so a subterm is recomputed only when a name
+    it uses changes.
+    """
+
+    def __init__(self, spec):
+        self.spec = spec
+        quantifiers = spec.quantifiers
+        self.initial = []  # slot values known before any step runs
+        self.level_of = []
+        self.steps = [[] for _ in range(len(quantifiers) + 1)]
+        self.slot_of = {}
+        self.names = [self._new_slot(NameRef(q.name), i + 1) for i, q in enumerate(quantifiers)]
+        self.above = [None if q.above is None else self._visit(q.above) for q in quantifiers]
+        self.lhs = self._visit(spec.lhs)
+        self.rhs = self._visit(spec.rhs)
+
+    def _new_slot(self, key, level, value=None):
+        slot = self.slot_of[key] = len(self.initial)
+        self.initial.append(value)
+        self.level_of.append(level)
+        return slot
+
+    def _visit(self, node):
+        if node in self.slot_of:
+            return self.slot_of[node]
+        if not isinstance(node, RelExpr):
+            return self._new_slot(node, 0, node)
+        if type(node) is NameRef:
+            raise EvalError(f"unbound relation name {node.name!r}")
+        args = tuple(self._visit(c) for c in children(node))
+        level = max((self.level_of[a] for a in args), default=0)
+        slot = self._new_slot(node, level)
+        self.steps[level].append((slot, NODES[type(node)][1], args))
+        return slot
+
+    def start(self, alg):
+        """A value array with the constant steps done."""
+        vals = list(self.initial)
+        self.run(alg, vals, 0)
+        return vals
+
+    def run(self, alg, vals, level):
+        for out, fn, args in self.steps[level]:
+            vals[out] = fn(alg, *[vals[a] for a in args])
+
+    def bind(self, alg, vals, i, rel):
+        """Bind quantifier i to `rel` and run the steps that depend on it."""
+        vals[self.names[i]] = rel
+        self.run(alg, vals, i + 1)
+
+    def violation(self, alg, vals):
+        return _violation(self.spec, alg.size, vals[self.lhs], vals[self.rhs])
+
+    def env(self, vals):
+        return {q.name: vals[slot] for q, slot in zip(self.spec.quantifiers, self.names)}
+
+
+def _family_lists(alg, quantifiers, family):
+    """Each quantifier's family, listed once per kind."""
+    lists = {}
+    for q in quantifiers:
+        if q.kind == ANY:
+            raise ValueError(
+                f"quantifier {q.name!r} ranges over arbitrary relations; "
+                "only sampled mode can sweep it"
+            )
+        if q.kind not in lists:
+            lists[q.kind] = tuple(enumerate_relations(alg, family.with_kind(q.kind)))
+    return [lists[q.kind] for q in quantifiers]
+
+
+def _sweep_exhaustive(alg, plan, family):
+    """(bindings checked, first violating vals and pair or None).
+
+    Bindings are visited in nested quantifier order, the first quantifier
+    outermost, each over its family in enumeration order; a binding whose
+    relation is not above its quantifier's bound is skipped uncounted.
+    Running a level's steps once per binding of that level adds no
+    evaluation a per-binding walk would not make: every family is
+    non-empty and contains the full relation, which passes every bound, so
+    each partial binding extends to at least one full binding.
+    """
+    lists = _family_lists(alg, plan.spec.quantifiers, family)
+    vals = plan.start(alg)
+    depth = len(lists)
+    checked = 0
+
+    def descend(i):
+        nonlocal checked
+        if i == depth:
+            checked += 1
+            return plan.violation(alg, vals)
+        above = plan.above[i]
+        for rel in lists[i]:
+            if above is not None and vals[above].bits & ~rel.bits:
+                continue
+            plan.bind(alg, vals, i, rel)
+            pair = descend(i + 1)
+            if pair is not None:
+                return pair
+        return None
+
+    pair = descend(0)
+    return checked, None if pair is None else (vals, pair)
+
+
+def _sample_one(alg, q, above, rng):
     n = alg.size
     if q.kind == ANY:
         roll = rng.random()
@@ -157,52 +261,58 @@ def _sample_one(alg, q, env, rng):
         (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3))
     ]
     base = BinRel.from_pairs(n, pairs)
-    if q.above is not None:
-        return cg(alg, union_(eval_expr(alg, env, q.above), base))
+    if above is not None:
+        return cg(alg, union_(above, base))
     return family_closure(alg, q.kind)(base)
 
 
-def _sampled_bindings(alg, quantifiers, family):
+def _sweep_sampled(alg, plan, family):
+    """Like `_sweep_exhaustive`, over `family.sample_count` bindings drawn
+    from `family.seed`, quantifier by quantifier; every step that depends
+    on a quantifier runs for each drawn binding."""
     rng = random.Random(family.seed)
+    start = plan.start(alg)
+    checked = 0
     for _ in range(family.sample_count):
-        env = {}
-        for q in quantifiers:
-            env[q.name] = _sample_one(alg, q, env, rng)
-        yield env
-
-
-def iter_bindings(alg, quantifiers, family):
-    if family.mode == "sampled":
-        yield from _sampled_bindings(alg, quantifiers, family)
-    else:
-        yield from _exhaustive_bindings(alg, list(quantifiers), family, {})
+        checked += 1
+        vals = list(start)
+        for i, q in enumerate(plan.spec.quantifiers):
+            above = plan.above[i]
+            rel = _sample_one(alg, q, None if above is None else vals[above], rng)
+            plan.bind(alg, vals, i, rel)
+        pair = plan.violation(alg, vals)
+        if pair is not None:
+            return checked, (vals, pair)
+    return checked, None
 
 
 def check_condition(alg, cond_id: str, family: RelFamily) -> PropertyReport:
     """Quantify one condition over its families; first violation wins."""
     spec = _spec(cond_id)
-    checked = 0
-    for env in iter_bindings(alg, spec.quantifiers, family):
-        checked += 1
-        ok, pair = _eval_instance(alg, spec, env)
-        if not ok:
-            return PropertyReport(
-                condition=cond_id,
-                holds=False,
-                witness=_make_witness(spec, env, pair),
-                relations_checked=checked,
-                family_mode=family.mode,
-            )
+    plan = _Plan(spec)
+    sweep = _sweep_sampled if family.mode == "sampled" else _sweep_exhaustive
+    checked, found = sweep(alg, plan, family)
+    witness = None
+    if found is not None:
+        vals, pair = found
+        witness = _make_witness(spec, plan.env(vals), pair)
     return PropertyReport(
         condition=cond_id,
-        holds=True,
-        witness=None,
+        holds=found is None,
+        witness=witness,
         relations_checked=checked,
         family_mode=family.mode,
     )
 
 
 check_theorem_condition = check_condition
+
+
+def _eval_bound(alg, spec, env):
+    """The violating pair of `spec` at one explicit binding, or None."""
+    lhs = eval_expr(alg, env, spec.lhs)
+    rhs = eval_expr(alg, env, spec.rhs)
+    return _violation(spec, alg.size, lhs, rhs)
 
 
 def _check_bound(alg, cond_id, rels) -> PropertyReport:
@@ -214,11 +324,11 @@ def _check_bound(alg, cond_id, rels) -> PropertyReport:
             f"{cond_id} needs bindings for {', '.join(sorted(missing))}"
         )
     env = {q.name: rels[q.name] for q in spec.quantifiers}
-    ok, pair = _eval_instance(alg, spec, env)
+    pair = _eval_bound(alg, spec, env)
     return PropertyReport(
         condition=cond_id,
-        holds=ok,
-        witness=None if ok else _make_witness(spec, env, pair),
+        holds=pair is None,
+        witness=None if pair is None else _make_witness(spec, env, pair),
         relations_checked=1,
         family_mode="explicit",
     )
@@ -233,13 +343,18 @@ def check_lemma_x1b(alg, part: str, rels: dict) -> PropertyReport:
     return _check_bound(alg, f"L1B_{part.upper()}", rels)
 
 
-def check_equivalence_group(alg, group_id, members, family: RelFamily) -> PropertyReport:
+def check_equivalence_group(
+    alg, group_id, members, family: RelFamily, check=None
+) -> PropertyReport:
     """The members of one equivalence group must agree in truth value.
 
     Disagreement is an implementation failure (the members are proved
-    equivalent), reported with the witness of a failing member.
+    equivalent), reported with the witness of a failing member.  Like the
+    other meta-checks, it gets its members' reports from `check(alg, id,
+    family)`, by default `check_condition`.
     """
-    reports = {m: check_condition(alg, m, family) for m in members}
+    check = check or check_condition
+    reports = {m: check(alg, m, family) for m in members}
     values = {m: r.holds for m, r in reports.items()}
     agree = len(set(values.values())) == 1
     witness = None
@@ -258,18 +373,19 @@ def check_equivalence_group(alg, group_id, members, family: RelFamily) -> Proper
     )
 
 
-def check_equivalence_claims(alg, family: RelFamily) -> list[PropertyReport]:
+def check_equivalence_claims(alg, family: RelFamily, check=None) -> list[PropertyReport]:
     """One report per equivalence group, in table order."""
     return [
-        check_equivalence_group(alg, group_id, members, family)
+        check_equivalence_group(alg, group_id, members, family, check)
         for group_id, members in conditions.EQUIVALENCE_GROUPS
     ]
 
 
-def check_implication_chain(alg, theorem: str, family: RelFamily) -> PropertyReport:
+def check_implication_chain(alg, theorem: str, family: RelFamily, check=None) -> PropertyReport:
     """No condition in the displayed order may hold while a later one fails."""
+    check = check or check_condition
     chain = {"x2": conditions.X2_CHAIN, "x3": conditions.X3_CHAIN}[theorem.lower()]
-    reports = [check_condition(alg, cid, family) for cid in chain]
+    reports = [check(alg, cid, family) for cid in chain]
     values = {cid: r.holds for cid, r in zip(chain, reports)}
     first_true = next((i for i, r in enumerate(reports) if r.holds), None)
     bad = None
@@ -288,18 +404,19 @@ def check_implication_chain(alg, theorem: str, family: RelFamily) -> PropertyRep
     )
 
 
-def check_theorem_x4(alg, part: str, family: RelFamily) -> PropertyReport:
+def check_theorem_x4(alg, part: str, family: RelFamily, check=None) -> PropertyReport:
     """Hypothesis first; when it holds the conclusion and the congruence
     corollary are quantified and must hold.  A false hypothesis leaves the
     implication vacuous (the conclusion is still evaluated for information).
     """
+    check = check or check_condition
     part = part.upper()
     hyp_id = {"I": "T4_I_HYP", "II": "T4_II_HYP"}[part]
     conc_id = {"I": "T4_I_CONC", "II": "T4_II_CONC"}[part]
     cor_id = {"I": "T4_I_COR", "II": "T4_II_COR"}[part]
-    hyp = check_condition(alg, hyp_id, family)
-    conc = check_condition(alg, conc_id, family)
-    cor = check_condition(alg, cor_id, family)
+    hyp = check(alg, hyp_id, family)
+    conc = check(alg, conc_id, family)
+    cor = check(alg, cor_id, family)
     detail = {
         "hypothesis": hyp.verdict,
         "conclusion": conc.verdict,
@@ -353,5 +470,4 @@ def recheck_witness(alg, report: PropertyReport) -> bool:
         name: BinRel.from_pairs(alg.size, pairs)
         for name, pairs in report.witness.relations.items()
     }
-    ok, _ = _eval_instance(alg, spec, env)
-    return not ok
+    return _eval_bound(alg, spec, env) is not None

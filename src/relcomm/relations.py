@@ -199,6 +199,7 @@ def require_reflexive_admissible(alg, r, name="R"):
         raise NotAdmissible(name, *w)
 
 
+@lru_cache(maxsize=65536)
 def converse(r: BinRel) -> BinRel:
     n = r.size
     bits = 0
@@ -212,6 +213,7 @@ def converse(r: BinRel) -> BinRel:
     return BinRel(n, bits)
 
 
+@lru_cache(maxsize=65536)
 def compose(r: BinRel, s: BinRel) -> BinRel:
     """(a, c) related iff a R b and b S c for some b."""
     n = _check_sizes(r, s)
@@ -239,6 +241,7 @@ def union_(r: BinRel, s: BinRel) -> BinRel:
     return BinRel(n, r.bits | s.bits)
 
 
+@lru_cache(maxsize=65536)
 def star(r: BinRel) -> BinRel:
     """Transitive closure (not reflexive-transitive), by iterated squaring."""
     t = r
@@ -403,6 +406,9 @@ def enumerate_relations(alg: FiniteAlgebra, family: RelFamily):
 
 
 def clear_caches():
+    converse.cache_clear()
+    compose.cache_clear()
+    star.cache_clear()
     adm_close.cache_clear()
     tol_close.cache_clear()
     cg.cache_clear()

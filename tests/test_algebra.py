@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import naive_tuple_closure
 from relcomm import FiniteAlgebra, eval_op, subuniverse_closure
-from relcomm.algebra import TupleSet
+from relcomm.algebra import _ENCODED_TABLE_LIMIT, TupleSet, _decode, _encoded_tables
 
 Z2 = FiniteAlgebra(2, (("+", 2, (0, 1, 1, 0)),))
 MEET2 = FiniteAlgebra(2, (("meet", 2, (0, 0, 0, 1)),))
@@ -176,3 +177,27 @@ def test_quadset_roundtrip():
     assert len(qs) == 3
     assert qs.contains(0, 1, 2, 0)
     assert not qs.contains(0, 0, 0, 0)
+
+
+def test_encoded_tables_apply_the_op_coordinatewise():
+    # T[u * n**k + v] encodes f applied to the decoded tuples u and v
+    rng = random.Random(2024)
+    for n in (2, 3, 4):
+        for _ in range(2):
+            ops = (
+                ("f", 2, tuple(rng.randrange(n) for _ in range(n * n))),
+                ("g", 1, tuple(rng.randrange(n) for _ in range(n))),
+            )
+            alg = FiniteAlgebra(n, ops)
+            for power in range(1, 5):
+                total = n**power
+                if total * total > _ENCODED_TABLE_LIMIT:
+                    continue
+                binary, unary = _encoded_tables(alg, power)
+                tuples = [_decode(n, power, e) for e in range(total)]
+                for u, tu in enumerate(tuples):
+                    assert tuples[unary[u]] == tuple(eval_op(alg, 1, [a]) for a in tu)
+                    row = binary[u * total : (u + 1) * total]
+                    for v, tv in enumerate(tuples):
+                        want = tuple(eval_op(alg, 0, [a, b]) for a, b in zip(tu, tv))
+                        assert tuples[row[v]] == want

@@ -118,6 +118,24 @@ def test_check_equivalence_group_checks_only_its_members(capsys, monkeypatch):
     assert seen == ["T3_I", "T3_IA", "T3_II"]
 
 
+def test_check_all_evaluates_each_condition_once(capsys, monkeypatch):
+    # the aliases reuse their original's report and the meta-checks the
+    # reports already made, so only the 46 distinct conditions are swept
+    from relcomm import properties
+
+    real = properties.check_condition
+    seen = []
+
+    def counting(alg, cond_id, family):
+        seen.append(cond_id)
+        return real(alg, cond_id, family)
+
+    monkeypatch.setattr(properties, "check_condition", counting)
+    code, _, _ = run(capsys, "check-all", "-a", "algebras/l2.alg")
+    assert code == 0
+    assert len(seen) == len(set(seen)) == 46
+
+
 def test_check_unknown_condition(capsys):
     code, _, err = run(capsys, "check", "-a", "algebras/z2.alg", "--condition", "XYZ")
     assert code == 2
@@ -272,6 +290,7 @@ GOLDEN_CHECK_ALL = {
     "z3": "ac0315862d5ca4aa955460fcd240b4899974b972",
     "z4": "e2b3b7a1f1668194c7246e1beab4efc0ba941e09",
     "z2xz2": "6a20084c55955b7123bde4322d8fd87167d98b80",
+    "c3": "ad606496a959634831a369d8e38298004dec18e1",
 }
 
 

@@ -260,3 +260,8 @@ def test_condition_quantifier_names_cover_formulas():
         used = free_names(spec.lhs) | free_names(spec.rhs)
         assert used <= bound, cond_id
         assert bound <= used, cond_id  # no vacuous quantifiers
+        for i, q in enumerate(spec.quantifiers):
+            # a bound is evaluated before its own quantifier is bound
+            if q.above is not None:
+                earlier = {p.name for p in spec.quantifiers[:i]}
+                assert free_names(q.above) <= earlier, (cond_id, q.name)

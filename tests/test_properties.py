@@ -210,3 +210,29 @@ def test_sampled_verdict_label(algebras):
 def test_exhaustive_any_quantifier_rejected(algebras):
     with pytest.raises(ValueError, match="sampled"):
         check_condition(algebras["Z2"], "L1B_I", EXH)
+
+
+def test_plan_hoists_subterms_and_lists_families_once(algebras, monkeypatch):
+    # L1A_I sweeps R1, R2, S over C3's 25 reflexive admissible relations
+    # (15,625 bindings); conv(R1) depends on R1 only and conv(R2) on R2, so
+    # a hoisted plan builds them 25 + 25 * 25 times, not twice per binding
+    from relcomm import properties, relations
+
+    calls = {"converse": 0, "enumerate": 0}
+    real_converse = relations.converse
+    real_enumerate = properties.enumerate_relations
+
+    def converse(r):
+        calls["converse"] += 1
+        return real_converse(r)
+
+    def enumerate_relations(alg, family):
+        calls["enumerate"] += 1
+        return real_enumerate(alg, family)
+
+    monkeypatch.setattr(relations, "converse", converse)
+    monkeypatch.setattr(properties, "enumerate_relations", enumerate_relations)
+    rep = check_condition(algebras["C3"], "L1A_I", RelFamily())
+    assert rep.holds and rep.relations_checked == 15_625
+    assert calls["converse"] == 25 + 25 * 25
+    assert calls["enumerate"] <= 3
