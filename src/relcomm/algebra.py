@@ -1,5 +1,6 @@
 """Finite algebras as flat operation tables, plus the subuniverse-closure
-engine over finite powers that everything else is built on.
+engine over finite powers that everything else is built on: one semi-naive
+saturation that images whole bitsets of k-tuples by masked shifts.
 
 All values are immutable after construction and safe to share across
 threads; closure itself runs single-threaded.
@@ -12,12 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 # Operations with arity above this are rejected at construction time:
-# closure cost grows as |S|**arity per pass and nothing here needs more.
+# closure cost grows as |S|**(arity-1) images and nothing here needs more.
 MAX_ARITY = 4
-
-# Encoded pairwise operation tables are only precomputed while they fit
-# comfortably in memory ((n**k)**2 entries).
-_ENCODED_TABLE_LIMIT = 1_500_000
 
 
 @dataclass(frozen=True)
@@ -140,41 +137,59 @@ def eval_op(alg: FiniteAlgebra, op_index: int, args) -> int:
     return op.table[_encode(alg.size, args)]
 
 
-# Kept for speed: with binary ops on the generic path, 400 m_set calls on the 4-chain
-# lattice took 6-8x longer (2.6 s, not 0.4 s; Python 3.11, shared 2-core VM).
 @lru_cache(maxsize=256)
-def _encoded_tables(alg: FiniteAlgebra, power: int):
-    """Per-op tables acting directly on encoded k-tuples, or None where the
-    arity is above 2 or the table would be too large.
-
-    For a binary op the table T satisfies T[u * n**k + v] = enc(f applied
-    coordinatewise to dec(u), dec(v)); it is built by extending the base
-    table one coordinate at a time.
+def _image_plans(alg: FiniteAlgebra, power: int):
+    """The image steps of `subuniverse_closure`, ((layout, ((maps, source),
+    ...)), ...).  Per operation and position p of member i, the last position
+    r other than p (p itself if unary) takes the set `source` of members, and
+    each other position one member of its set in `layout`; sets are flags:
+    1 for members 0..i-1 (before p), 2 for {i} (at p), 3 for members 0..i
+    (after p).  `maps[c][code]` is the move descriptor of y -> op(..., y at
+    r, ...) on coordinate c, `code` being the fixed arguments' values there
+    in base n.  Steps alike but for their sources merge into one, as at a
+    commutative op's two positions.
     """
     n = alg.size
-    total = n**power
-    out = []
+
+    def describe(c, g):
+        # coordinate c is v at w bits of every n*w, from bit v*w
+        w = n ** (power - 1 - c)
+        column = ((1 << n**power) - 1) // ((1 << n * w) - 1) * ((1 << w) - 1)
+        moves = {}
+        for v, gv in enumerate(g):
+            moves[(gv - v) * w] = moves.get((gv - v) * w, 0) | column << (v * w)
+        kept = moves.pop(0, 0)
+        return kept, tuple((m, max(d, 0), max(-d, 0)) for d, m in moves.items())
+
+    groups = {}
     for op in alg.operations:
-        if op.arity == 1:
-            t = list(op.table)
-            for _ in range(power - 1):
-                t = [tu * n + fa for tu in t for fa in op.table]
-            out.append(tuple(t))
-        elif op.arity == 2 and total * total <= _ENCODED_TABLE_LIMIT:
-            base_rows = [op.table[a * n : (a + 1) * n] for a in range(n)]
-            rows = base_rows
-            for _ in range(power - 1):
-                # row u*n + a of the next table: row u of this one crossed
-                # with row a of the base table
-                rows = [
-                    [h * n + l for h in row for l in base_rows[a]]
-                    for row in rows
-                    for a in range(n)
-                ]
-            out.append(tuple(itertools.chain.from_iterable(rows)))
-        else:
-            out.append(None)
-    return tuple(out)
+        a = op.arity
+        for p in range(a):
+            r = a - 1 if p < a - 1 else max(a - 2, 0)
+            fixed = [q for q in range(a) if q != r or q == p]
+            # per code, the table index of its arguments with 0 at r
+            starts = [0]
+            for q in fixed:
+                starts = [s + v * n ** (a - 1 - q) * (q != r) for s in starts for v in range(n)]
+            step = n ** (a - 1 - r)
+            unary = [op.table[s : s + n * step : step] for s in starts]
+            maps = tuple(tuple(describe(c, g) for g in unary) for c in range(power))
+            layout = tuple(1 if q < p else 2 if q == p else 3 for q in fixed)
+            steps = groups.setdefault(layout, {})
+            steps[maps] = steps.get(maps, 0) | (1 if r < p else 2 if r == p else 3)
+    return tuple((layout, tuple(steps.items())) for layout, steps in groups.items())
+
+
+def _image(bits: int, descriptors) -> int:
+    """The image of a set of encoded tuples under one unary map per
+    coordinate, each given by its move descriptor (kept, ((mask, up, down),
+    ...)): the tuples in `kept` stay, those in a mask shift by up - down."""
+    for kept, moves in descriptors:
+        out = bits & kept
+        for mask, up, down in moves:
+            out |= (bits & mask) << up >> down
+        bits = out
+    return bits
 
 
 def subuniverse_closure(alg: FiniteAlgebra, power: int, generators) -> TupleSet:
@@ -185,22 +200,20 @@ def subuniverse_closure(alg: FiniteAlgebra, power: int, generators) -> TupleSet:
     Semi-naive worklist saturation (Bancilhon & Ramakrishnan, 1986):
     members are processed in the order they were added, and processing
     member i applies each operation only to the argument tuples over members
-    0..i that contain i, so every argument combination is applied exactly
-    once.  Nullary operations contribute their constant diagonal tuple; an
-    empty generator set with no nullary operations yields the empty set.
+    0..i that contain i, at the position p of its first occurrence, so every
+    argument combination is applied exactly once.  One position r takes its
+    members as a bitset: with the other arguments fixed the operation is a
+    unary map on each coordinate, and `_image` maps the whole bitset by
+    masked shifts, one coordinate at a time.  A binary op costs member i two
+    images (one if commutative) keyed by its own coordinates, a unary op one
+    image of {i}; wider ops enumerate the remaining positions over members.
+    Nullary operations contribute their constant diagonal tuple; an empty
+    generator set with no nullary operations yields the empty set.
     """
     if power < 1:
         raise ValueError("power must be positive")
     n = alg.size
-    total = n**power
-    seen = bytearray(total)
-    members = []  # encoded, in addition order
-
-    def add(enc):
-        if not seen[enc]:
-            seen[enc] = 1
-            members.append(enc)
-
+    seen = 0
     for g in generators:
         g = tuple(g)
         if len(g) != power:
@@ -208,48 +221,36 @@ def subuniverse_closure(alg: FiniteAlgebra, power: int, generators) -> TupleSet:
         for v in g:
             if not (0 <= v < n):
                 raise ValueError(f"generator entry {v} outside universe 0..{n - 1}")
-        add(_encode(n, g))
+        seen |= 1 << _encode(n, g)
     for op in alg.operations:
         if op.arity == 0:
-            add(_encode(n, op.table * power))
+            seen |= 1 << _encode(n, op.table * power)
 
-    tables = _encoded_tables(alg, power)
-    ops = [(op, t) for op, t in zip(alg.operations, tables) if op.arity >= 1]
-    # scaled[e][j]: the coordinates of member j times n**e, for the members
-    # processed so far; the generic path sums them into table positions
-    scaled = [[] for _ in range(max((op.arity for op, t in ops if t is None), default=0))]
-
+    plans = _image_plans(alg, power)
+    singles = []  # each member as a one-bit set, in addition order
+    coords = []  # each member's decoded coordinates, in the same order
+    done = 0  # members 0..i-1
+    new = seen
     i = 0
-    while i < len(members):
-        ei = members[i]
-        if scaled:
-            t = _decode(n, power, ei)
-            for e, col in enumerate(scaled):
-                col.append(tuple(v * n**e for v in t))
-        for op, table in ops:
-            if table is not None and op.arity == 1:
-                add(table[ei])
-            elif table is not None:
-                base = ei * total
-                for j in range(i + 1):
-                    ej = members[j]
-                    add(table[base + ej])
-                    add(table[ej * total + ei])
-            else:
-                # argument tuples over members 0..i that contain member i,
-                # grouped by the position p of its first occurrence
-                a = op.arity
-                optable = op.table
-                cols = [scaled[a - 1 - q] for q in range(a)]
-                for p in range(a):
-                    lists = [cols[q][:i] for q in range(p)]
-                    lists.append([cols[p][i]])
-                    lists += [cols[q][: i + 1] for q in range(p + 1, a)]
-                    for args in itertools.product(*lists):
-                        enc = 0
-                        for pos in map(sum, zip(*args)):
-                            enc = enc * n + optable[pos]
-                        add(enc)
+    while True:
+        while new:
+            low = new & -new
+            new ^= low
+            singles.append(low)
+            coords.append(_decode(n, power, low.bit_length() - 1))
+        if i == len(singles):
+            return TupleSet(n, power, seen)
+        sets = (0, done, singles[i], done | singles[i])
+        ranges = ((), coords[:i], (coords[i],), coords[: i + 1])
+        found = 0
+        for layout, steps in plans:
+            for fixed in itertools.product(*[ranges[j] for j in layout]):
+                codes = fixed[0]
+                for t in fixed[1:]:
+                    codes = [code * n + v for code, v in zip(codes, t)]
+                for maps, source in steps:
+                    found |= _image(sets[source], map(tuple.__getitem__, maps, codes))
+        done |= singles[i]
+        new = found & ~seen
+        seen |= new
         i += 1
-
-    return TupleSet(n, power, sum(1 << e for e in members))

@@ -160,8 +160,6 @@ def _admissibility_witness(alg, r):
     pairs = r.pairs()
     n = alg.size
     for op in alg.operations:
-        if op.arity == 0:
-            continue
         table = op.table
         if op.arity == 1:
             for (x, y) in pairs:

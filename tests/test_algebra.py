@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import naive_tuple_closure
 from relcomm import FiniteAlgebra, eval_op, subuniverse_closure
-from relcomm.algebra import _ENCODED_TABLE_LIMIT, TupleSet, _decode, _encoded_tables
+from relcomm.algebra import TupleSet, _decode, _image, _image_plans
 
 Z2 = FiniteAlgebra(2, (("+", 2, (0, 1, 1, 0)),))
 MEET2 = FiniteAlgebra(2, (("meet", 2, (0, 0, 0, 1)),))
@@ -99,9 +99,9 @@ def test_closure_matches_naive_oracle_on_random_groupoids():
         got = set(subuniverse_closure(alg, k, gens).members())
         want = naive_tuple_closure(n, k, [2], [table], gens)
         assert got == want, (n, table, gens)
-    # ternary operations take the semi-naive generic path; a unary and a
-    # nullary operation may ride along.  Universes stay small, so the naive
-    # oracle's |S|**3 passes stay fast.
+    # ternary operations, with a unary and a nullary operation riding along
+    # at random.  Universes stay small, so the naive oracle's |S|**3 passes
+    # stay fast.
     for trial in range(40):
         n, k = rng.choice([(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2)])
         ops = [("t", 3, tuple(rng.randrange(n) for _ in range(n**3)))]
@@ -118,6 +118,22 @@ def test_closure_matches_naive_oracle_on_random_groupoids():
         want = naive_tuple_closure(
             n, k, [a for _, a, _ in ops], [t for _, _, t in ops], gens
         )
+        assert got == want, (n, ops, gens)
+    # mixed signatures up to arity 4, n up to 5 and powers 1-4; n**k stays
+    # small where an op has arity 3 or more, for the naive oracle's sake
+    signatures = [(1,), (1, 2), (2, 3), (0, 2), (0, 1, 3), (4,), (0, 4), (2, 4), (1, 2, 3, 4)]
+    for trial in range(90):
+        arities = signatures[trial % len(signatures)]
+        cap = {4: 16, 3: 27}.get(max(arities), 125)
+        n, k = rng.choice([(n, k) for n in range(1, 6) for k in range(1, 5) if n**k <= cap])
+        ops = [(f"f{j}", a, tuple(rng.randrange(n) for _ in range(n**a))) for j, a in enumerate(arities)]
+        alg = FiniteAlgebra(n, tuple(ops))
+        gens = {
+            tuple(rng.randrange(n) for _ in range(k))
+            for _ in range(rng.randint(0, 3))
+        }
+        got = set(subuniverse_closure(alg, k, gens).members())
+        want = naive_tuple_closure(n, k, arities, [t for _, _, t in ops], gens)
         assert got == want, (n, ops, gens)
 
 
@@ -179,25 +195,29 @@ def test_quadset_roundtrip():
     assert not qs.contains(0, 0, 0, 0)
 
 
-def test_encoded_tables_apply_the_op_coordinatewise():
-    # T[u * n**k + v] encodes f applied to the decoded tuples u and v
+def test_image_maps_each_decoded_tuple():
+    # per coordinate, a unary op's step images a bitset to the set of its
+    # tuples' images; a binary op's steps do the same with one argument
+    # fixed to a member x (source 3: f(x, y), source 1: f(y, x))
     rng = random.Random(2024)
-    for n in (2, 3, 4):
-        for _ in range(2):
-            ops = (
-                ("f", 2, tuple(rng.randrange(n) for _ in range(n * n))),
-                ("g", 1, tuple(rng.randrange(n) for _ in range(n))),
-            )
-            alg = FiniteAlgebra(n, ops)
-            for power in range(1, 5):
-                total = n**power
-                if total * total > _ENCODED_TABLE_LIMIT:
-                    continue
-                binary, unary = _encoded_tables(alg, power)
-                tuples = [_decode(n, power, e) for e in range(total)]
-                for u, tu in enumerate(tuples):
-                    assert tuples[unary[u]] == tuple(eval_op(alg, 1, [a]) for a in tu)
-                    row = binary[u * total : (u + 1) * total]
-                    for v, tv in enumerate(tuples):
-                        want = tuple(eval_op(alg, 0, [a, b]) for a, b in zip(tu, tv))
-                        assert tuples[row[v]] == want
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        power = rng.randint(1, 4 if n <= 3 else 3)
+        tuples = [_decode(n, power, e) for e in range(n**power)]
+        for arity in (1, 2):
+            alg = FiniteAlgebra(n, (("f", arity, tuple(rng.randrange(n) for _ in range(n**arity))),))
+            ((layout, steps),) = _image_plans(alg, power)
+            assert layout == (2,)
+            for maps, source in steps:
+                bits = rng.getrandbits(n**power)
+                x = rng.choice(tuples)
+                got = _image(bits, [maps[c][x[c]] for c in range(power)])
+                images = set()
+                for t in TupleSet(n, power, bits).members():
+                    if source == 2:
+                        images.add(tuple(eval_op(alg, 0, [a]) for a in t))
+                    elif source == 3:
+                        images.add(tuple(eval_op(alg, 0, [a, b]) for a, b in zip(x, t)))
+                    else:
+                        images.add(tuple(eval_op(alg, 0, [b, a]) for a, b in zip(x, t)))
+                assert set(TupleSet(n, power, got).members()) == images, (alg, source)

@@ -128,6 +128,20 @@ def test_admissibility_matches_naive(n, table_seed, rel_seed):
     assert is_admissible(alg, r) == naive_is_admissible(n, [2], [table], r.pairs())
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.sets(st.sampled_from((1, 2, 3))), st.integers(), st.integers())
+def test_admissibility_agrees_with_adm_close_under_constants(n, arities, table_seed, rel_seed):
+    # r is admissible exactly when it is its own admissible closure; a
+    # nullary op c asks for (c, c) in r
+    const = FiniteAlgebra(2, (("e", 0, (0,)),))
+    assert not is_admissible(const, rel(2, (1, 1)))
+    assert adm_close(const, rel(2, (1, 1))).bits == bits_of([(0, 0), (1, 1)], 2)
+    sig = Signature(size=n, ops=(("c", 0),) + tuple((f"f{a}", a) for a in sorted(arities)))
+    alg = random_algebra(sig, table_seed)
+    r = random_rel(random.Random(rel_seed), n)
+    assert is_admissible(alg, r) == (adm_close(alg, r) == r)
+
+
 def test_adm_close_examples():
     # pure set: nothing to close under
     r = rel(2, (0, 1))
