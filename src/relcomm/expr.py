@@ -453,9 +453,7 @@ def eval_expr(alg, env: dict, e: RelExpr, close_inputs: bool = False) -> BinRel:
     reflexive-admissible closure.
     """
     n = alg.size
-
-    def close(rel):
-        return relations.adm_close(alg, relations.union_(BinRel.delta(n), rel))
+    close = relations.family_closure(alg, relations.REFLEXIVE_ADMISSIBLE)
 
     def ev(node):
         if type(node) is NameRef:

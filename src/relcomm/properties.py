@@ -32,7 +32,6 @@ from .relations import (
     BinRel,
     InvariantViolation,
     RelFamily,
-    cg,
     enumerate_relations,
     family_closure,
     union_,
@@ -73,7 +72,7 @@ class PropertyReport:
 
     def __post_init__(self):
         if not self.holds and self.witness is None and not self.detail:
-            raise ValueError("failed report requires a witness")
+            raise InvariantViolation("failed report requires a witness")
 
     @property
     def verdict(self) -> str:
@@ -262,7 +261,7 @@ def _sample_one(alg, q, above, rng):
     ]
     base = BinRel.from_pairs(n, pairs)
     if above is not None:
-        return cg(alg, union_(above, base))
+        base = union_(above, base)
     return family_closure(alg, q.kind)(base)
 
 

@@ -4,9 +4,12 @@ closures, congruence join) and enumeration of relation families.
 
 Bit (a, b) of a relation lives at position a*n + b of the `bits` integer;
 that encoding is also the documented enumeration order.  Each family is
-the set of closed sets of one closure operator (`family_closure`), and
-exhaustive enumeration lists them with Ganter's NextClosure, which visits
-closed sets in ascending order of `bits`.
+the set of closed sets of one closure operator (`family_closure`): r is a
+member exactly when its closure adds nothing, which is how `is_admissible`,
+`is_tolerance` and `is_congruence` decide.  Exhaustive enumeration lists
+the closed sets with Ganter's NextClosure, which visits them in ascending
+order of `bits`.  The search for an operation that maps pairs of r outside
+r (`_admissibility_witness`) exists only to word error messages.
 """
 
 from __future__ import annotations
@@ -150,40 +153,27 @@ def is_transitive(r: BinRel) -> bool:
 
 
 def is_admissible(alg: FiniteAlgebra, r: BinRel) -> bool:
-    return _admissibility_witness(alg, r) is None
+    """Whether r is compatible with every operation: r is its own
+    admissible closure, so each distinct r costs one memoised closure."""
+    return adm_close(alg, r) == r
 
 
 def _admissibility_witness(alg, r):
-    """None if compatible, else (op_name, arg_pairs, image_pair)."""
-    if alg.size != r.size:
-        raise SizeMismatch(f"algebra size {alg.size} vs relation size {r.size}")
+    """The first (op_name, arg_pairs, image_pair) with arg_pairs in r and
+    image_pair outside it, in operation order and then in
+    `itertools.product(r.pairs(), repeat=arity)` order; None if there is
+    none.  Only error messages use it, after `is_admissible` has failed."""
     pairs = r.pairs()
     n = alg.size
     for op in alg.operations:
         table = op.table
-        if op.arity == 1:
-            for (x, y) in pairs:
-                if not r.contains(table[x], table[y]):
-                    return (op.name, ((x, y),), (table[x], table[y]))
-        elif op.arity == 2:
-            for (x1, y1) in pairs:
-                xb = x1 * n
-                yb = y1 * n
-                for (x2, y2) in pairs:
-                    if not r.contains(table[xb + x2], table[yb + y2]):
-                        return (
-                            op.name,
-                            ((x1, y1), (x2, y2)),
-                            (table[xb + x2], table[yb + y2]),
-                        )
-        else:
-            for chosen in itertools.product(pairs, repeat=op.arity):
-                ix = iy = 0
-                for (x, y) in chosen:
-                    ix = ix * n + x
-                    iy = iy * n + y
-                if not r.contains(table[ix], table[iy]):
-                    return (op.name, chosen, (table[ix], table[iy]))
+        for chosen in itertools.product(pairs, repeat=op.arity):
+            ix = iy = 0
+            for (x, y) in chosen:
+                ix = ix * n + x
+                iy = iy * n + y
+            if not r.contains(table[ix], table[iy]):
+                return (op.name, chosen, (table[ix], table[iy]))
     return None
 
 
@@ -192,8 +182,12 @@ def require_reflexive_admissible(alg, r, name="R"):
     for a in range(r.size):
         if not r.contains(a, a):
             raise NotReflexive(name, a)
-    w = _admissibility_witness(alg, r)
-    if w is not None:
+    if not is_admissible(alg, r):
+        w = _admissibility_witness(alg, r)
+        if w is None:
+            raise InvariantViolation(
+                f"adm_close grows {name} = {r!r}, but no operation maps its pairs outside it"
+            )
         raise NotAdmissible(name, *w)
 
 
@@ -270,18 +264,18 @@ def cg(alg: FiniteAlgebra, r: BinRel) -> BinRel:
     """Smallest congruence containing r."""
     out = star(tol_close(alg, r))
     # transitive closure of an admissible relation stays admissible
-    witness = _admissibility_witness(alg, out)
-    if witness is not None:
+    if not is_admissible(alg, out):
+        witness = _admissibility_witness(alg, out)
         raise InvariantViolation(f"cg({r!r}) = {out!r} is not admissible: {witness}")
     return out
 
 
 def is_tolerance(alg, r) -> bool:
-    return is_reflexive(r) and is_symmetric(r) and is_admissible(alg, r)
+    return tol_close(alg, r) == r
 
 
 def is_congruence(alg, r) -> bool:
-    return is_tolerance(alg, r) and is_transitive(r)
+    return cg(alg, r) == r
 
 
 def cong_join(alg: FiniteAlgebra, gamma: BinRel, delta: BinRel) -> BinRel:
@@ -360,10 +354,8 @@ def _closed_sets(n, close):
             return
 
 
-def _sample_relations(alg, kind, sample_count, seed):
-    n = alg.size
+def _sample_relations(n, close, sample_count, seed):
     rng = random.Random(seed)
-    close = family_closure(alg, kind)
     seen = set()
     produced = 0
     attempts = 0
@@ -387,10 +379,9 @@ def enumerate_relations(alg: FiniteAlgebra, family: RelFamily):
     relations in generation order, deterministically for a fixed seed.
     """
     kind = family.kind
-    if kind not in (REFLEXIVE_ADMISSIBLE, TOLERANCE, CONGRUENCE):
-        raise ValueError(f"unknown family kind {kind!r}")
+    close = family_closure(alg, kind)
     if family.mode == "sampled":
-        yield from _sample_relations(alg, kind, family.sample_count, family.seed)
+        yield from _sample_relations(alg.size, close, family.sample_count, family.seed)
         return
     if family.mode != "exhaustive":
         raise ValueError(f"unknown family mode {family.mode!r}")
@@ -400,7 +391,7 @@ def enumerate_relations(alg: FiniteAlgebra, family: RelFamily):
             f"exhaustive {kind} enumeration is capped at n={_family_max_n(kind)} "
             f"(algebra has n={n}); use sampled mode or {_ENV_OVERRIDE}"
         )
-    yield from _closed_sets(n, family_closure(alg, kind))
+    yield from _closed_sets(n, close)
 
 
 def clear_caches():

@@ -59,8 +59,7 @@ def naive_compose(r, s):
 def naive_is_admissible(size, arities, tables, pairs):
     pairs = set(pairs)
     for arity, table in zip(arities, tables):
-        if arity == 0:
-            continue
+        # arity 0: the one empty choice asks for (c, c) in the relation
         for chosen in itertools.product(sorted(pairs), repeat=arity):
             idx_x = idx_y = 0
             for (x, y) in chosen:

@@ -270,13 +270,28 @@ def test_invariant_violation_exits_one(capsys, monkeypatch):
     from relcomm import relations
 
     relations.clear_caches()
-    monkeypatch.setattr(
-        relations, "_admissibility_witness", lambda alg, r: ("+", ((0, 0),), (0, 1))
-    )
+    # a "transitive closure" that is reflexive but not admissible on Z2:
+    # (0,1) + (1,1) = (1,0) leaves it, so cg's real check must fire
+    broken = relations.BinRel.from_pairs(2, [(0, 0), (1, 1), (0, 1)])
+    monkeypatch.setattr(relations, "star", lambda r: broken)
     code, _, err = run(capsys, "eval", "-a", "algebras/z2.alg", "-e", "cg(delta)")
+    monkeypatch.undo()
     relations.clear_caches()
     assert code == 1
     assert err.startswith("error: ") and "not admissible" in err
+
+
+def test_broken_report_exits_one(capsys, monkeypatch):
+    # a failed report without a witness is an internal failure, not usage
+    from relcomm import properties
+
+    def broken(alg, cond_id, family):
+        return properties.PropertyReport(cond_id, False, None, 0, family.mode)
+
+    monkeypatch.setattr(properties, "check_condition", broken)
+    code, _, err = run(capsys, "check", "-a", "algebras/z2.alg", "--condition", "L1A_I")
+    assert code == 1
+    assert "failed report requires a witness" in err
 
 
 # sha1 of `check-all --format structured`, pinned so that refactors can show

@@ -25,7 +25,14 @@ from relcomm import (
     tol_close,
     union_,
 )
-from relcomm.relations import NotAdmissible, NotReflexive
+from relcomm.algebra import eval_op
+from relcomm.relations import (
+    InvariantViolation,
+    NotAdmissible,
+    NotReflexive,
+    require_reflexive_admissible,
+)
+from relcomm.search import Signature, random_algebra
 
 Z2 = FiniteAlgebra(2, (("+", 2, (0, 1, 1, 0)),))
 L2 = FiniteAlgebra(2, (("meet", 2, (0, 0, 0, 1)), ("join", 2, (0, 1, 1, 1))))
@@ -69,6 +76,52 @@ def test_m_set_rejects_bad_inputs():
     with pytest.raises(NotAdmissible) as exc:
         m_set(Z2, FULL2, refl(2, (0, 1)))
     assert exc.value.rel_name == "S"
+
+
+def test_not_admissible_witness_is_first_in_product_order():
+    # the witness is the first operation, then the first combination in
+    # itertools.product(r.pairs(), repeat=arity) order, that leaves r
+    rng = random.Random(77)
+    rejected = 0
+    for trial in range(80):
+        n = rng.randint(2, 4)
+        ops = rng.sample([("u", 1), ("b", 2), ("t", 3)], rng.randint(1, 3))
+        alg = random_algebra(Signature(size=n, ops=tuple(ops)), f"witness:{trial}")
+        r = BinRel(n, BinRel.delta(n).bits | rng.getrandbits(n * n))
+        expected = None
+        for i, op in enumerate(alg.operations):
+            for chosen in itertools.product(r.pairs(), repeat=op.arity):
+                image = (
+                    eval_op(alg, i, [x for x, _ in chosen]),
+                    eval_op(alg, i, [y for _, y in chosen]),
+                )
+                if not r.contains(*image):
+                    expected = (op.name, chosen, image)
+                    break
+            if expected is not None:
+                break
+        if expected is None:
+            m_set(alg, r, BinRel.delta(n))
+            continue
+        rejected += 1
+        with pytest.raises(NotAdmissible) as exc:
+            m_set(alg, r, BinRel.delta(n))
+        w = exc.value
+        assert w.rel_name == "R"
+        assert all(r.contains(x, y) for x, y in w.arg_pairs)
+        assert not r.contains(*w.image_pair)
+        assert (w.op_name, tuple(w.arg_pairs), tuple(w.image_pair)) == expected
+    assert rejected >= 40
+
+
+def test_missing_witness_is_an_invariant_violation(monkeypatch):
+    # adm_close says r is not admissible; a witness search that disagrees
+    # is a bug, not a pass
+    from relcomm import relations
+
+    monkeypatch.setattr(relations, "_admissibility_witness", lambda alg, r: None)
+    with pytest.raises(InvariantViolation):
+        require_reflexive_admissible(Z2, refl(2, (0, 1)))
 
 
 def test_m_set_symmetry(algebras, ra_lists):

@@ -29,6 +29,7 @@ from relcomm import (
     is_congruence,
     is_reflexive,
     is_symmetric,
+    is_tolerance,
     is_transitive,
     star,
     tol_close,
@@ -118,14 +119,40 @@ def test_relation_algebra_laws(n, seed):
     assert set(compose(r, s).pairs()) == naive_compose(set(r.pairs()), set(s.pairs()))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2, 3), st.integers(), st.integers())
-def test_admissibility_matches_naive(n, table_seed, rel_seed):
-    rng = random.Random(table_seed)
-    table = tuple(rng.randrange(n) for _ in range(n * n))
-    alg = FiniteAlgebra(n, (("f", 2, table),))
-    r = random_rel(random.Random(rel_seed), n)
-    assert is_admissible(alg, r) == naive_is_admissible(n, [2], [table], r.pairs())
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.lists(st.integers(0, 3), min_size=1, max_size=3),
+    st.integers(),
+    st.integers(),
+    st.sampled_from(("any", "reflexive", "reflexive and symmetric", "tolerance")),
+)
+def test_admissibility_matches_naive(n, arities, table_seed, rel_seed, shape):
+    # any mix of constants, unary, binary and ternary ops; r need not be
+    # reflexive.  Tolerance and congruence are checked against predicates
+    # built from oracle parts only.
+    sig = Signature(size=n, ops=tuple((f"f{i}", a) for i, a in enumerate(arities)))
+    alg = random_algebra(sig, table_seed)
+    tables = [op.table for op in alg.operations]
+    pairs = set(random_rel(random.Random(rel_seed), n).pairs())
+    if shape != "any":
+        pairs |= {(a, a) for a in range(n)}
+    if shape == "reflexive and symmetric":
+        pairs |= {(b, a) for (a, b) in pairs}
+    r = BinRel.from_pairs(n, pairs)
+    if shape == "tolerance":
+        # need not be transitive, so the congruence check has cases to tell apart
+        r = tol_close(alg, BinRel.from_pairs(n, sorted(pairs)[:2]))
+        pairs = set(r.pairs())
+    admissible = naive_is_admissible(n, arities, tables, pairs)
+    assert is_admissible(alg, r) == admissible
+    tolerance = (
+        all((a, a) in pairs for a in range(n))
+        and all((b, a) in pairs for (a, b) in pairs)
+        and admissible
+    )
+    assert is_tolerance(alg, r) == tolerance
+    assert is_congruence(alg, r) == (tolerance and naive_compose(pairs, pairs) <= pairs)
 
 
 @settings(max_examples=60, deadline=None)
