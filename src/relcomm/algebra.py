@@ -68,6 +68,17 @@ class FiniteAlgebra:
                     raise ValueError(
                         f"operation {op.name!r} table entry {v} outside 0..{self.size - 1}"
                     )
+        # hashed once, from ints only, so that every cache keyed by the
+        # algebra hashes it in O(1) and a pickled copy keeps a hash that is
+        # valid under any string hash seed
+        object.__setattr__(
+            self,
+            "_hash",
+            hash((self.size, tuple((op.arity, op.table) for op in self.operations))),
+        )
+
+    def __hash__(self):
+        return self._hash
 
     def operation(self, name: str) -> Operation:
         for op in self.operations:

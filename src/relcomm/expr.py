@@ -15,12 +15,19 @@ Grammar (whitespace insignificant, postfix binds tightest):
 Inside K(...) the second argument (e2) may not use ';' composition at top
 level, since ';' separates it from the third argument; parenthesize.
 All infix operators are left-associative.
+
+The meaning of each node is given once, in `NODES`, as a function over the
+`bits` ints of relations on the algebra's universe.  `BinRel` appears only
+at the boundary: `eval_expr` takes names bound to `BinRel`s and returns
+one, and the nodes that call commutator and closure functions wrap their
+arguments for the call.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 from . import commutator, relations
 from .relations import BinRel
@@ -393,31 +400,46 @@ def _pp(e, min_level):
 
 
 # The meaning of each node type, defined once: its child attributes and a
-# function of (alg, *child values).  `eval_expr` walks this table, and
-# `properties` compiles condition plans from it.  The functions look up
-# `relations` and `commutator` at call time, so a wrapper installed on a
-# module attribute sees every call.  A child that is not an expression
-# (Literal's pair tuple) is passed to the function as it is.  NameRef is not
-# here: a name's value comes from the binding.
+# binder.  `binder(alg, n)` returns the node's function for one algebra of
+# size n, from the children's values to the node's value, all values being
+# relation `bits` ints.  `eval_expr` walks this table, and `properties`
+# compiles condition plans from it, binding each step once per check.  The
+# relation-algebra nodes are the int kernels of `relations` and bare `&`/`|`;
+# the nodes that need the algebra wrap their arguments as `BinRel`s and look
+# up `relations` and `commutator` at call time, so their checks run and a
+# wrapper installed on a module attribute sees every call.  A child that is
+# not an expression (Literal's pair tuple) is passed to the function as it
+# is.  NameRef is not here: a name's value comes from the binding.
 _LR = ("left", "right")
 NODES = {
-    Delta: ((), lambda alg: BinRel.delta(alg.size)),
-    All: ((), lambda alg: BinRel.full(alg.size)),
-    EmptyRel: ((), lambda alg: BinRel.empty(alg.size)),
-    Literal: (("pairs",), lambda alg, pairs: BinRel.from_pairs(alg.size, pairs)),
-    Converse: (("arg",), lambda alg, r: relations.converse(r)),
-    Star: (("arg",), lambda alg, r: relations.star(r)),
-    TolClose: (("arg",), lambda alg, r: relations.tol_close(alg, r)),
-    AdmClose: (("arg",), lambda alg, r: relations.adm_close(alg, r)),
-    Cg: (("arg",), lambda alg, r: relations.cg(alg, r)),
-    Compose: (_LR, lambda alg, r, s: relations.compose(r, s)),
-    Intersect: (_LR, lambda alg, r, s: relations.intersect(r, s)),
-    Union: (_LR, lambda alg, r, s: relations.union_(r, s)),
-    Comm1: (_LR, lambda alg, r, s: commutator.comm1(alg, r, s)),
-    Comm: (_LR, lambda alg, r, s: commutator.comm(alg, r, s)),
-    CommW: (_LR, lambda alg, r, s: commutator.comm_weak(alg, r, s)),
-    K: (_LR + ("filter",), lambda alg, r, s, v: commutator.k_op(alg, r, s, v)),
-    Join: (_LR, lambda alg, r, s: relations.cong_join(alg, r, s)),
+    Delta: ((), lambda alg, n: lambda: BinRel.delta(n).bits),
+    All: ((), lambda alg, n: lambda: BinRel.full(n).bits),
+    EmptyRel: ((), lambda alg, n: lambda: 0),
+    Literal: (("pairs",), lambda alg, n: lambda pairs: BinRel.from_pairs(n, pairs).bits),
+    Converse: (("arg",), lambda alg, n: partial(relations.converse_bits, n)),
+    Star: (("arg",), lambda alg, n: partial(relations.star_bits, n)),
+    Compose: (_LR, lambda alg, n: partial(relations.compose_bits, n)),
+    Intersect: (_LR, lambda alg, n: operator.and_),
+    Union: (_LR, lambda alg, n: operator.or_),
+    TolClose: (("arg",), lambda alg, n: lambda r: relations.tol_close(alg, BinRel(n, r)).bits),
+    AdmClose: (("arg",), lambda alg, n: lambda r: relations.adm_close(alg, BinRel(n, r)).bits),
+    Cg: (("arg",), lambda alg, n: lambda r: relations.cg(alg, BinRel(n, r)).bits),
+    Comm1: (_LR, lambda alg, n: lambda r, s: commutator.comm1(alg, BinRel(n, r), BinRel(n, s)).bits),
+    Comm: (_LR, lambda alg, n: lambda r, s: commutator.comm(alg, BinRel(n, r), BinRel(n, s)).bits),
+    CommW: (
+        _LR,
+        lambda alg, n: lambda r, s: commutator.comm_weak(alg, BinRel(n, r), BinRel(n, s)).bits,
+    ),
+    K: (
+        _LR + ("filter",),
+        lambda alg, n: lambda r, s, v: commutator.k_op(
+            alg, BinRel(n, r), BinRel(n, s), BinRel(n, v)
+        ).bits,
+    ),
+    Join: (
+        _LR,
+        lambda alg, n: lambda r, s: relations.cong_join(alg, BinRel(n, r), BinRel(n, s)).bits,
+    ),
 }
 
 # nodes whose first two children are commutator arguments (close_inputs)
@@ -448,9 +470,10 @@ def eval_expr(alg, env: dict, e: RelExpr, close_inputs: bool = False) -> BinRel:
 
     This is the reference evaluator, a plain walk over `NODES`, and the one
     the `eval` command uses; condition sweeps run compiled plans over the
-    same table (`properties`).  With close_inputs, arguments of commutator
-    nodes (but not K's filter) are first replaced by their
-    reflexive-admissible closure.
+    same table (`properties`).  Names are read as their `bits` once their
+    sizes are checked, and the result is a `BinRel` again.  With
+    close_inputs, arguments of commutator nodes (but not K's filter) are
+    first replaced by their reflexive-admissible closure.
     """
     n = alg.size
     close = relations.family_closure(alg, relations.REFLEXIVE_ADMISSIBLE)
@@ -464,10 +487,11 @@ def eval_expr(alg, env: dict, e: RelExpr, close_inputs: bool = False) -> BinRel:
                 raise EvalError(
                     f"relation {node.name!r} has size {rel.size}, algebra has {n}"
                 )
-            return rel
+            return rel.bits
         args = [ev(c) if isinstance(c, RelExpr) else c for c in children(node)]
         if close_inputs and type(node) in _COMMUTATORS:
-            args[0], args[1] = close(args[0]), close(args[1])
-        return NODES[type(node)][1](alg, *args)
+            args[0] = close(BinRel(n, args[0])).bits
+            args[1] = close(BinRel(n, args[1])).bits
+        return NODES[type(node)][1](alg, n)(*args)
 
-    return ev(e)
+    return BinRel(n, ev(e))

@@ -10,6 +10,10 @@ per distinct subterm, each at a level, the deepest quantifier among its
 free names (or constant).  The sweep lists each quantifier's family once,
 runs the constant steps once, and after binding quantifier i runs only the
 level-i steps, so a subterm is rebuilt only when a name it uses changes.
+A plan's values are the `bits` ints of relations, computed by the node
+functions of `expr.NODES` bound to the algebra; `BinRel`s appear only at
+the boundary, in the families' listing, the witness and the sampled
+draws.
 Bindings are visited in nested order, the first quantifier outermost and
 each family in enumeration order, and the first violating binding stops
 the sweep: the verdict, witness and count are those of a plain
@@ -121,30 +125,35 @@ def _make_witness(spec, env, pair):
 
 
 def _violation(spec, n, lhs, rhs):
-    """The least pair that breaks `lhs <= rhs` (or `lhs == rhs`), or None."""
+    """The least pair that breaks `lhs <= rhs` (or `lhs == rhs`), given as
+    relation bits, or None."""
     if spec.relation == "subset":
-        bad = lhs.bits & ~rhs.bits
+        bad = lhs & ~rhs
     else:
-        bad = lhs.bits ^ rhs.bits
+        bad = lhs ^ rhs
     if bad == 0:
         return None
     return divmod((bad & -bad).bit_length() - 1, n)
 
 
 class _Plan:
-    """A condition compiled into numbered steps over one value array.
+    """A condition compiled into numbered steps over one array of relation
+    bits, bound to one algebra.
 
     Every distinct subterm of the two sides and of the quantifiers' `above`
     bounds gets one slot; equal subterms share it.  A step computes one
     slot from its children's slots with the node's function from
-    `expr.NODES`.  Its level is the deepest quantifier among its free names,
-    and `steps[i + 1]` runs right after quantifier i is bound (`steps[0]`
-    holds the constant steps), so a subterm is recomputed only when a name
-    it uses changes.
+    `expr.NODES`, bound to the algebra when the plan is built.  Its level is
+    the deepest quantifier among its free names, and `steps[i + 1]` runs
+    right after quantifier i is bound (`steps[0]` holds the constant
+    steps), so a subterm is recomputed only when a name it uses changes.
+    Slots hold `bits` ints; `env` turns a binding back into `BinRel`s.
     """
 
-    def __init__(self, spec):
+    def __init__(self, spec, alg):
         self.spec = spec
+        self.alg = alg
+        self.n = alg.size
         quantifiers = spec.quantifiers
         self.initial = []  # slot values known before any step runs
         self.level_of = []
@@ -171,33 +180,44 @@ class _Plan:
         args = tuple(self._visit(c) for c in children(node))
         level = max((self.level_of[a] for a in args), default=0)
         slot = self._new_slot(node, level)
-        self.steps[level].append((slot, NODES[type(node)][1], args))
+        self.steps[level].append((slot, NODES[type(node)][1](self.alg, self.n), args))
         return slot
 
-    def start(self, alg):
+    def start(self):
         """A value array with the constant steps done."""
         vals = list(self.initial)
-        self.run(alg, vals, 0)
+        self.run(vals, 0)
         return vals
 
-    def run(self, alg, vals, level):
+    def run(self, vals, level):
         for out, fn, args in self.steps[level]:
-            vals[out] = fn(alg, *[vals[a] for a in args])
+            # most steps are binary or unary; spelling those out saves
+            # building an argument list per step
+            if len(args) == 2:
+                vals[out] = fn(vals[args[0]], vals[args[1]])
+            elif len(args) == 1:
+                vals[out] = fn(vals[args[0]])
+            else:
+                vals[out] = fn(*[vals[a] for a in args])
 
-    def bind(self, alg, vals, i, rel):
-        """Bind quantifier i to `rel` and run the steps that depend on it."""
-        vals[self.names[i]] = rel
-        self.run(alg, vals, i + 1)
+    def bind(self, vals, i, bits):
+        """Bind quantifier i to the relation `bits` and run the steps that
+        depend on it."""
+        vals[self.names[i]] = bits
+        self.run(vals, i + 1)
 
-    def violation(self, alg, vals):
-        return _violation(self.spec, alg.size, vals[self.lhs], vals[self.rhs])
+    def violation(self, vals):
+        return _violation(self.spec, self.n, vals[self.lhs], vals[self.rhs])
 
     def env(self, vals):
-        return {q.name: vals[slot] for q, slot in zip(self.spec.quantifiers, self.names)}
+        return {
+            q.name: BinRel(self.n, vals[slot])
+            for q, slot in zip(self.spec.quantifiers, self.names)
+        }
 
 
 def _family_lists(alg, quantifiers, family):
-    """Each quantifier's family, listed once per kind."""
+    """Each quantifier's family as relation bits, listed once per kind."""
     lists = {}
     for q in quantifiers:
         if q.kind == ANY:
@@ -206,7 +226,9 @@ def _family_lists(alg, quantifiers, family):
                 "only sampled mode can sweep it"
             )
         if q.kind not in lists:
-            lists[q.kind] = tuple(enumerate_relations(alg, family.with_kind(q.kind)))
+            lists[q.kind] = tuple(
+                rel.bits for rel in enumerate_relations(alg, family.with_kind(q.kind))
+            )
     return [lists[q.kind] for q in quantifiers]
 
 
@@ -222,26 +244,32 @@ def _sweep_exhaustive(alg, plan, family):
     each partial binding extends to at least one full binding.
     """
     lists = _family_lists(alg, plan.spec.quantifiers, family)
-    vals = plan.start(alg)
+    vals = plan.start()
     depth = len(lists)
     checked = 0
 
     def descend(i):
         nonlocal checked
-        if i == depth:
-            checked += 1
-            return plan.violation(alg, vals)
         above = plan.above[i]
-        for rel in lists[i]:
-            if above is not None and vals[above].bits & ~rel.bits:
+        inner = i + 1 < depth
+        for bits in lists[i]:
+            if above is not None and vals[above] & ~bits:
                 continue
-            plan.bind(alg, vals, i, rel)
-            pair = descend(i + 1)
+            plan.bind(vals, i, bits)
+            if inner:
+                pair = descend(i + 1)
+            else:
+                checked += 1
+                pair = plan.violation(vals)
             if pair is not None:
                 return pair
         return None
 
-    pair = descend(0)
+    if depth:
+        pair = descend(0)
+    else:
+        checked = 1
+        pair = plan.violation(vals)
     return checked, None if pair is None else (vals, pair)
 
 
@@ -270,16 +298,16 @@ def _sweep_sampled(alg, plan, family):
     from `family.seed`, quantifier by quantifier; every step that depends
     on a quantifier runs for each drawn binding."""
     rng = random.Random(family.seed)
-    start = plan.start(alg)
+    start = plan.start()
     checked = 0
     for _ in range(family.sample_count):
         checked += 1
         vals = list(start)
         for i, q in enumerate(plan.spec.quantifiers):
             above = plan.above[i]
-            rel = _sample_one(alg, q, None if above is None else vals[above], rng)
-            plan.bind(alg, vals, i, rel)
-        pair = plan.violation(alg, vals)
+            bound = None if above is None else BinRel(alg.size, vals[above])
+            plan.bind(vals, i, _sample_one(alg, q, bound, rng).bits)
+        pair = plan.violation(vals)
         if pair is not None:
             return checked, (vals, pair)
     return checked, None
@@ -288,7 +316,7 @@ def _sweep_sampled(alg, plan, family):
 def check_condition(alg, cond_id: str, family: RelFamily) -> PropertyReport:
     """Quantify one condition over its families; first violation wins."""
     spec = _spec(cond_id)
-    plan = _Plan(spec)
+    plan = _Plan(spec, alg)
     sweep = _sweep_sampled if family.mode == "sampled" else _sweep_exhaustive
     checked, found = sweep(alg, plan, family)
     witness = None
@@ -311,7 +339,7 @@ def _eval_bound(alg, spec, env):
     """The violating pair of `spec` at one explicit binding, or None."""
     lhs = eval_expr(alg, env, spec.lhs)
     rhs = eval_expr(alg, env, spec.rhs)
-    return _violation(spec, alg.size, lhs, rhs)
+    return _violation(spec, alg.size, lhs.bits, rhs.bits)
 
 
 def _check_bound(alg, cond_id, rels) -> PropertyReport:
@@ -348,14 +376,16 @@ def check_equivalence_group(
     """The members of one equivalence group must agree in truth value.
 
     Disagreement is an implementation failure (the members are proved
-    equivalent), reported with the witness of a failing member.  Like the
-    other meta-checks, it gets its members' reports from `check(alg, id,
+    equivalent), reported with the witness of a failing member.  A member
+    counts as true only when its verdict is "holds", so a sampled sweep
+    that found nothing never contradicts a failing member.  Like the other
+    meta-checks, it gets its members' reports from `check(alg, id,
     family)`, by default `check_condition`.
     """
     check = check or check_condition
     reports = {m: check(alg, m, family) for m in members}
     values = {m: r.holds for m, r in reports.items()}
-    agree = len(set(values.values())) == 1
+    agree = len({r.verdict == VERDICT_HOLDS for r in reports.values()}) == 1
     witness = None
     if not agree:
         for m in members:
@@ -381,12 +411,18 @@ def check_equivalence_claims(alg, family: RelFamily, check=None) -> list[Propert
 
 
 def check_implication_chain(alg, theorem: str, family: RelFamily, check=None) -> PropertyReport:
-    """No condition in the displayed order may hold while a later one fails."""
+    """No condition in the displayed order may hold while a later one fails.
+
+    A condition holds here only with the verdict "holds": a sampled sweep
+    that found no counterexample proves nothing, so it starts no chain.
+    """
     check = check or check_condition
     chain = {"x2": conditions.X2_CHAIN, "x3": conditions.X3_CHAIN}[theorem.lower()]
     reports = [check(alg, cid, family) for cid in chain]
     values = {cid: r.holds for cid, r in zip(chain, reports)}
-    first_true = next((i for i, r in enumerate(reports) if r.holds), None)
+    first_true = next(
+        (i for i, r in enumerate(reports) if r.verdict == VERDICT_HOLDS), None
+    )
     bad = None
     if first_true is not None:
         for i in range(first_true + 1, len(reports)):
@@ -406,7 +442,8 @@ def check_implication_chain(alg, theorem: str, family: RelFamily, check=None) ->
 def check_theorem_x4(alg, part: str, family: RelFamily, check=None) -> PropertyReport:
     """Hypothesis first; when it holds the conclusion and the congruence
     corollary are quantified and must hold.  A false hypothesis leaves the
-    implication vacuous (the conclusion is still evaluated for information).
+    implication vacuous (the conclusion is still evaluated for information),
+    and so does a sampled one: only the verdict "holds" proves it.
     """
     check = check or check_condition
     part = part.upper()
@@ -422,8 +459,9 @@ def check_theorem_x4(alg, part: str, family: RelFamily, check=None) -> PropertyR
         "corollary": cor.verdict,
     }
     checked = hyp.relations_checked + conc.relations_checked + cor.relations_checked
-    if not hyp.holds:
-        detail["note"] = "hypothesis false, conclusion not claimed"
+    if hyp.verdict != VERDICT_HOLDS:
+        status = "false" if not hyp.holds else "not proven"
+        detail["note"] = f"hypothesis {status}, conclusion not claimed"
         return PropertyReport(
             condition=f"T4_{part}",
             holds=True,

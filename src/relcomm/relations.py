@@ -191,36 +191,58 @@ def require_reflexive_admissible(alg, r, name="R"):
         raise NotAdmissible(name, *w)
 
 
+# The relation-algebra kernels work on the `bits` ints of relations on
+# {0..n-1}, so their caches are keyed by ints and hashed in C; `converse`,
+# `compose` and `star` are their `BinRel` forms.
+
+
 @lru_cache(maxsize=65536)
-def converse(r: BinRel) -> BinRel:
-    n = r.size
+def converse_bits(n: int, a: int) -> int:
     bits = 0
-    rem = r.bits
-    while rem:
-        low = rem & -rem
+    while a:
+        low = a & -a
         i = low.bit_length() - 1
-        rem ^= low
-        a, b = divmod(i, n)
-        bits |= 1 << (b * n + a)
-    return BinRel(n, bits)
+        a ^= low
+        x, y = divmod(i, n)
+        bits |= 1 << (y * n + x)
+    return bits
 
 
 @lru_cache(maxsize=65536)
-def compose(r: BinRel, s: BinRel) -> BinRel:
-    """(a, c) related iff a R b and b S c for some b."""
-    n = _check_sizes(r, s)
+def compose_bits(n: int, a: int, b: int) -> int:
+    """(x, z) related iff x A y and y B z for some y."""
     mask = (1 << n) - 1
-    srows = [(s.bits >> (b * n)) & mask for b in range(n)]
+    brows = [(b >> (y * n)) & mask for y in range(n)]
     bits = 0
-    for a in range(n):
-        row = (r.bits >> (a * n)) & mask
+    for x in range(n):
+        row = (a >> (x * n)) & mask
         acc = 0
         while row:
             low = row & -row
-            acc |= srows[low.bit_length() - 1]
+            acc |= brows[low.bit_length() - 1]
             row ^= low
-        bits |= acc << (a * n)
-    return BinRel(n, bits)
+        bits |= acc << (x * n)
+    return bits
+
+
+@lru_cache(maxsize=65536)
+def star_bits(n: int, a: int) -> int:
+    """Transitive closure (not reflexive-transitive), by iterated squaring."""
+    while True:
+        a2 = a | compose_bits(n, a, a)
+        if a2 == a:
+            return a
+        a = a2
+
+
+def converse(r: BinRel) -> BinRel:
+    return BinRel(r.size, converse_bits(r.size, r.bits))
+
+
+def compose(r: BinRel, s: BinRel) -> BinRel:
+    """(a, c) related iff a R b and b S c for some b."""
+    n = _check_sizes(r, s)
+    return BinRel(n, compose_bits(n, r.bits, s.bits))
 
 
 def intersect(r: BinRel, s: BinRel) -> BinRel:
@@ -233,15 +255,9 @@ def union_(r: BinRel, s: BinRel) -> BinRel:
     return BinRel(n, r.bits | s.bits)
 
 
-@lru_cache(maxsize=65536)
 def star(r: BinRel) -> BinRel:
-    """Transitive closure (not reflexive-transitive), by iterated squaring."""
-    t = r
-    while True:
-        t2 = union_(t, compose(t, t))
-        if t2.bits == t.bits:
-            return t
-        t = t2
+    """Transitive closure (not reflexive-transitive)."""
+    return BinRel(r.size, star_bits(r.size, r.bits))
 
 
 @lru_cache(maxsize=65536)
@@ -395,9 +411,9 @@ def enumerate_relations(alg: FiniteAlgebra, family: RelFamily):
 
 
 def clear_caches():
-    converse.cache_clear()
-    compose.cache_clear()
-    star.cache_clear()
+    converse_bits.cache_clear()
+    compose_bits.cache_clear()
+    star_bits.cache_clear()
     adm_close.cache_clear()
     tol_close.cache_clear()
     cg.cache_clear()

@@ -167,6 +167,8 @@ class TermTableOracle:
                 break
             frontier = new_tables
         self.tables = list(seen.values())
+        # one row per table, in the narrowest type that holds a matrix code
+        self.stack = np.stack(self.tables).astype(np.min_scalar_type(n**4 - 1))
 
     def matrix_set(self, r_pairs, s_pairs):
         """All matrices (x, y, z, w) realizable by the stored term tables.
@@ -180,7 +182,6 @@ class TermTableOracle:
         quads = [(a, a, b, b) for (a, b) in r_pairs]
         quads += [(a, b, a, b) for (a, b) in s_pairs]
         gen = np.asarray(sorted(set(quads)), dtype=np.int64)
-        g = len(gen)
         coords = []
         for c in range(4):
             col = gen[:, c]
@@ -191,14 +192,16 @@ class TermTableOracle:
                 + col[None, None, None, :]
             )
             coords.append(idx.ravel())
-        found = set()
-        for t in self.tables:
-            x = t[coords[0]]
-            y = t[coords[1]]
-            z = t[coords[2]]
-            w = t[coords[3]]
-            enc = ((x * n + y) * n + z) * n + w
-            found.update(np.unique(enc).tolist())
+        # every table at once, in chunks of about 2**20 matrix entries
+        found = np.zeros(n**4, dtype=bool)
+        step = max(1, (1 << 20) // len(coords[0]))
+        for lo in range(0, len(self.stack), step):
+            chunk = self.stack[lo : lo + step]
+            enc = chunk[:, coords[0]]
+            for idx in coords[1:]:
+                enc = enc * n + chunk[:, idx]
+            found[enc] = True
         return {
-            (e // n**3, (e // n**2) % n, (e // n) % n, e % n) for e in found
+            (e // n**3, (e // n**2) % n, (e // n) % n, e % n)
+            for e in np.flatnonzero(found).tolist()
         }

@@ -1,17 +1,24 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_tuple_closure
-from relcomm import FiniteAlgebra, eval_op, subuniverse_closure
+import relcomm
+from relcomm import BinRel, FiniteAlgebra, adm_close, eval_op, load_algebra, subuniverse_closure
 from relcomm.algebra import TupleSet, _decode, _image, _image_plans
+from relcomm.relations import clear_caches
 
 Z2 = FiniteAlgebra(2, (("+", 2, (0, 1, 1, 0)),))
 MEET2 = FiniteAlgebra(2, (("meet", 2, (0, 0, 0, 1)),))
 PURE3 = FiniteAlgebra(3, ())
+ALGEBRA_DIR = Path(__file__).resolve().parents[1] / "algebras"
 
 
 def test_eval_op_group_identity():
@@ -221,3 +228,45 @@ def test_image_maps_each_decoded_tuple():
                     else:
                         images.add(tuple(eval_op(alg, 0, [b, a]) for a, b in zip(x, t)))
                 assert set(TupleSet(n, power, got).members()) == images, (alg, source)
+
+
+def test_equal_algebras_share_cache_entries():
+    # each CLI command loads its algebra afresh; an equal copy must hash
+    # equal so that it finds the entries the first copy filled
+    first, second = (load_algebra(str(ALGEBRA_DIR / "rb3.alg")) for _ in range(2))
+    assert first is not second and first == second and hash(first) == hash(second)
+    clear_caches()
+    r = BinRel.delta(3)
+    adm_close(first, r)
+    before = adm_close.cache_info()
+    adm_close(second, r)
+    after = adm_close.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+_PICKLE = (
+    "import pickle, sys; from relcomm import load_algebra; "
+    "sys.stdout.buffer.write(pickle.dumps(load_algebra(sys.argv[1])))"
+)
+_UNPICKLE = (
+    "import pickle, sys; from relcomm import load_algebra; "
+    "alg = pickle.loads(sys.stdin.buffer.read()); fresh = load_algebra(sys.argv[1]); "
+    "print(alg == fresh, hash(alg) == hash(fresh))"
+)
+
+
+def test_hash_survives_pickling_across_hash_seeds():
+    # `search --jobs` workers get algebras pickled by a process whose string
+    # hash seed differs; the hash computed at construction must still be
+    # the one a fresh build there computes
+    path = str(ALGEBRA_DIR / "rb3.alg")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(relcomm.__file__)))
+    pickled = subprocess.run(
+        [sys.executable, "-c", _PICKLE, path],
+        env={**env, "PYTHONHASHSEED": "1"}, capture_output=True, check=True, timeout=60,
+    ).stdout
+    out = subprocess.run(
+        [sys.executable, "-c", _UNPICKLE, path], input=pickled,
+        env={**env, "PYTHONHASHSEED": "2"}, capture_output=True, check=True, timeout=60,
+    ).stdout
+    assert out.split() == [b"True", b"True"]

@@ -265,6 +265,26 @@ def test_implementation_failure_exits_one(capsys, monkeypatch):
     assert "fails" in out
 
 
+@pytest.mark.parametrize("name", ("rb3", "set3"))
+def test_sampled_miss_is_no_meta_failure(capsys, name):
+    # on RB3 and Set3, 60 samples find no counterexample to T2_III and
+    # T2_VI but do to T2_IV and T2_V; a sampled miss proves nothing, so
+    # CHAIN_X2 must not read it as a condition that holds
+    from relcomm.conditions import META_CHECKS
+
+    code, out, _ = run(
+        capsys,
+        "check-all",
+        "-a", f"algebras/{name}.alg",
+        "--family", "sampled", "--samples", "60", "--seed", "0",
+        "--format", "structured",
+    )
+    assert code == 0
+    meta = [rec for rec in map(json.loads, out.splitlines()) if rec["id"] in META_CHECKS]
+    assert len(meta) == len(META_CHECKS)
+    assert all(rec["verdict"] != "fails" for rec in meta)
+
+
 def test_invariant_violation_exits_one(capsys, monkeypatch):
     # an internal invariant that fails is a bug, not a usage error
     from relcomm import relations

@@ -29,7 +29,7 @@ from relcomm.expr import (
     Union,
 )
 from relcomm.properties import PropertyReport, Witness, _Plan
-from relcomm.relations import REFLEXIVE_ADMISSIBLE
+from relcomm.relations import REFLEXIVE_ADMISSIBLE, BinRel
 from relcomm.search import Signature, catalog, random_algebra
 
 ALGEBRAS = dict(catalog())
@@ -93,20 +93,21 @@ def _nested(rels, depth):
 
 def _plan_values(alg, e, rels):
     """The value of `e` through a plan at each binding of R, S, T over
-    `rels`, in nested order; each quantifier is bound only when its
-    relation changes, as in a sweep.  A raised ValueError ends the list."""
+    `rels`, in nested order, with the plan's slot bits wrapped as `BinRel`;
+    each quantifier is bound only when its relation changes, as in a sweep.
+    A raised ValueError ends the list."""
     quantifiers = tuple(Quantifier(n, REFLEXIVE_ADMISSIBLE) for n in NAMES)
-    plan = _Plan(ConditionSpec("DIFF", quantifiers, e, e))
+    plan = _Plan(ConditionSpec("DIFF", quantifiers, e, e), alg)
     out = []
     try:
-        vals = plan.start(alg)
+        vals = plan.start()
         bound = [None] * len(NAMES)
         for binding in _nested(rels, len(NAMES)):
             first = next(i for i, r in enumerate(binding) if r is not bound[i])
             for i in range(first, len(NAMES)):
-                plan.bind(alg, vals, i, binding[i])
+                plan.bind(vals, i, binding[i].bits)
                 bound[i] = binding[i]
-            out.append(vals[plan.lhs])
+            out.append(BinRel(alg.size, vals[plan.lhs]))
     except ValueError:
         out.append(ValueError)
     return out

@@ -12,8 +12,15 @@ from relcomm import (
     evaluate_problem_profile,
     recheck_witness,
 )
-from relcomm.conditions import CONDITIONS, PROBLEM_IDS
-from relcomm.properties import VERDICT_FAILS, VERDICT_HOLDS, VERDICT_SAMPLED_OK
+from relcomm.conditions import CONDITIONS, EQUIVALENCE_GROUPS, PROBLEM_IDS, X2_CHAIN
+from relcomm.properties import (
+    VERDICT_FAILS,
+    VERDICT_HOLDS,
+    VERDICT_SAMPLED_OK,
+    PropertyReport,
+    Witness,
+    check_equivalence_group,
+)
 
 EXH = RelFamily(mode="exhaustive")
 
@@ -155,6 +162,32 @@ def test_theorem_x4_hypothesis_fails_on_z2(algebras):
     assert "conclusion" in rep.detail
 
 
+@pytest.mark.parametrize("mode", ("exhaustive", "sampled"))
+def test_meta_checks_count_only_proven_members(algebras, mode):
+    # every member "holds" but the last of each chain or group and the
+    # T4_I conclusion: a violation when exhaustive, but a sampled "no
+    # counterexample found" starts no chain, contradicts no failing
+    # equivalent member and proves no hypothesis
+    group_id, members = EQUIVALENCE_GROUPS[0]
+    failing = {X2_CHAIN[-1], members[-1], "T4_I_CONC"}
+
+    def check(alg, cid, family):
+        if cid in failing:
+            return PropertyReport(cid, False, Witness(cid, {}, (0, 1)), 1, family.mode)
+        return PropertyReport(cid, True, None, 1, family.mode)
+
+    alg = algebras["Z2"]
+    family = RelFamily(mode=mode)
+    reports = [
+        check_implication_chain(alg, "x2", family, check),
+        check_equivalence_group(alg, group_id, members, family, check),
+        check_theorem_x4(alg, "I", family, check),
+    ]
+    assert [rep.holds for rep in reports] == [mode == "sampled"] * 3
+    if mode == "sampled":
+        assert reports[2].detail["note"] == "hypothesis not proven, conclusion not claimed"
+
+
 def test_problem_profiles(algebras):
     assert all(evaluate_problem_profile(algebras["Trivial1"]).values())
     z2 = evaluate_problem_profile(algebras["Z2"])
@@ -219,18 +252,19 @@ def test_plan_hoists_subterms_and_lists_families_once(algebras, monkeypatch):
     from relcomm import properties, relations
 
     calls = {"converse": 0, "enumerate": 0}
-    real_converse = relations.converse
+    real_converse = relations.converse_bits
     real_enumerate = properties.enumerate_relations
 
-    def converse(r):
+    def converse(n, a):
         calls["converse"] += 1
-        return real_converse(r)
+        return real_converse(n, a)
 
     def enumerate_relations(alg, family):
         calls["enumerate"] += 1
         return real_enumerate(alg, family)
 
-    monkeypatch.setattr(relations, "converse", converse)
+    # plans run the int kernel, bound when the check builds its plan
+    monkeypatch.setattr(relations, "converse_bits", converse)
     monkeypatch.setattr(properties, "enumerate_relations", enumerate_relations)
     rep = check_condition(algebras["C3"], "L1A_I", RelFamily())
     assert rep.holds and rep.relations_checked == 15_625

@@ -35,7 +35,13 @@ from relcomm import (
     tol_close,
     union_,
 )
-from relcomm.relations import FamilyBoundError, SizeMismatch
+from relcomm.relations import (
+    FamilyBoundError,
+    SizeMismatch,
+    compose_bits,
+    converse_bits,
+    star_bits,
+)
 from relcomm.search import Signature, random_algebra
 
 Z2 = FiniteAlgebra(2, (("+", 2, (0, 1, 1, 0)),))
@@ -99,6 +105,33 @@ def test_size_mismatch():
         compose(BinRel.delta(2), BinRel.delta(3))
     with pytest.raises(SizeMismatch):
         adm_close(Z2, BinRel.delta(3))
+    for op in (intersect, union_, BinRel.__and__, BinRel.__or__, BinRel.is_subset):
+        with pytest.raises(SizeMismatch):
+            op(BinRel.full(2), BinRel.delta(3))
+
+
+def _pair_set(n, bits):
+    return {divmod(i, n) for i in range(n * n) if bits >> i & 1}
+
+
+def _bits(n, pairs):
+    return sum(1 << (a * n + b) for a, b in pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_int_kernels_match_naive(n, data):
+    # the int kernels that plans run, against the pair-set oracles, and
+    # their BinRel forms against the kernels
+    a, b = (data.draw(st.integers(0, (1 << n * n) - 1)) for _ in range(2))
+    pa, pb = _pair_set(n, a), _pair_set(n, b)
+    assert compose_bits(n, a, b) == _bits(n, naive_compose(pa, pb))
+    assert converse_bits(n, a) == _bits(n, {(y, x) for x, y in pa})
+    assert star_bits(n, a) == _bits(n, naive_transitive_closure(pa))
+    r, s = BinRel(n, a), BinRel(n, b)
+    assert compose(r, s) == BinRel(n, compose_bits(n, a, b))
+    assert converse(r) == BinRel(n, converse_bits(n, a))
+    assert star(r) == BinRel(n, star_bits(n, a))
 
 
 @settings(max_examples=80, deadline=None)
