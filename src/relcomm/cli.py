@@ -153,23 +153,12 @@ def _cmd_eval(args, out):
     return 0
 
 
-def _run_meta(alg, cond, family):
-    for group_id, members in conditions.EQUIVALENCE_GROUPS:
-        if cond == group_id:
-            return properties.check_equivalence_group(alg, group_id, members, family)
-    if cond.startswith("CHAIN_"):
-        return properties.check_implication_chain(alg, cond.split("_", 1)[1], family)
-    if cond in ("T4_I", "T4_II"):
-        return properties.check_theorem_x4(alg, cond.split("_", 1)[1], family)
-    raise SystemExit2(f"unknown meta check {cond!r}")
-
-
 def _cmd_check(args, out):
     alg = load_algebra(args.algebra)
     family = _family_from_args(args)
     cond = args.condition
     if cond in conditions.META_CHECKS:
-        report = _run_meta(alg, cond, family)
+        report = properties.check_meta(alg, cond, family)
     elif cond in conditions.CONDITIONS:
         report = properties.check_condition(alg, cond, family)
     else:
@@ -193,32 +182,21 @@ def _cmd_check_all(args, out):
     """Every condition once, then the meta-checks over those same reports."""
     alg = load_algebra(args.algebra)
     family = _family_from_args(args)
-    done = {}  # (id, family) -> report
-    reports = []
-
-    def check(alg, cid, fam):
-        if (cid, fam) not in done:
-            done[cid, fam] = properties.check_condition(alg, cid, fam)
-        return done[cid, fam]
-
+    reports = {}
     for cid in conditions.CONDITION_IDS:
-        quantifiers = conditions.CONDITIONS[cid].quantifiers
-        needs_sampling = any(q.kind == conditions.ANY for q in quantifiers)
-        fam = family
-        if needs_sampling and family.mode == "exhaustive":
-            fam = RelFamily(mode="sampled", sample_count=family.sample_count, seed=family.seed)
         original = conditions.ALIASES.get(cid)
         if original is not None:
-            done[cid, fam] = _renamed(check(alg, original, fam), cid)
-        reports.append(check(alg, cid, fam))
-    reports.extend(properties.check_equivalence_claims(alg, family, check))
-    reports.append(properties.check_implication_chain(alg, "x2", family, check))
-    reports.append(properties.check_implication_chain(alg, "x3", family, check))
-    reports.append(properties.check_theorem_x4(alg, "I", family, check))
-    reports.append(properties.check_theorem_x4(alg, "II", family, check))
-    _emit(_report_records(reports), args.format, out)
+            reports[cid] = _renamed(reports[original], cid)
+            continue
+        quantifiers = conditions.CONDITIONS[cid].quantifiers
+        needs_sampling = any(q.kind == conditions.ANY for q in quantifiers)
+        fam = replace(family, mode="sampled") if needs_sampling else family
+        reports[cid] = properties.check_condition(alg, cid, fam)
+    metas = [properties.meta_report(m, reports, family) for m in conditions.META_CHECKS]
+    all_reports = [*reports.values(), *metas]
+    _emit(_report_records(all_reports), args.format, out)
     bad = any(
-        rep.condition in _MUST_HOLD and not rep.holds for rep in reports
+        rep.condition in _MUST_HOLD and not rep.holds for rep in all_reports
     )
     return 1 if bad else 0
 

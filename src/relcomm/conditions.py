@@ -4,6 +4,9 @@ Every displayed formula is transcribed here exactly once as a relation
 expression, under the fixed composition convention (a (R;S) c iff a R b
 and b S c for some b).  Checkers in `properties` quantify these entries
 over relation families; nothing else in the package spells out a formula.
+Likewise each meta-check (an equivalence group, an implication chain, a
+hypothesis => conclusion theorem) is one row of `META_CHECKS`, which names
+its rule and its members; nothing else lists them.
 
 A handful of entries are aliases that share the very same expression
 objects (e.g. the two hypotheses of the implication theorems reappear as
@@ -267,35 +270,27 @@ for alias, original in ALIASES.items():
 
 CONDITION_IDS = tuple(CONDITIONS)
 
-X2_CHAIN = (
-    "T2_I",
-    "T2_IA",
-    "T2_IB",
-    "T2_IC",
-    "T2_ID",
-    "T2_II",
-    "T2_III",
-    "T2_IV",
-    "T2_V",
-    "T2_VI",
-)
-X3_CHAIN = ("T3_I", "T3_IA", "T3_II", "T3_III", "T3_IV", "T3_V", "T3_VI")
-
-EQUIVALENCE_GROUPS = (
-    ("EQ_X2", ("T2_I", "T2_IA", "T2_IB", "T2_IC", "T2_ID", "T2_II")),
-    ("EQ_X3", ("T3_I", "T3_IA", "T3_II")),
-    ("EQ_X3A", ("P3A_I", "P3A_II")),
-    ("EQ_REMARK", ("PROB_III", "REMARK_RT")),
-)
-
-# checks whose verdict is about several conditions at once: the equivalence
-# groups, the two implication chains and the two consequence-theorem parts
-META_CHECKS = tuple(g for g, _ in EQUIVALENCE_GROUPS) + (
-    "CHAIN_X2",
-    "CHAIN_X3",
-    "T4_I",
-    "T4_II",
-)
+# checks whose verdict is about several conditions at once, in `check-all`
+# order: meta id -> (rule, member ids).  `properties` applies the rule to
+# the members' reports:
+#   agree    the members are proved equivalent, so all hold or none does
+#   chain    displayed implications: once one member holds, every later
+#            one holds
+#   implies  hypothesis, conclusion, corollary: when the hypothesis holds,
+#            so do the other two
+META_CHECKS = {
+    "EQ_X2": ("agree", ("T2_I", "T2_IA", "T2_IB", "T2_IC", "T2_ID", "T2_II")),
+    "EQ_X3": ("agree", ("T3_I", "T3_IA", "T3_II")),
+    "EQ_X3A": ("agree", ("P3A_I", "P3A_II")),
+    "EQ_REMARK": ("agree", ("PROB_III", "REMARK_RT")),
+    "CHAIN_X2": (
+        "chain",
+        ("T2_I", "T2_IA", "T2_IB", "T2_IC", "T2_ID", "T2_II", "T2_III", "T2_IV", "T2_V", "T2_VI"),
+    ),
+    "CHAIN_X3": ("chain", ("T3_I", "T3_IA", "T3_II", "T3_III", "T3_IV", "T3_V", "T3_VI")),
+    "T4_I": ("implies", ("T4_I_HYP", "T4_I_CONC", "T4_I_COR")),
+    "T4_II": ("implies", ("T4_II_HYP", "T4_II_CONC", "T4_II_COR")),
+}
 
 PROBLEM_IDS = ("PROB_I", "PROB_II", "PROB_III", "PROB_IV", "PROB_V")
 

@@ -22,6 +22,12 @@ bindings and `recheck_witness` use it).
 
 Sampled verdicts are never reported as "holds": a sampled sweep that finds
 nothing says so explicitly.
+
+A meta-check (a row of `conditions.META_CHECKS`) applies its rule to its
+members' reports: `meta_report` does so for reports already made, as
+`check-all` has them, and `check_meta` sweeps the members first.  Every
+rule asks `_proven` whether a member holds, so only a "holds" verdict
+counts.
 """
 
 from __future__ import annotations
@@ -332,9 +338,6 @@ def check_condition(alg, cond_id: str, family: RelFamily) -> PropertyReport:
     )
 
 
-check_theorem_condition = check_condition
-
-
 def _eval_bound(alg, spec, env):
     """The violating pair of `spec` at one explicit binding, or None."""
     lhs = eval_expr(alg, env, spec.lhs)
@@ -370,115 +373,83 @@ def check_lemma_x1b(alg, part: str, rels: dict) -> PropertyReport:
     return _check_bound(alg, f"L1B_{part.upper()}", rels)
 
 
-def check_equivalence_group(
-    alg, group_id, members, family: RelFamily, check=None
-) -> PropertyReport:
-    """The members of one equivalence group must agree in truth value.
-
-    Disagreement is an implementation failure (the members are proved
-    equivalent), reported with the witness of a failing member.  A member
-    counts as true only when its verdict is "holds", so a sampled sweep
-    that found nothing never contradicts a failing member.  Like the other
-    meta-checks, it gets its members' reports from `check(alg, id,
-    family)`, by default `check_condition`.
-    """
-    check = check or check_condition
-    reports = {m: check(alg, m, family) for m in members}
-    values = {m: r.holds for m, r in reports.items()}
-    agree = len({r.verdict == VERDICT_HOLDS for r in reports.values()}) == 1
-    witness = None
-    if not agree:
-        for m in members:
-            if not reports[m].holds:
-                witness = reports[m].witness
-                break
-    return PropertyReport(
-        condition=group_id,
-        holds=agree,
-        witness=witness,
-        relations_checked=sum(r.relations_checked for r in reports.values()),
-        family_mode=family.mode,
-        detail={"members": values},
-    )
+def _proven(report) -> bool:
+    """Whether a member counts as true in a meta-check: only the verdict
+    "holds" does, so a sampled sweep that found nothing proves nothing."""
+    return report.verdict == VERDICT_HOLDS
 
 
-def check_equivalence_claims(alg, family: RelFamily, check=None) -> list[PropertyReport]:
-    """One report per equivalence group, in table order."""
-    return [
-        check_equivalence_group(alg, group_id, members, family, check)
-        for group_id, members in conditions.EQUIVALENCE_GROUPS
-    ]
+def _first_failure(reports):
+    return next((r for r in reports if not r.holds), None)
 
 
-def check_implication_chain(alg, theorem: str, family: RelFamily, check=None) -> PropertyReport:
-    """No condition in the displayed order may hold while a later one fails.
-
-    A condition holds here only with the verdict "holds": a sampled sweep
-    that found no counterexample proves nothing, so it starts no chain.
-    """
-    check = check or check_condition
-    chain = {"x2": conditions.X2_CHAIN, "x3": conditions.X3_CHAIN}[theorem.lower()]
-    reports = [check(alg, cid, family) for cid in chain]
-    values = {cid: r.holds for cid, r in zip(chain, reports)}
-    first_true = next(
-        (i for i, r in enumerate(reports) if r.verdict == VERDICT_HOLDS), None
-    )
-    bad = None
-    if first_true is not None:
-        for i in range(first_true + 1, len(reports)):
-            if not reports[i].holds:
-                bad = i
-                break
-    return PropertyReport(
-        condition=f"CHAIN_{theorem.upper()}",
-        holds=bad is None,
-        witness=reports[bad].witness if bad is not None else None,
-        relations_checked=sum(r.relations_checked for r in reports),
-        family_mode=family.mode,
-        detail={"members": values},
-    )
+def _agree(reports):
+    """The members are proved equivalent, so they must agree; disagreement
+    is an implementation failure, reported with the witness of the first
+    failing member."""
+    holds = len({_proven(r) for r in reports.values()}) == 1
+    bad = None if holds else _first_failure(reports.values())
+    return holds, bad, {"members": {m: r.holds for m, r in reports.items()}}
 
 
-def check_theorem_x4(alg, part: str, family: RelFamily, check=None) -> PropertyReport:
-    """Hypothesis first; when it holds the conclusion and the congruence
-    corollary are quantified and must hold.  A false hypothesis leaves the
-    implication vacuous (the conclusion is still evaluated for information),
-    and so does a sampled one: only the verdict "holds" proves it.
-    """
-    check = check or check_condition
-    part = part.upper()
-    hyp_id = {"I": "T4_I_HYP", "II": "T4_II_HYP"}[part]
-    conc_id = {"I": "T4_I_CONC", "II": "T4_II_CONC"}[part]
-    cor_id = {"I": "T4_I_COR", "II": "T4_II_COR"}[part]
-    hyp = check(alg, hyp_id, family)
-    conc = check(alg, conc_id, family)
-    cor = check(alg, cor_id, family)
+def _chain(reports):
+    """No member in the displayed order may hold while a later one fails."""
+    rs = list(reports.values())
+    first = next((i for i, r in enumerate(rs) if _proven(r)), len(rs))
+    bad = _first_failure(rs[first + 1:])
+    return bad is None, bad, {"members": {m: r.holds for m, r in reports.items()}}
+
+
+def _implies(reports):
+    """When the hypothesis holds, the conclusion and the corollary must.
+    Otherwise the implication is vacuous; the two are still reported for
+    information."""
+    hyp, conc, cor = reports.values()
     detail = {
         "hypothesis": hyp.verdict,
         "conclusion": conc.verdict,
         "corollary": cor.verdict,
     }
-    checked = hyp.relations_checked + conc.relations_checked + cor.relations_checked
-    if hyp.verdict != VERDICT_HOLDS:
+    if not _proven(hyp):
         status = "false" if not hyp.holds else "not proven"
         detail["note"] = f"hypothesis {status}, conclusion not claimed"
-        return PropertyReport(
-            condition=f"T4_{part}",
-            holds=True,
-            witness=None,
-            relations_checked=checked,
-            family_mode=family.mode,
-            detail=detail,
-        )
-    failing = next((r for r in (conc, cor) if not r.holds), None)
+        return True, None, detail
+    bad = _first_failure((conc, cor))
+    return bad is None, bad, detail
+
+
+_RULES = {"agree": _agree, "chain": _chain, "implies": _implies}
+
+
+def _meta(meta_id):
+    try:
+        return conditions.META_CHECKS[meta_id]
+    except KeyError:
+        raise ValueError(f"unknown meta-check id {meta_id!r}") from None
+
+
+def meta_report(meta_id: str, member_reports: dict, family: RelFamily) -> PropertyReport:
+    """The meta-check `meta_id` over its members' reports, taken by id
+    from `member_reports` (which may hold other reports too).  A violation
+    carries the witness of the member that broke the rule."""
+    rule, members = _meta(meta_id)
+    reports = {m: member_reports[m] for m in members}
+    holds, bad, detail = _RULES[rule](reports)
     return PropertyReport(
-        condition=f"T4_{part}",
-        holds=failing is None,
-        witness=failing.witness if failing else None,
-        relations_checked=checked,
+        condition=meta_id,
+        holds=holds,
+        witness=None if bad is None else bad.witness,
+        relations_checked=sum(r.relations_checked for r in reports.values()),
         family_mode=family.mode,
         detail=detail,
     )
+
+
+def check_meta(alg, meta_id: str, family: RelFamily) -> PropertyReport:
+    """Check the members of one meta-check over `family`, then its rule."""
+    _, members = _meta(meta_id)
+    reports = {m: check_condition(alg, m, family) for m in members}
+    return meta_report(meta_id, reports, family)
 
 
 def evaluate_problem_profile(alg, family: RelFamily | None = None) -> dict[str, bool]:

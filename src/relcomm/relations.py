@@ -316,6 +316,11 @@ class RelFamily:
     sample_count: int = 200
     seed: int = 0
 
+    def __post_init__(self):
+        # a sampled sweep over no bindings would report "no counterexample"
+        if self.sample_count < 1:
+            raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
+
     def with_kind(self, kind: str) -> "RelFamily":
         return replace(self, kind=kind)
 

@@ -40,6 +40,8 @@ class SearchTask:
     def __post_init__(self):
         if self.budget < 0:
             raise ValueError("budget must be >= 0")
+        if not self.sizes or min(self.sizes) < 1:
+            raise ValueError(f"sizes must be non-empty and each >= 1, got {self.sizes}")
         if self.target is not None:
             for cid in self.target:
                 if cid not in conditions.CONDITIONS:

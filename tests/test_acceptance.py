@@ -14,11 +14,9 @@ from relcomm import (
     FiniteAlgebra,
     RelFamily,
     check_condition,
-    check_equivalence_claims,
-    check_implication_chain,
     check_lemma_x1a,
     check_lemma_x1b,
-    check_theorem_x4,
+    check_meta,
     comm,
     comm1,
     comm_weak,
@@ -39,7 +37,7 @@ from relcomm import (
     tol_close,
 )
 from relcomm import cg as cg_close
-from relcomm.conditions import CONDITIONS
+from relcomm.conditions import CONDITIONS, META_CHECKS
 from relcomm.search import SearchTask, run_search
 
 EXH = RelFamily(mode="exhaustive")
@@ -184,10 +182,12 @@ def test_criterion_3_lemma_suites(algebras, ra_lists):
 def test_criterion_4_theorem_meta_claims(algebras):
     with criterion(4, "equivalence claims and implication chains"):
         for name, alg in algebras.items():
-            for rep in check_equivalence_claims(alg, EXH):
-                assert rep.holds, (name, rep.condition, rep.detail)
-            for theorem in ("x2", "x3"):
-                rep = check_implication_chain(alg, theorem, EXH)
+            for meta_id, (rule, _) in META_CHECKS.items():
+                if rule == "agree":
+                    rep = check_meta(alg, meta_id, EXH)
+                    assert rep.holds, (name, rep.condition, rep.detail)
+            for theorem in ("CHAIN_X2", "CHAIN_X3"):
+                rep = check_meta(alg, theorem, EXH)
                 assert rep.holds, (name, theorem, rep.detail)
 
 
@@ -222,11 +222,11 @@ def test_criterion_5_exact_desk_scale_values(algebras):
 
 def test_criterion_6_theorem_x4_on_lattices(algebras):
     with criterion(6, "theorem x4 conclusions and corollaries on lattices"):
-        rep = check_theorem_x4(algebras["L2"], "I", EXH)
+        rep = check_meta(algebras["L2"], "T4_I", EXH)
         assert rep.holds and rep.detail["hypothesis"] == "holds"
         assert rep.detail["conclusion"] == "holds"
         assert rep.detail["corollary"] == "holds"
-        rep = check_theorem_x4(algebras["L2"], "II", EXH)
+        rep = check_meta(algebras["L2"], "T4_II", EXH)
         assert rep.holds and rep.detail["conclusion"] == "holds"
 
         c3 = algebras["C3"]

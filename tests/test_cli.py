@@ -285,6 +285,39 @@ def test_sampled_miss_is_no_meta_failure(capsys, name):
     assert all(rec["verdict"] != "fails" for rec in meta)
 
 
+@pytest.mark.parametrize(
+    "name, family",
+    (("l2", ()), ("z2", ()), ("rb3", ("--family", "sampled", "--samples", "60", "--seed", "0"))),
+)
+def test_check_meta_matches_check_all(capsys, name, family):
+    # `check --condition M` sweeps M's members itself, `check-all` reuses
+    # the reports it already made; both must print the same record
+    from relcomm.conditions import META_CHECKS
+
+    alg = f"algebras/{name}.alg"
+    _, out, _ = run(capsys, "check-all", "-a", alg, *family, "--format", "structured")
+    lines = {json.loads(line)["id"]: line for line in out.splitlines()}
+    for meta_id in META_CHECKS:
+        code, out, _ = run(
+            capsys, "check", "-a", alg, "--condition", meta_id, *family, "--format", "structured"
+        )
+        assert code == 0, meta_id
+        assert out.splitlines() == [lines[meta_id]], meta_id
+
+
+def test_fewer_than_one_sample_is_a_usage_error(capsys):
+    z2 = ("-a", "algebras/z2.alg")
+    for argv in (
+        ("check", *z2, "--condition", "T3_I", "--family", "sampled", "--samples", "0"),
+        ("check", *z2, "--condition", "T3_I", "--family", "sampled", "--samples", "-3"),
+        ("check-all", *z2, "--samples", "0"),
+        ("enumerate", *z2, "--family", "tolerance", "--mode", "sampled", "--samples", "0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "sample_count" in err, argv
+
+
 def test_invariant_violation_exits_one(capsys, monkeypatch):
     # an internal invariant that fails is a bug, not a usage error
     from relcomm import relations

@@ -10,7 +10,8 @@ import pytest
 
 from oracles import naive_compose, naive_transitive_closure
 from relcomm import FiniteAlgebra, BinRel, eval_expr
-from relcomm.conditions import CONDITIONS
+from relcomm.conditions import CONDITIONS, META_CHECKS
+from relcomm.properties import _RULES
 
 SET3 = FiniteAlgebra(3, ())
 N = 3
@@ -265,3 +266,12 @@ def test_condition_quantifier_names_cover_formulas():
             if q.above is not None:
                 earlier = {p.name for p in spec.quantifiers[:i]}
                 assert free_names(q.above) <= earlier, (cond_id, q.name)
+
+
+def test_meta_check_rows_name_known_rules_and_conditions():
+    assert not set(META_CHECKS) & set(CONDITIONS)
+    for meta_id, (rule, members) in META_CHECKS.items():
+        assert rule in _RULES, meta_id
+        assert members and set(members) <= set(CONDITIONS), meta_id
+        if rule == "implies":
+            assert len(members) == 3, meta_id  # hypothesis, conclusion, corollary

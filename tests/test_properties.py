@@ -4,25 +4,24 @@ from relcomm import (
     BinRel,
     RelFamily,
     check_condition,
-    check_equivalence_claims,
-    check_implication_chain,
     check_lemma_x1a,
     check_lemma_x1b,
-    check_theorem_x4,
+    check_meta,
     evaluate_problem_profile,
+    meta_report,
     recheck_witness,
 )
-from relcomm.conditions import CONDITIONS, EQUIVALENCE_GROUPS, PROBLEM_IDS, X2_CHAIN
+from relcomm.conditions import CONDITIONS, META_CHECKS, PROBLEM_IDS
 from relcomm.properties import (
     VERDICT_FAILS,
     VERDICT_HOLDS,
     VERDICT_SAMPLED_OK,
     PropertyReport,
     Witness,
-    check_equivalence_group,
 )
 
 EXH = RelFamily(mode="exhaustive")
+EQUIVALENCE_IDS = [m for m, (rule, _) in META_CHECKS.items() if rule == "agree"]
 
 
 def test_trivial_algebra_all_conditions_hold(algebras):
@@ -117,13 +116,13 @@ def test_x1b_with_v_delta_implies_x1a_bound(algebras, ra_lists):
 
 def test_equivalence_claims_catalog(algebras):
     for name in ("Trivial1", "Z2", "L2", "S2", "C3", "Z4"):
-        for rep in check_equivalence_claims(algebras[name], EXH):
+        for meta_id in EQUIVALENCE_IDS:
+            rep = check_meta(algebras[name], meta_id, EXH)
             assert rep.holds, (name, rep.condition, rep.detail)
 
 
 def test_equivalence_values_match_examples(algebras):
-    groups = {r.condition: r for r in check_equivalence_claims(algebras["Z2"], EXH)}
-    assert groups["EQ_X2"].detail["members"] == {
+    assert check_meta(algebras["Z2"], "EQ_X2", EXH).detail["members"] == {
         "T2_I": False,
         "T2_IA": False,
         "T2_IB": False,
@@ -131,23 +130,22 @@ def test_equivalence_values_match_examples(algebras):
         "T2_ID": False,
         "T2_II": False,
     }
-    groups = {r.condition: r for r in check_equivalence_claims(algebras["L2"], EXH)}
-    assert all(groups["EQ_X3"].detail["members"].values())
+    assert all(check_meta(algebras["L2"], "EQ_X3", EXH).detail["members"].values())
 
 
 def test_implication_chains_catalog(algebras):
     for name, alg in algebras.items():
         if name in ("Set3", "RB3"):
             continue  # covered by the acceptance suite; slow here
-        for theorem in ("x2", "x3"):
-            rep = check_implication_chain(alg, theorem, EXH)
+        for theorem in ("CHAIN_X2", "CHAIN_X3"):
+            rep = check_meta(alg, theorem, EXH)
             assert rep.holds, (name, theorem, rep.detail)
 
 
 def test_theorem_x4_lattices(algebras):
     for name in ("L2", "C3"):
         for part in ("I", "II"):
-            rep = check_theorem_x4(algebras[name], part, EXH)
+            rep = check_meta(algebras[name], f"T4_{part}", EXH)
             assert rep.holds
             assert rep.detail["hypothesis"] == VERDICT_HOLDS
             assert rep.detail["conclusion"] == VERDICT_HOLDS
@@ -155,7 +153,7 @@ def test_theorem_x4_lattices(algebras):
 
 
 def test_theorem_x4_hypothesis_fails_on_z2(algebras):
-    rep = check_theorem_x4(algebras["Z2"], "I", EXH)
+    rep = check_meta(algebras["Z2"], "T4_I", EXH)
     assert rep.holds  # vacuous
     assert rep.detail["hypothesis"] == VERDICT_FAILS
     assert rep.detail["note"] == "hypothesis false, conclusion not claimed"
@@ -163,29 +161,28 @@ def test_theorem_x4_hypothesis_fails_on_z2(algebras):
 
 
 @pytest.mark.parametrize("mode", ("exhaustive", "sampled"))
-def test_meta_checks_count_only_proven_members(algebras, mode):
+def test_meta_checks_count_only_proven_members(mode):
     # every member "holds" but the last of each chain or group and the
     # T4_I conclusion: a violation when exhaustive, but a sampled "no
     # counterexample found" starts no chain, contradicts no failing
     # equivalent member and proves no hypothesis
-    group_id, members = EQUIVALENCE_GROUPS[0]
-    failing = {X2_CHAIN[-1], members[-1], "T4_I_CONC"}
-
-    def check(alg, cid, family):
-        if cid in failing:
-            return PropertyReport(cid, False, Witness(cid, {}, (0, 1)), 1, family.mode)
-        return PropertyReport(cid, True, None, 1, family.mode)
-
-    alg = algebras["Z2"]
+    meta_ids = ("CHAIN_X2", "EQ_X2", "T4_I")
+    failing = {META_CHECKS["CHAIN_X2"][1][-1], META_CHECKS["EQ_X2"][1][-1], "T4_I_CONC"}
+    reports = {
+        cid: PropertyReport(cid, False, Witness(cid, {}, (0, 1)), 1, mode)
+        if cid in failing
+        else PropertyReport(cid, True, None, 1, mode)
+        for meta_id in meta_ids
+        for cid in META_CHECKS[meta_id][1]
+    }
     family = RelFamily(mode=mode)
-    reports = [
-        check_implication_chain(alg, "x2", family, check),
-        check_equivalence_group(alg, group_id, members, family, check),
-        check_theorem_x4(alg, "I", family, check),
-    ]
-    assert [rep.holds for rep in reports] == [mode == "sampled"] * 3
+    metas = [meta_report(meta_id, reports, family) for meta_id in meta_ids]
+    assert [rep.holds for rep in metas] == [mode == "sampled"] * 3
     if mode == "sampled":
-        assert reports[2].detail["note"] == "hypothesis not proven, conclusion not claimed"
+        assert metas[2].detail["note"] == "hypothesis not proven, conclusion not claimed"
+    else:
+        # the witness is the first failing member's, after the chain's start
+        assert [rep.witness.condition for rep in metas] == ["T2_II", "T2_II", "T4_I_CONC"]
 
 
 def test_problem_profiles(algebras):

@@ -337,6 +337,14 @@ def test_sampled_mode_deterministic(algebras):
         assert is_reflexive(r) and is_symmetric(r) and is_admissible(alg, r)
 
 
+def test_family_rejects_fewer_than_one_sample():
+    # a sampled sweep over no bindings would report "no counterexample found"
+    for count in (0, -3):
+        with pytest.raises(ValueError, match="sample_count"):
+            RelFamily(mode="sampled", sample_count=count)
+    assert RelFamily(mode="sampled", sample_count=1).sample_count == 1
+
+
 def assert_family_matches_oracle(alg):
     arities = [op.arity for op in alg.operations]
     tables = [op.table for op in alg.operations]

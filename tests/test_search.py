@@ -128,4 +128,8 @@ def test_search_task_validation():
     with pytest.raises(ValueError):
         SearchTask(budget=-1)
     with pytest.raises(ValueError):
+        SearchTask(sizes=(), budget=1)
+    with pytest.raises(ValueError):
+        SearchTask(sizes=(3, 0))
+    with pytest.raises(ValueError):
         SearchTask(target=("PROB_I", "NOPE"))

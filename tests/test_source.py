@@ -17,3 +17,9 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_export_resolves_once():
+    names = relcomm.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(relcomm, name)] == []
