@@ -2,6 +2,17 @@
 engine over finite powers that everything else is built on: one semi-naive
 saturation that images whole bitsets of k-tuples by masked shifts.
 
+Each operation step is a unary map per coordinate, given by move
+descriptors that `_image_plans` builds once per algebra and power.  A
+coordinate whose map is the identity has no descriptor, so an image
+touches only the coordinates that move.  The steps of unary and binary
+operations fix no argument but the member being processed, so their
+descriptors are looked up in two small tables, by the high and low halves
+of that member's encoding; wider operations enumerate their fixed
+arguments over decoded members.  A caller that knows part of its
+generators to be closed already passes it as `closed=`, and no
+combination inside that block is imaged.
+
 All values are immutable after construction and safe to share across
 threads; closure itself runs single-threaded.
 """
@@ -106,16 +117,18 @@ class TupleSet:
 
     def members(self):
         """Yield the tuples in ascending encoding order."""
-        rem = self.bits
-        while rem:
-            low = rem & -rem
-            rem ^= low
-            yield _decode(self.size, self.power, low.bit_length() - 1)
+        for e in _indices(self.bits):
+            yield _decode(self.size, self.power, e)
 
     def __len__(self):
         return self.bits.bit_count()
 
     def __le__(self, other: "TupleSet") -> bool:
+        if (self.size, self.power) != (other.size, other.power):
+            raise ValueError(
+                f"cannot compare {self.power}-tuples over {self.size} elements "
+                f"with {other.power}-tuples over {other.size} elements"
+            )
         return self.bits & ~other.bits == 0
 
 
@@ -150,15 +163,24 @@ def eval_op(alg: FiniteAlgebra, op_index: int, args) -> int:
 
 @lru_cache(maxsize=256)
 def _image_plans(alg: FiniteAlgebra, power: int):
-    """The image steps of `subuniverse_closure`, ((layout, ((maps, source),
-    ...)), ...).  Per operation and position p of member i, the last position
-    r other than p (p itself if unary) takes the set `source` of members, and
-    each other position one member of its set in `layout`; sets are flags:
-    1 for members 0..i-1 (before p), 2 for {i} (at p), 3 for members 0..i
-    (after p).  `maps[c][code]` is the move descriptor of y -> op(..., y at
-    r, ...) on coordinate c, `code` being the fixed arguments' values there
-    in base n.  Steps alike but for their sources merge into one, as at a
-    commutative op's two positions.
+    """The image steps of `subuniverse_closure`, as (tables, products).
+
+    Per operation and position p of member i, the last position r other
+    than p (p itself if unary) takes the set `source` of members, and each
+    other position one member of its set in `layout`; sets are flags: 1 for
+    members 0..i-1 (before p), 2 for {i} (at p), 3 for members 0..i (after
+    p).  `maps[c][code]` is the move descriptor of y -> op(..., y at r, ...)
+    on coordinate c, `code` being the fixed arguments' values there in base
+    n, or None where that map is the identity.  Steps alike but for their
+    sources merge into one, as at a commutative op's two positions.
+
+    A step whose only fixed argument is member i itself (layout (2,), every
+    step of a unary or binary op) becomes a row of `tables`, (source, highs,
+    lows): `highs[h]` holds the non-identity descriptors of coordinates
+    0..power//2-1 for a member whose encoding has high half h, `lows[l]`
+    those of the other coordinates for low half l, so a step has about
+    2*n**(power/2) rows rather than n**power.  Wider steps stay in
+    `products`, ((layout, ((maps, source), ...)), ...).
     """
     n = alg.size
 
@@ -170,6 +192,8 @@ def _image_plans(alg: FiniteAlgebra, power: int):
         for v, gv in enumerate(g):
             moves[(gv - v) * w] = moves.get((gv - v) * w, 0) | column << (v * w)
         kept = moves.pop(0, 0)
+        if not moves:
+            return None
         return kept, tuple((m, max(d, 0), max(-d, 0)) for d, m in moves.items())
 
     groups = {}
@@ -188,13 +212,26 @@ def _image_plans(alg: FiniteAlgebra, power: int):
             layout = tuple(1 if q < p else 2 if q == p else 3 for q in fixed)
             steps = groups.setdefault(layout, {})
             steps[maps] = steps.get(maps, 0) | (1 if r < p else 2 if r == p else 3)
-    return tuple((layout, tuple(steps.items())) for layout, steps in groups.items())
+
+    def rows(maps):
+        return tuple(
+            tuple(filter(None, map(tuple.__getitem__, maps, _decode(n, len(maps), code))))
+            for code in range(n ** len(maps))
+        )
+
+    half = power // 2
+    tables = tuple(
+        (source, rows(maps[:half]), rows(maps[half:]))
+        for maps, source in groups.pop((2,), {}).items()
+    )
+    return tables, tuple((layout, tuple(steps.items())) for layout, steps in groups.items())
 
 
 def _image(bits: int, descriptors) -> int:
-    """The image of a set of encoded tuples under one unary map per
+    """The image of a set of encoded tuples under one unary map per moving
     coordinate, each given by its move descriptor (kept, ((mask, up, down),
-    ...)): the tuples in `kept` stay, those in a mask shift by up - down."""
+    ...)): the tuples in `kept` stay, those in a mask shift by up - down.
+    Coordinates left out are mapped by the identity."""
     for kept, moves in descriptors:
         out = bits & kept
         for mask, up, down in moves:
@@ -203,10 +240,35 @@ def _image(bits: int, descriptors) -> int:
     return bits
 
 
-def subuniverse_closure(alg: FiniteAlgebra, power: int, generators) -> TupleSet:
+def _tuple_bits(n: int, power: int, tuples) -> int:
+    """The bitset of `tuples`, each checked to be a `power`-tuple over
+    0..n-1."""
+    bits = 0
+    for t in tuples:
+        t = tuple(t)
+        if len(t) != power:
+            raise ValueError(f"generator {t} is not a {power}-tuple")
+        for v in t:
+            if not (0 <= v < n):
+                raise ValueError(f"generator entry {v} outside universe 0..{n - 1}")
+        bits |= 1 << _encode(n, t)
+    return bits
+
+
+def _indices(bits: int) -> list[int]:
+    """The positions of the set bits, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        out.append(low.bit_length() - 1)
+    return out
+
+
+def subuniverse_closure(alg: FiniteAlgebra, power: int, generators, *, closed=()) -> TupleSet:
     """Smallest set of k-tuples (k = `power`) containing `generators` and
-    closed under every operation of `alg` applied coordinatewise, as a
-    `TupleSet`.
+    `closed` and closed under every operation of `alg` applied
+    coordinatewise, as a `TupleSet`.
 
     Semi-naive worklist saturation (Bancilhon & Ramakrishnan, 1986):
     members are processed in the order they were added, and processing
@@ -215,53 +277,59 @@ def subuniverse_closure(alg: FiniteAlgebra, power: int, generators) -> TupleSet:
     argument combination is applied exactly once.  One position r takes its
     members as a bitset: with the other arguments fixed the operation is a
     unary map on each coordinate, and `_image` maps the whole bitset by
-    masked shifts, one coordinate at a time.  A binary op costs member i two
-    images (one if commutative) keyed by its own coordinates, a unary op one
-    image of {i}; wider ops enumerate the remaining positions over members.
-    Nullary operations contribute their constant diagonal tuple; an empty
-    generator set with no nullary operations yields the empty set.
+    masked shifts, one moving coordinate at a time; identity maps are left
+    out.  A binary op costs member i two images (one if commutative) and a
+    unary op one image of {i}, their descriptors looked up in the step
+    tables by the halves of i's encoding; wider ops enumerate the remaining
+    positions over decoded members.  Nullary operations contribute their
+    constant diagonal tuple; an empty generator set with no nullary
+    operations yields the empty set.
+
+    `closed`, if given, must already be closed under the operations (the
+    caller's promise, not checked): its tuples become members 0..k-1 and
+    count as processed, so no combination among them is imaged, while every
+    combination that includes a later member is still applied when that
+    member is processed.
     """
     if power < 1:
         raise ValueError("power must be positive")
     n = alg.size
-    seen = 0
-    for g in generators:
-        g = tuple(g)
-        if len(g) != power:
-            raise ValueError(f"generator {g} is not a {power}-tuple")
-        for v in g:
-            if not (0 <= v < n):
-                raise ValueError(f"generator entry {v} outside universe 0..{n - 1}")
-        seen |= 1 << _encode(n, g)
+    done = _tuple_bits(n, power, closed)  # members 0..i-1
+    seen = done | _tuple_bits(n, power, generators)
     for op in alg.operations:
         if op.arity == 0:
             seen |= 1 << _encode(n, op.table * power)
 
-    plans = _image_plans(alg, power)
-    singles = []  # each member as a one-bit set, in addition order
-    coords = []  # each member's decoded coordinates, in the same order
-    done = 0  # members 0..i-1
-    new = seen
-    i = 0
+    tables, products = _image_plans(alg, power)
+    half = n ** (power - power // 2)
+    order = _indices(done)  # each member's encoding, in addition order
+    coords = []  # each member's decoded coordinates, kept for wide ops only
+    new = seen & ~done
+    i = len(order)
     while True:
-        while new:
-            low = new & -new
-            new ^= low
-            singles.append(low)
-            coords.append(_decode(n, power, low.bit_length() - 1))
-        if i == len(singles):
+        if new:
+            order += _indices(new)
+        if i == len(order):
             return TupleSet(n, power, seen)
-        sets = (0, done, singles[i], done | singles[i])
-        ranges = ((), coords[:i], (coords[i],), coords[: i + 1])
+        e = order[i]
+        single = 1 << e
+        sets = (0, done, single, done | single)
+        high, low = divmod(e, half)
         found = 0
-        for layout, steps in plans:
-            for fixed in itertools.product(*[ranges[j] for j in layout]):
-                codes = fixed[0]
-                for t in fixed[1:]:
-                    codes = [code * n + v for code, v in zip(codes, t)]
-                for maps, source in steps:
-                    found |= _image(sets[source], map(tuple.__getitem__, maps, codes))
-        done |= singles[i]
+        for source, highs, lows in tables:
+            found |= _image(sets[source], highs[high] + lows[low])
+        if products:
+            coords += [_decode(n, power, m) for m in order[len(coords) :]]
+            ranges = ((), coords[:i], (coords[i],), coords[: i + 1])
+            for layout, steps in products:
+                for fixed in itertools.product(*[ranges[j] for j in layout]):
+                    codes = fixed[0]
+                    for t in fixed[1:]:
+                        codes = [code * n + v for code, v in zip(codes, t)]
+                    for maps, source in steps:
+                        moving = filter(None, map(tuple.__getitem__, maps, codes))
+                        found |= _image(sets[source], moving)
+        done |= single
         new = found & ~seen
         seen |= new
         i += 1

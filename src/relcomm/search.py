@@ -42,6 +42,10 @@ class SearchTask:
             raise ValueError("budget must be >= 0")
         if not self.sizes or min(self.sizes) < 1:
             raise ValueError(f"sizes must be non-empty and each >= 1, got {self.sizes}")
+        if self.start_index < 0:
+            raise ValueError(f"start_index must be >= 0, got {self.start_index}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.target is not None:
             for cid in self.target:
                 if cid not in conditions.CONDITIONS:

@@ -88,6 +88,10 @@ def test_closure_malformed_tuples():
         subuniverse_closure(Z2, 2, {(0, 1, 0)})
     with pytest.raises(ValueError):
         subuniverse_closure(Z2, 2, {(0, 3)})
+    with pytest.raises(ValueError):
+        subuniverse_closure(Z2, 2, set(), closed={(0, 3)})
+    with pytest.raises(ValueError):
+        subuniverse_closure(Z2, 2, set(), closed={(0,)})
 
 
 def test_closure_matches_naive_oracle_on_random_groupoids():
@@ -106,6 +110,17 @@ def test_closure_matches_naive_oracle_on_random_groupoids():
         got = set(subuniverse_closure(alg, k, gens).members())
         want = naive_tuple_closure(n, k, [2], [table], gens)
         assert got == want, (n, table, gens)
+    # the shape of M(R, S) on a 4-element algebra, binary ops at power 4:
+    # a random groupoid, the 4-chain lattice, and its meet with a random op
+    meet = ("meet", 2, tuple(min(a, b) for a in range(4) for b in range(4)))
+    join = ("join", 2, tuple(max(a, b) for a in range(4) for b in range(4)))
+    for ops in ([("f", 2, None)], [meet, join], [meet, join], [meet, ("f", 2, None)]):
+        ops = [(name, 2, table or tuple(rng.randrange(4) for _ in range(16))) for name, _, table in ops]
+        alg = FiniteAlgebra(4, tuple(ops))
+        gens = {tuple(rng.randrange(4) for _ in range(4)) for _ in range(3)}
+        got = set(subuniverse_closure(alg, 4, gens).members())
+        want = naive_tuple_closure(4, 4, [2] * len(ops), [t for _, _, t in ops], gens)
+        assert got == want, (ops, gens)
     # ternary operations, with a unary and a nullary operation riding along
     # at random.  Universes stay small, so the naive oracle's |S|**3 passes
     # stay fast.
@@ -142,6 +157,28 @@ def test_closure_matches_naive_oracle_on_random_groupoids():
         got = set(subuniverse_closure(alg, k, gens).members())
         want = naive_tuple_closure(n, k, arities, [t for _, _, t in ops], gens)
         assert got == want, (n, ops, gens)
+
+
+def test_closed_block_gives_the_plain_closure():
+    # a block that is already closed (here the closure of random tuples)
+    # skips the combinations among its own members; closing gens onto it
+    # must still give the closure of gens and the block together
+    rng = random.Random(77)
+    signatures = [(1,), (2,), (1, 2), (0, 2), (2, 3), (0, 1, 3), (4,), (0, 2, 4)]
+    for trial in range(120):
+        arities = signatures[trial % len(signatures)]
+        cap = {4: 16, 3: 27}.get(max(arities), 256)
+        n, k = rng.choice([(n, k) for n in range(1, 5) for k in range(1, 5) if n**k <= cap])
+        ops = [(f"f{j}", a, tuple(rng.randrange(n) for _ in range(n**a))) for j, a in enumerate(arities)]
+        alg = FiniteAlgebra(n, tuple(ops))
+
+        def draw(count):
+            return {tuple(rng.randrange(n) for _ in range(k)) for _ in range(count)}
+
+        block = set(subuniverse_closure(alg, k, draw(rng.randint(0, 2))).members())
+        gens = draw(rng.randint(0, 3))
+        got = subuniverse_closure(alg, k, gens, closed=block)
+        assert got == subuniverse_closure(alg, k, gens | block), (ops, block, gens)
 
 
 def test_closure_arity_three_generic_path():
@@ -202,23 +239,35 @@ def test_quadset_roundtrip():
     assert not qs.contains(0, 0, 0, 0)
 
 
+def test_tupleset_inclusion_needs_same_size_and_power():
+    assert TupleSet(3, 2, 0b10) <= TupleSet(3, 2, 0b110)
+    assert not TupleSet(3, 2, 0b1) <= TupleSet(3, 2, 0b110)
+    with pytest.raises(ValueError):
+        TupleSet(2, 2, 1) <= TupleSet(3, 2, 1)
+    with pytest.raises(ValueError):
+        TupleSet(2, 2, 1) <= TupleSet(2, 3, 1)
+
+
 def test_image_maps_each_decoded_tuple():
     # per coordinate, a unary op's step images a bitset to the set of its
     # tuples' images; a binary op's steps do the same with one argument
-    # fixed to a member x (source 3: f(x, y), source 1: f(y, x))
+    # fixed to the member x being processed (source 3: f(x, y), source 1:
+    # f(y, x)), their descriptors looked up by the halves of x's encoding
     rng = random.Random(2024)
     for _ in range(60):
         n = rng.randint(1, 5)
         power = rng.randint(1, 4 if n <= 3 else 3)
-        tuples = [_decode(n, power, e) for e in range(n**power)]
+        half = n ** (power - power // 2)
         for arity in (1, 2):
             alg = FiniteAlgebra(n, (("f", arity, tuple(rng.randrange(n) for _ in range(n**arity))),))
-            ((layout, steps),) = _image_plans(alg, power)
-            assert layout == (2,)
-            for maps, source in steps:
+            tables, products = _image_plans(alg, power)
+            assert products == ()
+            for source, highs, lows in tables:
+                assert (len(highs), len(lows)) == (n ** (power // 2), half)
                 bits = rng.getrandbits(n**power)
-                x = rng.choice(tuples)
-                got = _image(bits, [maps[c][x[c]] for c in range(power)])
+                e = rng.randrange(n**power)
+                x = _decode(n, power, e)
+                got = _image(bits, highs[e // half] + lows[e % half])
                 images = set()
                 for t in TupleSet(n, power, bits).members():
                     if source == 2:
@@ -228,6 +277,18 @@ def test_image_maps_each_decoded_tuple():
                     else:
                         images.add(tuple(eval_op(alg, 0, [b, a]) for a, b in zip(x, t)))
                 assert set(TupleSet(n, power, got).members()) == images, (alg, source)
+    # meet with the top element is the identity: at x = (1, 0) only the
+    # second coordinate moves, so the step holds one descriptor
+    ((source, highs, lows),) = _image_plans(MEET2, 2)[0]
+    assert source == 3  # meet is commutative: one step for both positions
+    assert highs[1] == () and len(lows[0]) == 1
+    assert len(highs[0]) == 1 and lows[1] == ()
+    bits = 1 << 0b01 | 1 << 0b11  # (0, 1) and (1, 1)
+    assert set(TupleSet(2, 2, _image(bits, highs[1] + lows[0])).members()) == {(0, 0), (1, 0)}
+    # an identity op moves nothing at all
+    ident = FiniteAlgebra(3, (("id", 1, (0, 1, 2)),))
+    ((_, highs, lows),) = _image_plans(ident, 3)[0]
+    assert set(highs) == set(lows) == {()}
 
 
 def test_equal_algebras_share_cache_entries():

@@ -5,8 +5,10 @@ import pytest
 
 from conftest import refl
 from relcomm import (
+    REFLEXIVE_ADMISSIBLE,
     BinRel,
     FiniteAlgebra,
+    RelFamily,
     adm_close,
     cg,
     comm,
@@ -14,6 +16,7 @@ from relcomm import (
     comm_weak,
     compose,
     converse,
+    enumerate_relations,
     intersect,
     is_admissible,
     is_congruence,
@@ -22,9 +25,11 @@ from relcomm import (
     k_op,
     m_set,
     star,
+    subuniverse_closure,
     tol_close,
     union_,
 )
+from relcomm import commutator, relations
 from relcomm.algebra import eval_op
 from relcomm.relations import (
     InvariantViolation,
@@ -63,6 +68,56 @@ def test_m_set_delta_delta_is_diagonal(algebras):
         d = BinRel.delta(alg.size)
         m = m_set(alg, d, d)
         assert set(m.members()) == {(u, u, u, u) for u in range(alg.size)}
+
+
+def test_m_set_equals_plain_closure_of_both_blocks(algebras, ra_lists):
+    # m_set closes the S block onto the R block, which it treats as already
+    # closed since R is admissible; the plain closure of both must agree
+    def plain(alg, r, s):
+        gens = [(a, a, a2, a2) for a, a2 in r.pairs()]
+        gens += [(b, b2, b, b2) for b, b2 in s.pairs()]
+        return subuniverse_closure(alg, 4, gens)
+
+    cases = [
+        (alg, r, s)
+        for name, alg in algebras.items()
+        if alg.size <= 3
+        for r in ra_lists[name]
+        for s in ra_lists[name]
+    ]
+    chain = FiniteAlgebra(4, (
+        ("meet", 2, tuple(min(a, b) for a in range(4) for b in range(4))),
+        ("join", 2, tuple(max(a, b) for a in range(4) for b in range(4))),
+    ))
+    rels = list(enumerate_relations(chain, RelFamily(REFLEXIVE_ADMISSIBLE)))
+    rng = random.Random(5)
+    cases += [(chain, rng.choice(rels), rng.choice(rels)) for _ in range(150)]
+    for alg, r, s in cases:
+        assert m_set(alg, r, s) == plain(alg, r, s), (alg, r, s)
+
+
+def test_closures_go_through_the_module_attributes(monkeypatch):
+    # the benchmark's closure spans wrap these two names, so a closure that
+    # bypassed them would read 0 there; each miss must pass exactly once
+    calls = []
+    for module in (commutator, relations):
+        def counting(*args, inner=module.subuniverse_closure, name=module.__name__, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, "subuniverse_closure", counting)
+    relations.clear_caches()
+    commutator.clear_caches()
+    r, s = refl(2, (0, 1)), FULL2
+    adm_close(L2, r)
+    assert calls == ["relcomm.relations"]
+    is_admissible(L2, s)  # m_set's input checks then hit adm_close's cache
+    del calls[:]
+    m_set(L2, r, s)
+    assert calls == ["relcomm.commutator"]
+    m_set(L2, r, s)
+    adm_close(L2, r)
+    assert calls == ["relcomm.commutator"]
 
 
 def test_m_set_rejects_bad_inputs():

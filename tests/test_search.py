@@ -131,5 +131,8 @@ def test_search_task_validation():
         SearchTask(sizes=(), budget=1)
     with pytest.raises(ValueError):
         SearchTask(sizes=(3, 0))
+    for bad in (dict(start_index=-5), dict(start_index=-1), dict(jobs=0), dict(jobs=-3)):
+        with pytest.raises(ValueError):
+            SearchTask(sizes=(3,), budget=2, **bad)
     with pytest.raises(ValueError):
         SearchTask(target=("PROB_I", "NOPE"))
