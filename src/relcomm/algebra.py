@@ -9,8 +9,9 @@ touches only the coordinates that move.  The steps of unary and binary
 operations fix no argument but the member being processed, so their
 descriptors are looked up in two small tables, by the high and low halves
 of that member's encoding; wider operations enumerate their fixed
-arguments over decoded members.  A caller that knows part of its
-generators to be closed already passes it as `closed=`, and no
+arguments over decoded members.  Generators come in as a bitset in the
+`TupleSet` encoding; a caller that knows part of them to be closed
+already passes that part as a second bitset, `closed=`, and no
 combination inside that block is imaged.
 
 All values are immutable after construction and safe to share across
@@ -113,6 +114,8 @@ class TupleSet:
     bits: int
 
     def contains(self, *t: int) -> bool:
+        if len(t) != self.power or not all(0 <= v < self.size for v in t):
+            raise ValueError(f"{t} is not a {self.power}-tuple over 0..{self.size - 1}")
         return bool(self.bits >> _encode(self.size, t) & 1)
 
     def members(self):
@@ -240,21 +243,6 @@ def _image(bits: int, descriptors) -> int:
     return bits
 
 
-def _tuple_bits(n: int, power: int, tuples) -> int:
-    """The bitset of `tuples`, each checked to be a `power`-tuple over
-    0..n-1."""
-    bits = 0
-    for t in tuples:
-        t = tuple(t)
-        if len(t) != power:
-            raise ValueError(f"generator {t} is not a {power}-tuple")
-        for v in t:
-            if not (0 <= v < n):
-                raise ValueError(f"generator entry {v} outside universe 0..{n - 1}")
-        bits |= 1 << _encode(n, t)
-    return bits
-
-
 def _indices(bits: int) -> list[int]:
     """The positions of the set bits, ascending."""
     out = []
@@ -265,10 +253,12 @@ def _indices(bits: int) -> list[int]:
     return out
 
 
-def subuniverse_closure(alg: FiniteAlgebra, power: int, generators, *, closed=()) -> TupleSet:
+def subuniverse_closure(alg: FiniteAlgebra, power: int, generators: int, *, closed: int = 0) -> TupleSet:
     """Smallest set of k-tuples (k = `power`) containing `generators` and
     `closed` and closed under every operation of `alg` applied
-    coordinatewise, as a `TupleSet`.
+    coordinatewise, as a `TupleSet`.  `generators` and `closed` are bitsets
+    in the `TupleSet` encoding (a `BinRel.bits` at k = 2), both under one
+    check: an int in 0 <= bits < 2**(n**k), else a `ValueError` naming it.
 
     Semi-naive worklist saturation (Bancilhon & Ramakrishnan, 1986):
     members are processed in the order they were added, and processing
@@ -294,8 +284,11 @@ def subuniverse_closure(alg: FiniteAlgebra, power: int, generators, *, closed=()
     if power < 1:
         raise ValueError("power must be positive")
     n = alg.size
-    done = _tuple_bits(n, power, closed)  # members 0..i-1
-    seen = done | _tuple_bits(n, power, generators)
+    for name, bits in (("generators", generators), ("closed", closed)):
+        if not isinstance(bits, int) or not (0 <= bits < 1 << n**power):
+            raise ValueError(f"{name} is not a bitset of {power}-tuples over 0..{n - 1}")
+    done = closed  # members 0..i-1
+    seen = done | generators
     for op in alg.operations:
         if op.arity == 0:
             seen |= 1 << _encode(n, op.table * power)

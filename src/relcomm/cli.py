@@ -15,9 +15,8 @@ from dataclasses import replace
 
 from . import conditions, properties, search
 from .algfile import AlgebraFormatError, load_algebra
-from .expr import EvalError, ParseError, eval_expr, parse_expr
+from .expr import EvalError, Literal, NameRef, ParseError, eval_expr, parse_expr, pretty
 from .relations import (
-    BinRel,
     FamilyBoundError,
     InvariantViolation,
     RelFamily,
@@ -26,10 +25,6 @@ from .relations import (
 
 # verdicts on these mean "implementation bug", not "property of the algebra"
 _MUST_HOLD = set(conditions.THEOREM_IDS) | set(conditions.META_CHECKS)
-
-
-def _pairs_text(rel: BinRel) -> str:
-    return "{" + ",".join(f"({a},{b})" for a, b in rel.pairs()) + "}"
 
 
 def _emit(records, fmt, out):
@@ -140,16 +135,24 @@ def _cmd_eval(args, out):
     env = {}
     for binding in args.bind:
         name, sep, text = binding.partition("=")
-        if not sep or not name:
-            raise SystemExit2(f"bad --bind {binding!r}, expected NAME=LITERAL")
-        env[name.strip()] = eval_expr(alg, {}, parse_expr(text.strip()))
+        name = name.strip()
+        try:
+            # a name the expression can reference parses back to itself
+            bad = not sep or parse_expr(name) != NameRef(name) or name in env
+        except ParseError:
+            bad = True
+        if bad:
+            raise SystemExit2(
+                f"bad --bind {binding!r}, expected NAME=LITERAL, each NAME a relation name once"
+            )
+        env[name] = eval_expr(alg, {}, parse_expr(text.strip()))
     expr = parse_expr(args.expr)
     rel = eval_expr(alg, env, expr, close_inputs=args.close_inputs)
     if args.format == "structured":
         rec = {"expr": args.expr, "pairs": [list(p) for p in rel.pairs()]}
         out.write(json.dumps(rec, separators=(",", ":"), sort_keys=True) + "\n")
     else:
-        out.write(_pairs_text(rel) + "\n")
+        out.write(pretty(Literal(tuple(rel.pairs()))) + "\n")
     return 0
 
 
@@ -212,7 +215,7 @@ def _cmd_enumerate(args, out):
             {
                 "bits": rel.bits,
                 "pairs": [list(p) for p in rel.pairs()],
-                "_text": _pairs_text(rel),
+                "_text": pretty(Literal(tuple(rel.pairs()))),
             }
         )
     _emit(records, args.format, out)

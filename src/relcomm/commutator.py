@@ -16,7 +16,9 @@ M(R, S) stays in the bitset encoding of `TupleSet`: bit
 ((x*n + y)*n + z)*n + w, so the n*n bits at offset (x*n + y)*n*n form the
 slice at top row (x, y), the bottom rows (z, w) as `BinRel` bits.
 K(R, S; V) is the OR of the slices at the pairs of V, and [R, S | 1]_W
-has (x, w) iff bit (x, w) of the slice at (x, x) is set.
+has (x, w) iff bit (x, w) of the slice at (x, x) is set.  The blocks are
+spread from the relations' bits: pair bit i of S, (b, b'), becomes bit
+i*(n*n + 1), and pair (a, a') of R bit (n + 1)*(a*n*n + a').
 
 Results are memoized per (algebra, R, S); all functions are pure, so
 concurrent calls with equal arguments return equal values.
@@ -26,14 +28,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import FiniteAlgebra, TupleSet, subuniverse_closure
-from .relations import (
-    BinRel,
-    cg,
-    require_reflexive_admissible,
-    star,
-    union_,
-)
+from .algebra import FiniteAlgebra, TupleSet, _indices, subuniverse_closure
+from .relations import BinRel, cg, delta_bits, require_reflexive_admissible, star
 
 
 @lru_cache(maxsize=65536)
@@ -43,28 +39,26 @@ def m_set(alg: FiniteAlgebra, r: BinRel, s: BinRel) -> TupleSet:
 
     R and S are checked to be reflexive and admissible first; that check
     is what makes the R block closed, so it is passed to the closure as
-    `closed=` and the S block as generators.  The call goes through this
-    module's `subuniverse_closure` name, which the benchmark's closure
-    spans wrap."""
+    `closed=` and the S block as generators, both as bitsets.  The call
+    goes through this module's `subuniverse_closure` name, which the
+    benchmark's closure spans wrap."""
     require_reflexive_admissible(alg, r, "R")
     require_reflexive_admissible(alg, s, "S")
-    rows = [(a, a, a2, a2) for (a, a2) in r.pairs()]
-    columns = [(b, b2, b, b2) for (b, b2) in s.pairs()]
+    n = alg.size
+    rows = sum(1 << (n + 1) * (i // n * n * n + i % n) for i in _indices(r.bits))
+    columns = sum(1 << i * (n * n + 1) for i in _indices(s.bits))
     return subuniverse_closure(alg, 4, columns, closed=rows)
 
 
-def _bottom_rows(m: TupleSet, v: BinRel) -> BinRel:
-    """Pairs (z, w) of matrices in m whose top row (x, y) lies in v: the
-    OR of the slices of m at the pairs of v."""
+def _bottom_rows(m: TupleSet, v: int) -> int:
+    """The bits of the pairs (z, w) of matrices in m whose top row (x, y)
+    is a pair of the relation bits v: the OR of the slices of m at them."""
     nn = m.size * m.size
     mask = (1 << nn) - 1
     bits = 0
-    rem = v.bits
-    while rem:
-        low = rem & -rem
-        rem ^= low
-        bits |= (m.bits >> ((low.bit_length() - 1) * nn)) & mask
-    return BinRel(m.size, bits)
+    for i in _indices(v):
+        bits |= (m.bits >> (i * nn)) & mask
+    return bits
 
 
 def k_op(alg: FiniteAlgebra, r: BinRel, s: BinRel, v: BinRel) -> BinRel:
@@ -72,7 +66,7 @@ def k_op(alg: FiniteAlgebra, r: BinRel, s: BinRel, v: BinRel) -> BinRel:
 
     V may be any relation; R and S must be reflexive and admissible.
     """
-    return _bottom_rows(m_set(alg, r, s), v)
+    return BinRel(alg.size, _bottom_rows(m_set(alg, r, s), v.bits))
 
 
 @lru_cache(maxsize=65536)
@@ -103,11 +97,12 @@ def comm(alg: FiniteAlgebra, r: BinRel, s: BinRel) -> BinRel:
     at the least one.
     """
     m = m_set(alg, r, s)
-    d = BinRel.delta(alg.size)
+    n = alg.size
+    d = delta_bits(n)
     while True:
-        nd = cg(alg, union_(d, _bottom_rows(m, d)))
-        if nd.bits == d.bits:
-            return d
+        nd = cg(alg, BinRel(n, d | _bottom_rows(m, d))).bits
+        if nd == d:
+            return BinRel(n, d)
         d = nd
 
 

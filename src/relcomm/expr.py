@@ -19,8 +19,8 @@ All infix operators are left-associative.
 The meaning of each node is given once, in `NODES`, as a function over the
 `bits` ints of relations on the algebra's universe.  `BinRel` appears only
 at the boundary: `eval_expr` takes names bound to `BinRel`s and returns
-one, and the nodes that call commutator and closure functions wrap their
-arguments for the call.
+one, and the nodes that call commutator functions and `adm_close` wrap
+their arguments (`relations.family_closure` does it for TolClose and Cg).
 """
 
 from __future__ import annotations
@@ -405,14 +405,15 @@ def _pp(e, min_level):
 # relation `bits` ints.  `eval_expr` walks this table, and `properties`
 # compiles condition plans from it, binding each step once per check.  The
 # relation-algebra nodes are the int kernels of `relations` and bare `&`/`|`;
-# the nodes that need the algebra wrap their arguments as `BinRel`s and look
-# up `relations` and `commutator` at call time, so their checks run and a
-# wrapper installed on a module attribute sees every call.  A child that is
-# not an expression (Literal's pair tuple) is passed to the function as it
-# is.  NameRef is not here: a name's value comes from the binding.
+# the nodes that need the algebra wrap their arguments as `BinRel`s, or bind
+# `family_closure`, and look up `relations` and `commutator` at call time,
+# so their checks run and a wrapper installed on a module attribute sees
+# every call.  A child that is not an expression (Literal's pair tuple) is
+# passed to the function as it is.  NameRef is not here: a name's value
+# comes from the binding.
 _LR = ("left", "right")
 NODES = {
-    Delta: ((), lambda alg, n: lambda: BinRel.delta(n).bits),
+    Delta: ((), lambda alg, n: partial(relations.delta_bits, n)),
     All: ((), lambda alg, n: lambda: BinRel.full(n).bits),
     EmptyRel: ((), lambda alg, n: lambda: 0),
     Literal: (("pairs",), lambda alg, n: lambda pairs: BinRel.from_pairs(n, pairs).bits),
@@ -421,9 +422,9 @@ NODES = {
     Compose: (_LR, lambda alg, n: partial(relations.compose_bits, n)),
     Intersect: (_LR, lambda alg, n: operator.and_),
     Union: (_LR, lambda alg, n: operator.or_),
-    TolClose: (("arg",), lambda alg, n: lambda r: relations.tol_close(alg, BinRel(n, r)).bits),
+    TolClose: (("arg",), lambda alg, n: relations.family_closure(alg, relations.TOLERANCE)),
     AdmClose: (("arg",), lambda alg, n: lambda r: relations.adm_close(alg, BinRel(n, r)).bits),
-    Cg: (("arg",), lambda alg, n: lambda r: relations.cg(alg, BinRel(n, r)).bits),
+    Cg: (("arg",), lambda alg, n: relations.family_closure(alg, relations.CONGRUENCE)),
     Comm1: (_LR, lambda alg, n: lambda r, s: commutator.comm1(alg, BinRel(n, r), BinRel(n, s)).bits),
     Comm: (_LR, lambda alg, n: lambda r, s: commutator.comm(alg, BinRel(n, r), BinRel(n, s)).bits),
     CommW: (
@@ -490,8 +491,8 @@ def eval_expr(alg, env: dict, e: RelExpr, close_inputs: bool = False) -> BinRel:
             return rel.bits
         args = [ev(c) if isinstance(c, RelExpr) else c for c in children(node)]
         if close_inputs and type(node) in _COMMUTATORS:
-            args[0] = close(BinRel(n, args[0])).bits
-            args[1] = close(BinRel(n, args[1])).bits
+            args[0] = close(args[0])
+            args[1] = close(args[1])
         return NODES[type(node)][1](alg, n)(*args)
 
     return BinRel(n, ev(e))

@@ -11,9 +11,9 @@ free names (or constant).  The sweep lists each quantifier's family once,
 runs the constant steps once, and after binding quantifier i runs only the
 level-i steps, so a subterm is rebuilt only when a name it uses changes.
 A plan's values are the `bits` ints of relations, computed by the node
-functions of `expr.NODES` bound to the algebra; `BinRel`s appear only at
-the boundary, in the families' listing, the witness and the sampled
-draws.
+functions of `expr.NODES` bound to the algebra, and sampled draws too;
+`BinRel`s appear only at the boundary, in the families' listing and the
+witness.
 Bindings are visited in nested order, the first quantifier outermost and
 each family in enumeration order, and the first violating binding stops
 the sweep: the verdict, witness and count are those of a plain
@@ -37,14 +37,15 @@ from dataclasses import dataclass, field
 
 from . import conditions
 from .conditions import ANY, CONDITIONS, ConditionSpec
-from .expr import NODES, EvalError, NameRef, RelExpr, children, eval_expr
+from .expr import NODES, EvalError, Literal, NameRef, RelExpr, children, eval_expr, pretty
 from .relations import (
     BinRel,
     InvariantViolation,
     RelFamily,
+    delta_bits,
     enumerate_relations,
     family_closure,
-    union_,
+    random_pairs,
 )
 
 VERDICT_HOLDS = "holds"
@@ -106,8 +107,7 @@ class PropertyReport:
         lines = [f"{self.condition}: {self.verdict} ({self.relations_checked} bindings, {self.family_mode})"]
         if self.witness:
             for name, pairs in sorted(self.witness.relations.items()):
-                body = ",".join(f"({a},{b})" for a, b in pairs)
-                lines.append(f"  {name} = {{{body}}}")
+                lines.append(f"  {name} = {pretty(Literal(tuple(pairs)))}")
             if self.witness.pair is not None:
                 lines.append(f"  violating pair: {self.witness.pair}")
         for key, value in self.detail.items():
@@ -280,23 +280,18 @@ def _sweep_exhaustive(alg, plan, family):
 
 
 def _sample_one(alg, q, above, rng):
+    """One relation drawn for q, above the bits `above` (0 for no bound)."""
     n = alg.size
     if q.kind == ANY:
         roll = rng.random()
         if roll < 0.1:
-            return BinRel.empty(n)
+            return 0
         if roll < 0.2:
-            return BinRel.delta(n)
+            return delta_bits(n)
         if roll < 0.3:
-            return BinRel.full(n)
-        return BinRel(n, rng.getrandbits(n * n))
-    pairs = [
-        (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3))
-    ]
-    base = BinRel.from_pairs(n, pairs)
-    if above is not None:
-        base = union_(above, base)
-    return family_closure(alg, q.kind)(base)
+            return (1 << n * n) - 1
+        return rng.getrandbits(n * n)
+    return family_closure(alg, q.kind)(above | random_pairs(rng, n, rng.randint(0, 3)))
 
 
 def _sweep_sampled(alg, plan, family):
@@ -311,8 +306,8 @@ def _sweep_sampled(alg, plan, family):
         vals = list(start)
         for i, q in enumerate(plan.spec.quantifiers):
             above = plan.above[i]
-            bound = None if above is None else BinRel(alg.size, vals[above])
-            plan.bind(vals, i, _sample_one(alg, q, bound, rng).bits)
+            bound = 0 if above is None else vals[above]
+            plan.bind(vals, i, _sample_one(alg, q, bound, rng))
         pair = plan.violation(vals)
         if pair is not None:
             return checked, (vals, pair)

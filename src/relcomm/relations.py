@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .algebra import FiniteAlgebra, subuniverse_closure
+from .algebra import FiniteAlgebra, _indices, subuniverse_closure
 
 REFLEXIVE_ADMISSIBLE = "reflexive-admissible"
 TOLERANCE = "tolerance"
@@ -76,17 +76,12 @@ class BinRel:
     bits: int
 
     def contains(self, a: int, b: int) -> bool:
+        if not (0 <= a < self.size and 0 <= b < self.size):
+            raise ValueError(f"pair ({a},{b}) outside universe 0..{self.size - 1}")
         return bool(self.bits >> (a * self.size + b) & 1)
 
     def pairs(self) -> list[tuple[int, int]]:
-        out = []
-        rem = self.bits
-        while rem:
-            low = rem & -rem
-            i = low.bit_length() - 1
-            rem ^= low
-            out.append(divmod(i, self.size))
-        return out
+        return [divmod(i, self.size) for i in _indices(self.bits)]
 
     def count(self) -> int:
         return self.bits.bit_count()
@@ -118,10 +113,7 @@ class BinRel:
 
     @classmethod
     def delta(cls, size: int) -> "BinRel":
-        bits = 0
-        for a in range(size):
-            bits |= 1 << (a * size + a)
-        return cls(size, bits)
+        return cls(size, delta_bits(size))
 
     @classmethod
     def full(cls, size: int) -> "BinRel":
@@ -130,6 +122,11 @@ class BinRel:
     @classmethod
     def empty(cls, size: int) -> "BinRel":
         return cls(size, 0)
+
+
+def delta_bits(n: int) -> int:
+    """The bits of the diagonal {(a, a) : a < n}."""
+    return sum(1 << a * (n + 1) for a in range(n))
 
 
 def _check_sizes(*rels):
@@ -141,7 +138,7 @@ def _check_sizes(*rels):
 
 
 def is_reflexive(r: BinRel) -> bool:
-    return BinRel.delta(r.size).bits & ~r.bits == 0
+    return delta_bits(r.size) & ~r.bits == 0
 
 
 def is_symmetric(r: BinRel) -> bool:
@@ -179,9 +176,9 @@ def _admissibility_witness(alg, r):
 
 def require_reflexive_admissible(alg, r, name="R"):
     """Raise NotReflexive/NotAdmissible with a witness if `r` fails."""
-    for a in range(r.size):
-        if not r.contains(a, a):
-            raise NotReflexive(name, a)
+    missing = delta_bits(r.size) & ~r.bits
+    if missing:
+        raise NotReflexive(name, ((missing & -missing).bit_length() - 1) // (r.size + 1))
     if not is_admissible(alg, r):
         w = _admissibility_witness(alg, r)
         if w is None:
@@ -199,10 +196,7 @@ def require_reflexive_admissible(alg, r, name="R"):
 @lru_cache(maxsize=65536)
 def converse_bits(n: int, a: int) -> int:
     bits = 0
-    while a:
-        low = a & -a
-        i = low.bit_length() - 1
-        a ^= low
+    for i in _indices(a):
         x, y = divmod(i, n)
         bits |= 1 << (y * n + x)
     return bits
@@ -265,7 +259,7 @@ def adm_close(alg: FiniteAlgebra, r: BinRel) -> BinRel:
     """Smallest compatible relation containing r (closure in the square)."""
     if alg.size != r.size:
         raise SizeMismatch(f"algebra size {alg.size} vs relation size {r.size}")
-    return BinRel(r.size, subuniverse_closure(alg, 2, r.pairs()).bits)
+    return BinRel(r.size, subuniverse_closure(alg, 2, r.bits).bits)
 
 
 @lru_cache(maxsize=65536)
@@ -341,14 +335,18 @@ def _family_max_n(kind: str) -> int:
 
 
 def family_closure(alg: FiniteAlgebra, kind: str):
-    """The closure operator whose closed sets are the family `kind`."""
+    """The closure operator, from relation bits to relation bits, whose
+    closed sets are the family `kind`.  `BinRel`s appear only at this
+    boundary, for the caches of `adm_close`, `tol_close` and `cg`, which it
+    looks up at call time."""
+    n = alg.size
     if kind == REFLEXIVE_ADMISSIBLE:
-        delta = BinRel.delta(alg.size)
-        return lambda r: adm_close(alg, union_(delta, r))
+        delta = delta_bits(n)
+        return lambda r: adm_close(alg, BinRel(n, delta | r)).bits
     if kind == TOLERANCE:
-        return lambda r: tol_close(alg, r)
+        return lambda r: tol_close(alg, BinRel(n, r)).bits
     if kind == CONGRUENCE:
-        return lambda r: cg(alg, r)
+        return lambda r: cg(alg, BinRel(n, r)).bits
     raise ValueError(f"unknown family kind {kind!r}")
 
 
@@ -359,15 +357,15 @@ def _closed_sets(n, close):
     of A is close(A's bits above j | bit j) for the least bit j not in A
     whose closure adds no bit above j.
     """
-    a = close(BinRel(n, 0)).bits
+    a = close(0)
     while True:
-        yield BinRel(n, a)
+        yield a
         for j in range(n * n):
             bit = 1 << j
             if a & bit:
                 continue
             above = -(bit << 1)
-            b = close(BinRel(n, a & above | bit)).bits
+            b = close(a & above | bit)
             if b & above & ~a == 0:
                 a = b
                 break
@@ -375,20 +373,24 @@ def _closed_sets(n, close):
             return
 
 
+def random_pairs(rng, n, k) -> int:
+    """The bits of k pairs (a, b) on {0..n-1}, drawn a then b."""
+    bits = 0
+    for _ in range(k):
+        bits |= 1 << (rng.randrange(n) * n + rng.randrange(n))
+    return bits
+
+
 def _sample_relations(n, close, sample_count, seed):
     rng = random.Random(seed)
     seen = set()
-    produced = 0
     attempts = 0
-    while produced < sample_count and attempts < sample_count * 20:
+    while len(seen) < sample_count and attempts < sample_count * 20:
         attempts += 1
-        k = rng.randint(1, 3)
-        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(k)]
-        rel = close(BinRel.from_pairs(n, pairs))
-        if rel.bits not in seen:
-            seen.add(rel.bits)
-            produced += 1
-            yield rel
+        bits = close(random_pairs(rng, n, rng.randint(1, 3)))
+        if bits not in seen:
+            seen.add(bits)
+            yield bits
 
 
 def enumerate_relations(alg: FiniteAlgebra, family: RelFamily):
@@ -400,19 +402,21 @@ def enumerate_relations(alg: FiniteAlgebra, family: RelFamily):
     relations in generation order, deterministically for a fixed seed.
     """
     kind = family.kind
+    n = alg.size
     close = family_closure(alg, kind)
     if family.mode == "sampled":
-        yield from _sample_relations(alg.size, close, family.sample_count, family.seed)
-        return
-    if family.mode != "exhaustive":
+        members = _sample_relations(n, close, family.sample_count, family.seed)
+    elif family.mode != "exhaustive":
         raise ValueError(f"unknown family mode {family.mode!r}")
-    n = alg.size
-    if n > _family_max_n(kind):
+    elif n > _family_max_n(kind):
         raise FamilyBoundError(
             f"exhaustive {kind} enumeration is capped at n={_family_max_n(kind)} "
             f"(algebra has n={n}); use sampled mode or {_ENV_OVERRIDE}"
         )
-    yield from _closed_sets(n, close)
+    else:
+        members = _closed_sets(n, close)
+    for bits in members:
+        yield BinRel(n, bits)
 
 
 def clear_caches():

@@ -1,6 +1,7 @@
 import pytest
 
 from relcomm import BinRel, REFLEXIVE_ADMISSIBLE, RelFamily, enumerate_relations
+from relcomm.algebra import _encode
 from relcomm.search import catalog
 
 
@@ -34,6 +35,11 @@ def corpus(algebras, ra_lists):
 
 def rel(n, *pairs):
     return BinRel.from_pairs(n, pairs)
+
+
+def tuple_bits(n, tuples):
+    """The `TupleSet` bitset of a set of tuples over {0..n-1}."""
+    return sum(1 << _encode(n, t) for t in set(tuples))
 
 
 def refl(n, *pairs):

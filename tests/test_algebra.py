@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tuple_bits
 from oracles import naive_tuple_closure
 import relcomm
 from relcomm import BinRel, FiniteAlgebra, adm_close, eval_op, load_algebra, subuniverse_closure
@@ -59,12 +60,12 @@ def test_algebra_validation():
 
 def test_closure_pure_set_is_identity():
     gens = {(0, 1, 2), (2, 2, 0)}
-    assert set(subuniverse_closure(PURE3, 3, gens).members()) == gens
+    assert set(subuniverse_closure(PURE3, 3, tuple_bits(3, gens)).members()) == gens
 
 
 def test_closure_z2_parity_quadruples():
     gens = {(0, 0, 1, 1), (1, 1, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0), (0, 0, 0, 0), (1, 1, 1, 1)}
-    got = set(subuniverse_closure(Z2, 4, gens).members())
+    got = set(subuniverse_closure(Z2, 4, tuple_bits(2, gens)).members())
     expected = {
         t for t in itertools.product(range(2), repeat=4) if t[0] ^ t[1] ^ t[2] ^ t[3] == 0
     }
@@ -74,24 +75,24 @@ def test_closure_z2_parity_quadruples():
 
 def test_closure_full_universe_fixed():
     gens = {(a,) for a in range(3)}
-    assert set(subuniverse_closure(PURE3, 1, gens).members()) == gens
+    assert set(subuniverse_closure(PURE3, 1, tuple_bits(3, gens)).members()) == gens
 
 
 def test_closure_empty_generators():
-    assert set(subuniverse_closure(Z2, 2, set()).members()) == set()
+    assert set(subuniverse_closure(Z2, 2, 0).members()) == set()
     with_const = FiniteAlgebra(3, (("c", 0, (1,)),))
-    assert set(subuniverse_closure(with_const, 2, set()).members()) == {(1, 1)}
+    assert set(subuniverse_closure(with_const, 2, 0).members()) == {(1, 1)}
 
 
-def test_closure_malformed_tuples():
-    with pytest.raises(ValueError):
-        subuniverse_closure(Z2, 2, {(0, 1, 0)})
-    with pytest.raises(ValueError):
-        subuniverse_closure(Z2, 2, {(0, 3)})
-    with pytest.raises(ValueError):
-        subuniverse_closure(Z2, 2, set(), closed={(0, 3)})
-    with pytest.raises(ValueError):
-        subuniverse_closure(Z2, 2, set(), closed={(0,)})
+def test_closure_malformed_bitsets():
+    # one check covers both arguments: an int in 0 <= bits < 2**(n**power)
+    for bad in ({(0, 1)}, 1 << 2**2, -1):
+        with pytest.raises(ValueError, match="generators"):
+            subuniverse_closure(Z2, 2, bad)
+        with pytest.raises(ValueError, match="closed"):
+            subuniverse_closure(Z2, 2, 0, closed=bad)
+    # the largest valid bitset is the whole square
+    assert len(subuniverse_closure(Z2, 2, (1 << 2**2) - 1)) == 4
 
 
 def test_closure_matches_naive_oracle_on_random_groupoids():
@@ -107,7 +108,7 @@ def test_closure_matches_naive_oracle_on_random_groupoids():
             tuple(rng.randrange(n) for _ in range(k))
             for _ in range(rng.randint(1, 3))
         }
-        got = set(subuniverse_closure(alg, k, gens).members())
+        got = set(subuniverse_closure(alg, k, tuple_bits(n, gens)).members())
         want = naive_tuple_closure(n, k, [2], [table], gens)
         assert got == want, (n, table, gens)
     # the shape of M(R, S) on a 4-element algebra, binary ops at power 4:
@@ -118,7 +119,7 @@ def test_closure_matches_naive_oracle_on_random_groupoids():
         ops = [(name, 2, table or tuple(rng.randrange(4) for _ in range(16))) for name, _, table in ops]
         alg = FiniteAlgebra(4, tuple(ops))
         gens = {tuple(rng.randrange(4) for _ in range(4)) for _ in range(3)}
-        got = set(subuniverse_closure(alg, 4, gens).members())
+        got = set(subuniverse_closure(alg, 4, tuple_bits(4, gens)).members())
         want = naive_tuple_closure(4, 4, [2] * len(ops), [t for _, _, t in ops], gens)
         assert got == want, (ops, gens)
     # ternary operations, with a unary and a nullary operation riding along
@@ -136,7 +137,7 @@ def test_closure_matches_naive_oracle_on_random_groupoids():
             tuple(rng.randrange(n) for _ in range(k))
             for _ in range(rng.randint(1, 3))
         }
-        got = set(subuniverse_closure(alg, k, gens).members())
+        got = set(subuniverse_closure(alg, k, tuple_bits(n, gens)).members())
         want = naive_tuple_closure(
             n, k, [a for _, a, _ in ops], [t for _, _, t in ops], gens
         )
@@ -154,7 +155,7 @@ def test_closure_matches_naive_oracle_on_random_groupoids():
             tuple(rng.randrange(n) for _ in range(k))
             for _ in range(rng.randint(0, 3))
         }
-        got = set(subuniverse_closure(alg, k, gens).members())
+        got = set(subuniverse_closure(alg, k, tuple_bits(n, gens)).members())
         want = naive_tuple_closure(n, k, arities, [t for _, _, t in ops], gens)
         assert got == want, (n, ops, gens)
 
@@ -175,8 +176,8 @@ def test_closed_block_gives_the_plain_closure():
         def draw(count):
             return {tuple(rng.randrange(n) for _ in range(k)) for _ in range(count)}
 
-        block = set(subuniverse_closure(alg, k, draw(rng.randint(0, 2))).members())
-        gens = draw(rng.randint(0, 3))
+        block = subuniverse_closure(alg, k, tuple_bits(n, draw(rng.randint(0, 2)))).bits
+        gens = tuple_bits(n, draw(rng.randint(0, 3)))
         got = subuniverse_closure(alg, k, gens, closed=block)
         assert got == subuniverse_closure(alg, k, gens | block), (ops, block, gens)
 
@@ -192,7 +193,7 @@ def test_closure_arity_three_generic_path():
     )
     alg = FiniteAlgebra(2, (("maj", 3, table),))
     gens = {(0, 1), (1, 0), (1, 1)}
-    got = set(subuniverse_closure(alg, 2, gens).members())
+    got = set(subuniverse_closure(alg, 2, tuple_bits(2, gens)).members())
     want = naive_tuple_closure(2, 2, [3], [table], gens)
     assert got == want
 
@@ -200,8 +201,8 @@ def test_closure_arity_three_generic_path():
 def test_closure_idempotent(ra_lists, algebras):
     alg = algebras["C3"]
     for rel in ra_lists["C3"][:6]:
-        closed = subuniverse_closure(alg, 2, rel.pairs())
-        assert subuniverse_closure(alg, 2, closed.members()) == closed
+        closed = subuniverse_closure(alg, 2, tuple_bits(alg.size, rel.pairs()))
+        assert subuniverse_closure(alg, 2, tuple_bits(alg.size, closed.members())) == closed
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,8 +214,8 @@ def test_closure_monotone_and_closed(data):
     tuples = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     g1 = data.draw(st.sets(tuples, min_size=1, max_size=3))
     g2 = g1 | data.draw(st.sets(tuples, max_size=2))
-    c1 = subuniverse_closure(alg, 2, g1)
-    c2 = subuniverse_closure(alg, 2, g2)
+    c1 = subuniverse_closure(alg, 2, tuple_bits(n, g1))
+    c2 = subuniverse_closure(alg, 2, tuple_bits(n, g2))
     assert c1 <= c2
     # closure verification: the image of every member pair is a member
     for (a1, b1) in c1.members():
@@ -225,7 +226,7 @@ def test_closure_monotone_and_closed(data):
 def test_closure_independent_of_op_declaration_order():
     l2 = FiniteAlgebra(2, (("meet", 2, (0, 0, 0, 1)), ("join", 2, (0, 1, 1, 1))))
     l2_flipped = FiniteAlgebra(2, (("join", 2, (0, 1, 1, 1)), ("meet", 2, (0, 0, 0, 1))))
-    gens = {(0, 1, 1, 0), (1, 1, 0, 0)}
+    gens = tuple_bits(2, {(0, 1, 1, 0), (1, 1, 0, 0)})
     assert subuniverse_closure(l2, 4, gens) == subuniverse_closure(l2_flipped, 4, gens)
 
 
@@ -237,6 +238,19 @@ def test_quadset_roundtrip():
     assert len(qs) == 3
     assert qs.contains(0, 1, 2, 0)
     assert not qs.contains(0, 0, 0, 0)
+
+
+def test_contains_rejects_coordinates_outside_the_universe():
+    # an out-of-range coordinate must not alias another pair's bit
+    assert BinRel.from_pairs(2, [(1, 0)]).contains(1, 0)
+    for rel, a, b in ((BinRel.from_pairs(2, [(1, 0)]), 0, 2), (BinRel.from_pairs(2, [(0, 1)]), 1, -1)):
+        with pytest.raises(ValueError):
+            rel.contains(a, b)
+    ts = TupleSet(2, 2, 1 << 3)
+    assert ts.contains(1, 1)
+    for t in ((0, 3), (3,), (1, 1, 1), (-1, 1)):
+        with pytest.raises(ValueError):
+            ts.contains(*t)
 
 
 def test_tupleset_inclusion_needs_same_size_and_power():

@@ -31,6 +31,25 @@ def test_eval_with_bindings(capsys):
     assert out.strip() == "{(0,1)}"
 
 
+def test_eval_rejects_names_the_expression_cannot_reference(capsys):
+    # a binding must name a relation that an expression can refer to, once
+    z2 = ("eval", "-a", "algebras/z2.alg", "-e", "R")
+    for binds in (
+        ("delta=all",),
+        ("R 1=all",),
+        ("comm1=all",),
+        ("=all",),
+        ("R",),
+        ("R=all", "R=delta"),
+    ):
+        argv = [arg for b in binds for arg in ("--bind", b)]
+        code, out, err = run(capsys, *z2, *argv)
+        assert code == 2, binds
+        assert out == "" and "bad --bind" in err, binds
+    code, out, _ = run(capsys, *z2, "--bind", " R =delta")
+    assert code == 0 and out.strip() == "{(0,0),(1,1)}"
+
+
 def test_eval_structured(capsys):
     code, out, _ = run(
         capsys, "eval", "-a", "algebras/z2.alg", "-e", "delta", "--format", "structured"
@@ -369,3 +388,42 @@ def test_check_all_structured_golden(capsys, name):
     )
     assert code == 0
     assert hashlib.sha1(out.encode("utf-8")).hexdigest() == GOLDEN_CHECK_ALL[name]
+
+
+# sha1 of sampled `check-all --samples 60 --seed 0 --format structured`.
+# Between them they take every branch of the sampled draw: each family
+# kind, an `above` bound (T4_*_COR) and arbitrary relations (ANY).
+GOLDEN_SAMPLED_CHECK_ALL = {
+    "c3": "f4600ae8deed5e5081050c9f8ef0fa4ae88f267d",
+    "z4": "7e759b0fcc97bac32ee200b29c5a1afe37640b65",
+    "rb3": "7564a7b2d7f2b02fae2b91514c11b1b165afbc99",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SAMPLED_CHECK_ALL))
+def test_sampled_check_all_structured_golden(capsys, name):
+    code, out, _ = run(
+        capsys, "check-all", "-a", f"algebras/{name}.alg", "--family", "sampled",
+        "--samples", "60", "--seed", "0", "--format", "structured",
+    )
+    assert code == 0
+    assert hashlib.sha1(out.encode("utf-8")).hexdigest() == GOLDEN_SAMPLED_CHECK_ALL[name]
+
+
+# sha1 of `enumerate -a algebras/c3.alg --mode sampled --samples 30 --seed 5
+# --format structured`, per family kind
+GOLDEN_SAMPLED_ENUMERATE = {
+    "reflexive-admissible": "379fdd708efdfec74c991fed9f41442b81079392",
+    "tolerance": "4ce425d1c09d83dc89eff5f32e677e2457cc09ed",
+    "congruence": "c6a8ab7bc2f3686cb22efe759b83d4d99a6c97fd",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_SAMPLED_ENUMERATE))
+def test_sampled_enumerate_structured_golden(capsys, kind):
+    code, out, _ = run(
+        capsys, "enumerate", "-a", "algebras/c3.alg", "--family", kind, "--mode", "sampled",
+        "--samples", "30", "--seed", "5", "--format", "structured",
+    )
+    assert code == 0
+    assert hashlib.sha1(out.encode("utf-8")).hexdigest() == GOLDEN_SAMPLED_ENUMERATE[kind]

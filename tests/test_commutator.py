@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import refl
+from conftest import refl, tuple_bits
 from relcomm import (
     REFLEXIVE_ADMISSIBLE,
     BinRel,
@@ -76,7 +76,7 @@ def test_m_set_equals_plain_closure_of_both_blocks(algebras, ra_lists):
     def plain(alg, r, s):
         gens = [(a, a, a2, a2) for a, a2 in r.pairs()]
         gens += [(b, b2, b, b2) for b, b2 in s.pairs()]
-        return subuniverse_closure(alg, 4, gens)
+        return subuniverse_closure(alg, 4, tuple_bits(alg.size, gens))
 
     cases = [
         (alg, r, s)

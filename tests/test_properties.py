@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from relcomm import (
@@ -18,10 +20,26 @@ from relcomm.properties import (
     VERDICT_SAMPLED_OK,
     PropertyReport,
     Witness,
+    _sample_one,
 )
+from relcomm.relations import family_closure
 
 EXH = RelFamily(mode="exhaustive")
 EQUIVALENCE_IDS = [m for m, (rule, _) in META_CHECKS.items() if rule == "agree"]
+
+
+def test_sampled_draw_lies_above_its_bound(algebras):
+    # the T4 corollaries draw gamma among the congruences above S & T^-;
+    # a draw must contain that bound and be closed in gamma's family
+    q = CONDITIONS["T4_I_COR"].quantifiers[-1]
+    assert q.above is not None
+    rng = random.Random(3)
+    for alg in algebras.values():
+        close = family_closure(alg, q.kind)
+        for _ in range(20):
+            above = rng.getrandbits(alg.size**2)
+            bits = _sample_one(alg, q, above, rng)
+            assert bits & above == above and close(bits) == bits, (alg, above)
 
 
 def test_trivial_algebra_all_conditions_hold(algebras):
