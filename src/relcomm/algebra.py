@@ -120,6 +120,8 @@ class TupleSet:
 
     def members(self):
         """Yield the tuples in ascending encoding order."""
+        if self.bits >> self.size**self.power:
+            raise ValueError(f"{self.bits} is not a set of {self.power}-tuples over 0..{self.size - 1}")
         for e in _indices(self.bits):
             yield _decode(self.size, self.power, e)
 
@@ -244,7 +246,9 @@ def _image(bits: int, descriptors) -> int:
 
 
 def _indices(bits: int) -> list[int]:
-    """The positions of the set bits, ascending."""
+    """The positions of the set bits, ascending (a negative int has no end)."""
+    if bits < 0:
+        raise ValueError(f"{bits} is negative, not a bitset")
     out = []
     while bits:
         low = bits & -bits

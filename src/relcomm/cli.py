@@ -1,5 +1,8 @@
 """Command-line interface.
 
+`check` and `check-all` turn ids into reports with `properties.check_ids`
+alone, so both print the same record for an id.
+
 Exit codes: 0 normal completion (a false theorem condition is a normal
 answer), 1 when a check that can only fail through an implementation bug
 (lemma, equivalence, chain) reports a violation or an internal invariant
@@ -11,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import conditions, properties, search
 from .algfile import AlgebraFormatError, load_algebra
@@ -34,13 +36,6 @@ def _emit(records, fmt, out):
     else:
         for rec in records:
             out.write(rec["_text"] + "\n")
-
-
-def _report_records(reports):
-    for rep in reports:
-        rec = rep.to_record()
-        rec["_text"] = rep.to_text()
-        yield rec
 
 
 def _family_from_args(args) -> RelFamily:
@@ -156,52 +151,20 @@ def _cmd_eval(args, out):
     return 0
 
 
-def _cmd_check(args, out):
+def _run_checks(args, ids, out):
     alg = load_algebra(args.algebra)
-    family = _family_from_args(args)
-    cond = args.condition
-    if cond in conditions.META_CHECKS:
-        report = properties.check_meta(alg, cond, family)
-    elif cond in conditions.CONDITIONS:
-        report = properties.check_condition(alg, cond, family)
-    else:
-        raise SystemExit2(
-            f"unknown condition {cond!r}; valid: "
-            + ", ".join(sorted(conditions.CONDITION_IDS) + sorted(conditions.META_CHECKS))
-        )
-    _emit(_report_records([report]), args.format, out)
-    if cond in _MUST_HOLD and not report.holds:
-        return 1
-    return 0
+    reports = properties.check_ids(alg, ids, _family_from_args(args)).values()
+    _emit([{**rep.to_record(), "_text": rep.to_text()} for rep in reports], args.format, out)
+    return 1 if any(rep.condition in _MUST_HOLD and not rep.holds for rep in reports) else 0
 
 
-def _renamed(report, cid):
-    """`report` under the id of an alias of its condition."""
-    witness = None if report.witness is None else replace(report.witness, condition=cid)
-    return replace(report, condition=cid, witness=witness)
+def _cmd_check(args, out):
+    return _run_checks(args, [args.condition], out)
 
 
 def _cmd_check_all(args, out):
     """Every condition once, then the meta-checks over those same reports."""
-    alg = load_algebra(args.algebra)
-    family = _family_from_args(args)
-    reports = {}
-    for cid in conditions.CONDITION_IDS:
-        original = conditions.ALIASES.get(cid)
-        if original is not None:
-            reports[cid] = _renamed(reports[original], cid)
-            continue
-        quantifiers = conditions.CONDITIONS[cid].quantifiers
-        needs_sampling = any(q.kind == conditions.ANY for q in quantifiers)
-        fam = replace(family, mode="sampled") if needs_sampling else family
-        reports[cid] = properties.check_condition(alg, cid, fam)
-    metas = [properties.meta_report(m, reports, family) for m in conditions.META_CHECKS]
-    all_reports = [*reports.values(), *metas]
-    _emit(_report_records(all_reports), args.format, out)
-    bad = any(
-        rep.condition in _MUST_HOLD and not rep.holds for rep in all_reports
-    )
-    return 1 if bad else 0
+    return _run_checks(args, [*conditions.CONDITION_IDS, *conditions.META_CHECKS], out)
 
 
 def _cmd_enumerate(args, out):

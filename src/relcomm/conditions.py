@@ -270,6 +270,9 @@ for alias, original in ALIASES.items():
 
 CONDITION_IDS = tuple(CONDITIONS)
 
+# conditions with a quantifier over all 2**(n*n) relations: sampled only
+SAMPLED_ONLY = {cid for cid, s in CONDITIONS.items() if any(q.kind == ANY for q in s.quantifiers)}
+
 # checks whose verdict is about several conditions at once, in `check-all`
 # order: meta id -> (rule, member ids).  `properties` applies the rule to
 # the members' reports:

@@ -23,17 +23,18 @@ bindings and `recheck_witness` use it).
 Sampled verdicts are never reported as "holds": a sampled sweep that finds
 nothing says so explicitly.
 
-A meta-check (a row of `conditions.META_CHECKS`) applies its rule to its
-members' reports: `meta_report` does so for reports already made, as
-`check-all` has them, and `check_meta` sweeps the members first.  Every
-rule asks `_proven` whether a member holds, so only a "holds" verdict
-counts.
+`check_ids` is the one path from ids to reports (for `check`,
+`check-all`, `check_meta`, the problem profile and `search`): an alias
+takes its original's report, and a meta-check (a row of
+`conditions.META_CHECKS`) applies its rule to its members' reports with
+`meta_report`.  Every rule asks `_proven` whether a member holds, so only
+a "holds" verdict counts.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import conditions
 from .conditions import ANY, CONDITIONS, ConditionSpec
@@ -119,7 +120,8 @@ def _spec(cond_id) -> ConditionSpec:
     try:
         return CONDITIONS[cond_id]
     except KeyError:
-        raise ValueError(f"unknown condition id {cond_id!r}") from None
+        valid = sorted(conditions.CONDITION_IDS) + sorted(conditions.META_CHECKS)
+        raise ValueError(f"unknown condition {cond_id!r}; valid: {', '.join(valid)}") from None
 
 
 def _make_witness(spec, env, pair):
@@ -416,18 +418,11 @@ def _implies(reports):
 _RULES = {"agree": _agree, "chain": _chain, "implies": _implies}
 
 
-def _meta(meta_id):
-    try:
-        return conditions.META_CHECKS[meta_id]
-    except KeyError:
-        raise ValueError(f"unknown meta-check id {meta_id!r}") from None
-
-
 def meta_report(meta_id: str, member_reports: dict, family: RelFamily) -> PropertyReport:
     """The meta-check `meta_id` over its members' reports, taken by id
     from `member_reports` (which may hold other reports too).  A violation
     carries the witness of the member that broke the rule."""
-    rule, members = _meta(meta_id)
+    rule, members = conditions.META_CHECKS[meta_id]
     reports = {m: member_reports[m] for m in members}
     holds, bad, detail = _RULES[rule](reports)
     return PropertyReport(
@@ -440,22 +435,46 @@ def meta_report(meta_id: str, member_reports: dict, family: RelFamily) -> Proper
     )
 
 
+def check_ids(alg, ids, family: RelFamily) -> dict[str, PropertyReport]:
+    """The reports of condition and meta-check ids over `family`, in the
+    order of `ids`, each condition swept at most once.  An alias takes its
+    original's report under its own id, and a condition in
+    `conditions.SAMPLED_ONLY` is swept in sampled mode."""
+    swept = {}
+
+    def report(cid):
+        if cid not in swept:
+            original = conditions.ALIASES.get(cid)
+            if original is not None:
+                rep = report(original)
+                witness = None if rep.witness is None else replace(rep.witness, condition=cid)
+                swept[cid] = replace(rep, condition=cid, witness=witness)
+            else:
+                fam = replace(family, mode="sampled") if cid in conditions.SAMPLED_ONLY else family
+                swept[cid] = check_condition(alg, cid, fam)
+        return swept[cid]
+
+    reports = {}
+    for cid in ids:
+        if cid in conditions.META_CHECKS:
+            _, members = conditions.META_CHECKS[cid]
+            reports[cid] = meta_report(cid, {m: report(m) for m in members}, family)
+        else:
+            reports[cid] = report(cid)
+    return reports
+
+
 def check_meta(alg, meta_id: str, family: RelFamily) -> PropertyReport:
     """Check the members of one meta-check over `family`, then its rule."""
-    _, members = _meta(meta_id)
-    reports = {m: check_condition(alg, m, family) for m in members}
-    return meta_report(meta_id, reports, family)
+    return check_ids(alg, [meta_id], family)[meta_id]
 
 
 def evaluate_problem_profile(alg, family: RelFamily | None = None) -> dict[str, bool]:
     """The five-bit truth profile of the open-problem conditions,
     exhaustively quantified.  Derivable implications between the bits are
     checked; a violation is an implementation bug (InvariantViolation)."""
-    family = family or RelFamily(mode="exhaustive")
-    profile = {
-        cid: check_condition(alg, cid, family).holds
-        for cid in conditions.PROBLEM_IDS
-    }
+    reports = check_ids(alg, conditions.PROBLEM_IDS, family or RelFamily(mode="exhaustive"))
+    profile = {cid: rep.holds for cid, rep in reports.items()}
     for stronger, weaker in conditions.PROBLEM_IMPLICATIONS:
         if profile[stronger] and not profile[weaker]:
             raise InvariantViolation(

@@ -81,6 +81,8 @@ class BinRel:
         return bool(self.bits >> (a * self.size + b) & 1)
 
     def pairs(self) -> list[tuple[int, int]]:
+        if self.bits >> self.size * self.size:
+            raise ValueError(f"{self.bits} is not a relation on 0..{self.size - 1}")
         return [divmod(i, self.size) for i in _indices(self.bits)]
 
     def count(self) -> int:

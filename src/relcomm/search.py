@@ -50,6 +50,8 @@ class SearchTask:
             for cid in self.target:
                 if cid not in conditions.CONDITIONS:
                     raise ValueError(f"unknown condition id {cid!r}")
+                if cid in conditions.SAMPLED_ONLY:  # a sampled miss is no profile bit
+                    raise ValueError(f"{cid} can only be sampled; search profiles exhaustively")
 
 
 def catalog() -> list[tuple[str, FiniteAlgebra]]:
@@ -200,8 +202,8 @@ def _target_ids(task: SearchTask):
 
 def _evaluate(args):
     alg, ids = args
-    family = RelFamily(mode="exhaustive")
-    return {cid: properties.check_condition(alg, cid, family).holds for cid in ids}
+    reports = properties.check_ids(alg, ids, RelFamily(mode="exhaustive"))
+    return {cid: rep.holds for cid, rep in reports.items()}
 
 
 def run_search(task: SearchTask) -> SearchReport:

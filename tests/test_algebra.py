@@ -253,6 +253,23 @@ def test_contains_rejects_coordinates_outside_the_universe():
             ts.contains(*t)
 
 
+def test_listing_rejects_bits_outside_the_universe():
+    # a negative int has infinitely many set bits, so listing its members
+    # must raise instead of looping; bits past the last position are not
+    # pairs or tuples of the universe
+    for listing in (
+        lambda: BinRel(2, -1).pairs(),
+        lambda: list(TupleSet(2, 2, -3).members()),
+        lambda: relcomm.converse(BinRel(2, -2)),
+        lambda: BinRel(2, 1 << 4).pairs(),
+        lambda: list(TupleSet(2, 3, 1 << 8).members()),
+    ):
+        with pytest.raises(ValueError):
+            listing()
+    assert BinRel(2, 0b1001).pairs() == [(0, 0), (1, 1)]
+    assert list(TupleSet(2, 3, 1 << 7).members()) == [(1, 1, 1)]
+
+
 def test_tupleset_inclusion_needs_same_size_and_power():
     assert TupleSet(3, 2, 0b10) <= TupleSet(3, 2, 0b110)
     assert not TupleSet(3, 2, 0b1) <= TupleSet(3, 2, 0b110)

@@ -309,19 +309,23 @@ def test_sampled_miss_is_no_meta_failure(capsys, name):
     (("l2", ()), ("z2", ()), ("rb3", ("--family", "sampled", "--samples", "60", "--seed", "0"))),
 )
 def test_check_meta_matches_check_all(capsys, name, family):
-    # `check --condition M` sweeps M's members itself, `check-all` reuses
-    # the reports it already made; both must print the same record
-    from relcomm.conditions import META_CHECKS
+    # `check --condition X` makes X's report alone, `check-all` reuses the
+    # reports it already made for aliases and meta-checks and samples the
+    # conditions over arbitrary relations; both must print the same record
+    # for every id
+    from relcomm.conditions import CONDITION_IDS, META_CHECKS
 
     alg = f"algebras/{name}.alg"
-    _, out, _ = run(capsys, "check-all", "-a", alg, *family, "--format", "structured")
+    code, out, _ = run(capsys, "check-all", "-a", alg, *family, "--format", "structured")
+    assert code == 0
     lines = {json.loads(line)["id"]: line for line in out.splitlines()}
-    for meta_id in META_CHECKS:
+    assert list(lines) == [*CONDITION_IDS, *META_CHECKS] and len(lines) == len(out.splitlines())
+    for cid in lines:
         code, out, _ = run(
-            capsys, "check", "-a", alg, "--condition", meta_id, *family, "--format", "structured"
+            capsys, "check", "-a", alg, "--condition", cid, *family, "--format", "structured"
         )
-        assert code == 0, meta_id
-        assert out.splitlines() == [lines[meta_id]], meta_id
+        assert code == 0, cid
+        assert out.splitlines() == [lines[cid]], cid
 
 
 def test_fewer_than_one_sample_is_a_usage_error(capsys):

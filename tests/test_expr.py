@@ -26,6 +26,7 @@ from relcomm import (
     union_,
 )
 from relcomm.expr import (
+    NODES,
     AdmClose,
     All,
     Cg,
@@ -43,9 +44,11 @@ from relcomm.expr import (
     Literal,
     NameRef,
     ParseError,
+    RelExpr,
     Star,
     TolClose,
     Union,
+    children,
 )
 
 Z2 = FiniteAlgebra(2, (("+", 2, (0, 1, 1, 0)),))
@@ -143,7 +146,7 @@ def _random_expr(rng, depth, names=("R", "S", "T")):
                 Literal(((0, 1),)),
             ]
         )
-    kind = rng.randrange(12)
+    kind = rng.randrange(13)
     sub = lambda: _random_expr(rng, depth - 1, names)
     if kind == 0:
         return Converse(sub())
@@ -167,14 +170,28 @@ def _random_expr(rng, depth, names=("R", "S", "T")):
         return Comm(sub(), sub())
     if kind == 10:
         return CommW(sub(), sub())
-    return K(sub(), sub(), sub())
+    if kind == 11:
+        return K(sub(), sub(), sub())
+    return Join(sub(), sub())
+
+
+def _node_types(e):
+    yield type(e)
+    if type(e) is not NameRef:
+        for c in children(e):
+            if isinstance(c, RelExpr):
+                yield from _node_types(c)
 
 
 def test_roundtrip_generated_corpus():
     rng = random.Random(1905)
+    seen = set()
     for _ in range(200):
         e = _random_expr(rng, rng.randint(1, 5))
         assert parse_expr(pretty(e)) == e, pretty(e)
+        seen.update(_node_types(e))
+    # every node type has a spelling, so the corpus must reach each one
+    assert set(NODES) <= seen
 
 
 def test_eval_nodes_agree_with_module_calls():

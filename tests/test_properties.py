@@ -220,7 +220,8 @@ def test_problem_profiles(algebras):
 
 
 def test_problem_profile_implication_violation_raises(algebras, monkeypatch):
-    # PROB_II => PROB_I is derivable, so a profile breaking it is a bug
+    # PROB_II => PROB_I is derivable, so a profile breaking it is a bug;
+    # PROB_I is an alias of T2_I and takes its report, so corrupt that sweep
     from relcomm import properties
     from relcomm.relations import InvariantViolation
 
@@ -228,12 +229,13 @@ def test_problem_profile_implication_violation_raises(algebras, monkeypatch):
 
     def broken(alg, cond_id, family):
         rep = real(alg, cond_id, family)
-        if cond_id == "PROB_I":
+        if cond_id == "T2_I":
             rep.holds = False
+            rep.witness = properties.Witness("T2_I", {"R": [(0, 0)]}, (0, 1))
         return rep
 
     monkeypatch.setattr(properties, "check_condition", broken)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="PROB_II => PROB_I"):
         evaluate_problem_profile(algebras["L2"])
 
 

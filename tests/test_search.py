@@ -136,3 +136,8 @@ def test_search_task_validation():
             SearchTask(sizes=(3,), budget=2, **bad)
     with pytest.raises(ValueError):
         SearchTask(target=("PROB_I", "NOPE"))
+    # a sampled "no counterexample" is no profile bit, so a condition over
+    # arbitrary relations is refused before any candidate is generated
+    for cid in ("TRIV_K", "L1B_I", "L1B_II", "L1B_III"):
+        with pytest.raises(ValueError, match="profiles exhaustively"):
+            SearchTask(target=(cid, "T3_I"))
