@@ -13,9 +13,10 @@ whitespace-separated); the index of f(a1,...,ak) is ((a1*n)+a2)*n+...+ak.
 from __future__ import annotations
 
 from .algebra import FiniteAlgebra
+from .relations import UsageError
 
 
-class AlgebraFormatError(ValueError):
+class AlgebraFormatError(UsageError):
     pass
 
 

@@ -4,9 +4,10 @@
 alone, so both print the same record for an id.
 
 Exit codes: 0 normal completion (a false theorem condition is a normal
-answer), 1 when a check that can only fail through an implementation bug
-(lemma, equivalence, chain) reports a violation or an internal invariant
-fails, 2 for usage errors.
+answer), 2 for a usage error (`relations.UsageError`, which the caller can
+correct, or an `OSError` reading a file), 1 for anything else: a check that
+can only fail through an implementation bug (lemma, equivalence, chain)
+reports a violation, or any other exception, which is an internal failure.
 """
 
 from __future__ import annotations
@@ -14,16 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import conditions, properties, search
-from .algfile import AlgebraFormatError, load_algebra
-from .expr import EvalError, Literal, NameRef, ParseError, eval_expr, parse_expr, pretty
-from .relations import (
-    FamilyBoundError,
-    InvariantViolation,
-    RelFamily,
-    enumerate_relations,
-)
+from .algfile import load_algebra
+from .expr import Literal, NameRef, ParseError, eval_expr, parse_expr, pretty
+from .relations import RelFamily, UsageError, enumerate_relations
 
 # verdicts on these mean "implementation bug", not "property of the algebra"
 _MUST_HOLD = set(conditions.THEOREM_IDS) | set(conditions.META_CHECKS)
@@ -137,7 +134,7 @@ def _cmd_eval(args, out):
         except ParseError:
             bad = True
         if bad:
-            raise SystemExit2(
+            raise UsageError(
                 f"bad --bind {binding!r}, expected NAME=LITERAL, each NAME a relation name once"
             )
         env[name] = eval_expr(alg, {}, parse_expr(text.strip()))
@@ -190,9 +187,12 @@ def _cmd_search(args, out):
     if args.target and args.target != search.PROFILE_DIVERSITY:
         parts = tuple(p.strip() for p in args.target.split(","))
         if len(parts) != 2:
-            raise SystemExit2("--target wants two comma-separated condition ids")
+            raise UsageError("--target wants two comma-separated condition ids")
         target = parts
-    sizes = tuple(int(s) for s in args.sizes.split(","))
+    try:
+        sizes = tuple(int(s) for s in args.sizes.split(","))
+    except ValueError:
+        raise UsageError(f"--sizes wants comma-separated integers, got {args.sizes!r}") from None
     task = search.SearchTask(
         sizes=sizes,
         budget=args.budget,
@@ -236,10 +236,6 @@ def _cmd_catalog(args, out):
     return 0
 
 
-class SystemExit2(Exception):
-    """Usage-level error: reported and mapped to exit code 2."""
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -253,15 +249,13 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args, sys.stdout)
-    except SystemExit2 as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InvariantViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # an internal failure, InvariantViolation included
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 1
-    except (ParseError, EvalError, AlgebraFormatError, FamilyBoundError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -16,6 +16,11 @@ Inside K(...) the second argument (e2) may not use ';' composition at top
 level, since ';' separates it from the third argument; parenthesize.
 All infix operators are left-associative.
 
+Every spelling above is stated once in code, in `SYNTAX`, the one source
+that the tokenizer, the parser and `pretty` read; the parser has one loop
+for all infix levels.  A node's fields are stated once, in its dataclass:
+`children` reads them, and a call takes one argument per field.
+
 The meaning of each node is given once, in `NODES`, as a function over the
 `bits` ints of relations on the algebra's universe.  `BinRel` appears only
 at the boundary: `eval_expr` takes names bound to `BinRel`s and returns
@@ -26,14 +31,15 @@ their arguments (`relations.family_closure` does it for TolClose and Cg).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields
 from functools import partial, reduce
 
 from . import commutator, relations
-from .relations import BinRel
+from .relations import BinRel, UsageError
 
 
-class ParseError(ValueError):
+class ParseError(UsageError):
     def __init__(self, message, line, col, expected=()):
         self.line = line
         self.col = col
@@ -44,7 +50,7 @@ class ParseError(ValueError):
         super().__init__(f"{line}:{col}: {message}{suffix}")
 
 
-class EvalError(ValueError):
+class EvalError(UsageError):
     pass
 
 
@@ -159,67 +165,72 @@ def inter(*es):
     return reduce(Intersect, es)
 
 
-_FUNCTIONS = {"cg", "adm", "comm1", "comm", "commW", "K", "join"}
-_CONSTANTS = {"delta", "all", "empty"}
+# The surface syntax: every spelling of a node, once.  The tokenizer, the
+# parser and `pretty` all read this table.  A word is a constant when its
+# node has no fields and a call otherwise, with one argument per field; a
+# symbol is a postfix operator when its node has one field and a
+# left-associative infix operator when it has two, the infix operators
+# listed loosest first.
+SYNTAX = {
+    "delta": Delta, "all": All, "empty": EmptyRel,
+    "cg": Cg, "adm": AdmClose, "comm1": Comm1, "comm": Comm, "commW": CommW, "join": Join, "K": K,
+    "^-": Converse, "^*": Star, "^o": TolClose,
+    "+": Union, "&": Intersect, ";": Compose,
+}
+
+_SPELLING = {t: s for s, t in SYNTAX.items()}
+_SYMBOLS = [s for s in SYNTAX if not s.isidentifier()]
+_POSTFIX = [s for s in _SYMBOLS if len(fields(SYNTAX[s])) == 1]
+_INFIX = [s for s in _SYMBOLS if len(fields(SYNTAX[s])) == 2]  # index = level
+_TOKENS = _SYMBOLS + list("(){},")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+def _call_syntax(node):
+    """The token before each argument of a call, and the index of the
+    argument that may not use the tightest infix operator (';') at top level,
+    where `pretty` parenthesizes every infix operator.  Only K has one: ';'
+    separates its middle argument from its filter."""
+    seps = ["("] + [","] * (len(_FIELDS[node]) - 1)
+    if node is not K:
+        return seps, None
+    seps[2] = _INFIX[-1]
+    return seps, 1
+
+
+_Token = namedtuple("_Token", "kind text line col")
 
 
 def _tokenize(text):
     tokens = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
+    line, line_start, i, n = 1, 0, 0, len(text)
     while i < n:
         c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
+        col = i - line_start + 1
         if c.isspace():
-            col += 1
+            if c == "\n":
+                line, line_start = line + 1, i + 1
             i += 1
             continue
         if c.isalpha() or c == "_":
-            j = i
+            kind, j = "name", i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(_Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
+        elif c.isdecimal():
+            kind, j = "int", i + 1
+            while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c == "^":
-            if i + 1 < n and text[i + 1] in "-*o":
-                tokens.append(_Token("^" + text[i + 1], text[i : i + 2], line, col))
-                i += 2
-                col += 2
-                continue
-            raise ParseError(
-                "bad postfix operator", line, col, ("'^-'", "'^*'", "'^o'")
-            )
-        if c in "(){},;&+":
-            tokens.append(_Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+        else:
+            kind = next((t for t in _TOKENS if text.startswith(t, i)), None)
+            # a postfix operator's first character, without the rest
+            if kind is None and any(p[0] == c for p in _POSTFIX):
+                expected = tuple(f"'{p}'" for p in _POSTFIX)
+                raise ParseError("bad postfix operator", line, col, expected)
+            if kind is None:
+                raise ParseError(f"unexpected character {c!r}", line, col)
+            j = i + len(kind)
+        tokens.append(_Token(kind, text[i:j], line, col))
+        i = j
+    tokens.append(_Token("eof", "", line, n - line_start + 1))
     return tokens
 
 
@@ -236,19 +247,18 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind):
+    def fail(self, expected):
         tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"found {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
-                tok.line,
-                tok.col,
-                (f"'{kind}'",),
-            )
+        found = f"found {tok.text!r}" if tok.kind != "eof" else "unexpected end of input"
+        raise ParseError(found, tok.line, tok.col, expected)
+
+    def expect(self, kind):
+        if self.peek().kind != kind:
+            self.fail((f"'{kind}'",))
         return self.advance()
 
     def parse(self):
-        e = self.union()
+        e = self.infix()
         tok = self.peek()
         if tok.kind != "eof":
             raise ParseError(
@@ -256,86 +266,47 @@ class _Parser:
             )
         return e
 
-    def union(self, allow_compose=True):
-        e = self.inter(allow_compose)
-        while self.peek().kind == "+":
+    def infix(self, level=0, top=len(_INFIX)):
+        """Infix operators from `level` up to, not including, `top`."""
+        if level == top:
+            return self.postfix()
+        e = self.infix(level + 1, top)
+        while self.peek().kind == _INFIX[level]:
             self.advance()
-            e = Union(e, self.inter(allow_compose))
-        return e
-
-    def inter(self, allow_compose=True):
-        e = self.comp(allow_compose)
-        while self.peek().kind == "&":
-            self.advance()
-            e = Intersect(e, self.comp(allow_compose))
-        return e
-
-    def comp(self, allow_compose=True):
-        e = self.postfix()
-        while allow_compose and self.peek().kind == ";":
-            self.advance()
-            e = Compose(e, self.postfix())
+            e = SYNTAX[_INFIX[level]](e, self.infix(level + 1, top))
         return e
 
     def postfix(self):
         e = self.atom()
-        while True:
-            kind = self.peek().kind
-            if kind == "^-":
-                self.advance()
-                e = Converse(e)
-            elif kind == "^*":
-                self.advance()
-                e = Star(e)
-            elif kind == "^o":
-                self.advance()
-                e = TolClose(e)
-            else:
-                return e
+        while self.peek().kind in _POSTFIX:
+            e = SYNTAX[self.advance().kind](e)
+        return e
 
     def atom(self):
         tok = self.peek()
         if tok.kind == "(":
             self.advance()
-            e = self.union()
+            e = self.infix()
             self.expect(")")
             return e
         if tok.kind == "{":
             return self.literal()
-        if tok.kind == "name":
-            self.advance()
-            if tok.text in _CONSTANTS:
-                return {"delta": Delta, "all": All, "empty": EmptyRel}[tok.text]()
-            if tok.text in _FUNCTIONS:
-                return self.call(tok)
+        if tok.kind != "name":
+            self.fail(("a relation expression",))
+        self.advance()
+        node = SYNTAX.get(tok.text)
+        if node is None:
             return NameRef(tok.text)
-        raise ParseError(
-            f"found {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
-            tok.line,
-            tok.col,
-            ("a relation expression",),
-        )
+        return self.call(node) if _FIELDS[node] else node()
 
-    def call(self, tok):
-        self.expect("(")
-        if tok.text in ("cg", "adm"):
-            arg = self.union()
-            self.expect(")")
-            return (Cg if tok.text == "cg" else AdmClose)(arg)
-        if tok.text == "K":
-            a = self.union()
-            self.expect(",")
-            b = self.union(allow_compose=False)
-            self.expect(";")
-            v = self.union()
-            self.expect(")")
-            return K(a, b, v)
-        a = self.union()
-        self.expect(",")
-        b = self.union()
+    def call(self, node):
+        seps, no_tightest = _call_syntax(node)
+        args = []
+        for i, sep in enumerate(seps):
+            self.expect(sep)
+            args.append(self.infix(top=len(_INFIX) - (i == no_tightest)))
         self.expect(")")
-        node = {"comm1": Comm1, "comm": Comm, "commW": CommW, "join": Join}[tok.text]
-        return node(a, b)
+        return node(*args)
 
     def literal(self):
         self.expect("{")
@@ -359,101 +330,84 @@ def parse_expr(text: str) -> RelExpr:
     return _Parser(text).parse()
 
 
-# printing precedence: atoms/postfix 4, ';' 3, '&' 2, '+' 1
-_INFIX = {Compose: (";", 3), Intersect: ("&", 2), Union: ("+", 1)}
-_POSTFIX = {Converse: "^-", Star: "^*", TolClose: "^o"}
-_CALLS = {Cg: "cg", AdmClose: "adm", Comm1: "comm1", Comm: "comm", CommW: "commW", Join: "join"}
-
-
 def pretty(e: RelExpr) -> str:
     return _pp(e, 0)
 
 
 def _pp(e, min_level):
+    """`e` printed as an operand at `min_level`: an infix expression whose
+    operator is looser is parenthesized; `len(_INFIX)` is the postfix level."""
     t = type(e)
     if t is NameRef:
         return e.name
-    if t is Delta:
-        return "delta"
-    if t is All:
-        return "all"
-    if t is EmptyRel:
-        return "empty"
     if t is Literal:
         return "{" + ",".join(f"({a},{b})" for a, b in e.pairs) + "}"
-    if t in _POSTFIX:
-        return _pp(e.arg, 4) + _POSTFIX[t]
-    if t in _CALLS:
-        if t in (Cg, AdmClose):
-            return f"{_CALLS[t]}({_pp(e.arg, 0)})"
-        return f"{_CALLS[t]}({_pp(e.left, 0)},{_pp(e.right, 0)})"
-    if t is K:
-        mid = _pp(e.right, 0)
-        if type(e.right) in _INFIX:
-            mid = "(" + mid + ")"
-        return f"K({_pp(e.left, 0)},{mid};{_pp(e.filter, 0)})"
-    op, level = _INFIX[t]
-    text = _pp(e.left, level) + op + _pp(e.right, level + 1)
-    if level < min_level:
-        return "(" + text + ")"
-    return text
+    s = _SPELLING[t]
+    args = children(e)
+    if s in _POSTFIX:
+        return _pp(args[0], len(_INFIX)) + s
+    if s in _INFIX:
+        level = _INFIX.index(s)
+        text = _pp(args[0], level) + s + _pp(args[1], level + 1)
+        return "(" + text + ")" if level < min_level else text
+    if not args:
+        return s
+    seps, no_tightest = _call_syntax(t)
+    return s + "".join(
+        sep + _pp(a, len(_INFIX) if i == no_tightest else 0)
+        for i, (sep, a) in enumerate(zip(seps, args))
+    ) + ")"
 
 
-# The meaning of each node type, defined once: its child attributes and a
-# binder.  `binder(alg, n)` returns the node's function for one algebra of
-# size n, from the children's values to the node's value, all values being
-# relation `bits` ints.  `eval_expr` walks this table, and `properties`
-# compiles condition plans from it, binding each step once per check.  The
+# The meaning of each node type, defined once, as a binder: `binder(alg, n)`
+# returns the node's function for one algebra of size n, from the values of
+# its fields, in order, to the node's value, all values being relation
+# `bits` ints.  `eval_expr` walks this table, and `properties` compiles
+# condition plans from it, binding each step once per check.  The
 # relation-algebra nodes are the int kernels of `relations` and bare `&`/`|`;
 # the nodes that need the algebra wrap their arguments as `BinRel`s, or bind
 # `family_closure`, and look up `relations` and `commutator` at call time,
 # so their checks run and a wrapper installed on a module attribute sees
-# every call.  A child that is not an expression (Literal's pair tuple) is
+# every call.  A field that is not an expression (Literal's pair tuple) is
 # passed to the function as it is.  NameRef is not here: a name's value
 # comes from the binding.
-_LR = ("left", "right")
 NODES = {
-    Delta: ((), lambda alg, n: partial(relations.delta_bits, n)),
-    All: ((), lambda alg, n: lambda: BinRel.full(n).bits),
-    EmptyRel: ((), lambda alg, n: lambda: 0),
-    Literal: (("pairs",), lambda alg, n: lambda pairs: BinRel.from_pairs(n, pairs).bits),
-    Converse: (("arg",), lambda alg, n: partial(relations.converse_bits, n)),
-    Star: (("arg",), lambda alg, n: partial(relations.star_bits, n)),
-    Compose: (_LR, lambda alg, n: partial(relations.compose_bits, n)),
-    Intersect: (_LR, lambda alg, n: operator.and_),
-    Union: (_LR, lambda alg, n: operator.or_),
-    TolClose: (("arg",), lambda alg, n: relations.family_closure(alg, relations.TOLERANCE)),
-    AdmClose: (("arg",), lambda alg, n: lambda r: relations.adm_close(alg, BinRel(n, r)).bits),
-    Cg: (("arg",), lambda alg, n: relations.family_closure(alg, relations.CONGRUENCE)),
-    Comm1: (_LR, lambda alg, n: lambda r, s: commutator.comm1(alg, BinRel(n, r), BinRel(n, s)).bits),
-    Comm: (_LR, lambda alg, n: lambda r, s: commutator.comm(alg, BinRel(n, r), BinRel(n, s)).bits),
-    CommW: (
-        _LR,
-        lambda alg, n: lambda r, s: commutator.comm_weak(alg, BinRel(n, r), BinRel(n, s)).bits,
-    ),
-    K: (
-        _LR + ("filter",),
-        lambda alg, n: lambda r, s, v: commutator.k_op(
-            alg, BinRel(n, r), BinRel(n, s), BinRel(n, v)
-        ).bits,
-    ),
-    Join: (
-        _LR,
-        lambda alg, n: lambda r, s: relations.cong_join(alg, BinRel(n, r), BinRel(n, s)).bits,
-    ),
+    Delta: lambda alg, n: partial(relations.delta_bits, n),
+    All: lambda alg, n: lambda: BinRel.full(n).bits,
+    EmptyRel: lambda alg, n: lambda: 0,
+    Literal: lambda alg, n: lambda pairs: BinRel.from_pairs(n, pairs).bits,
+    Converse: lambda alg, n: partial(relations.converse_bits, n),
+    Star: lambda alg, n: partial(relations.star_bits, n),
+    Compose: lambda alg, n: partial(relations.compose_bits, n),
+    Intersect: lambda alg, n: operator.and_,
+    Union: lambda alg, n: operator.or_,
+    TolClose: lambda alg, n: relations.family_closure(alg, relations.TOLERANCE),
+    AdmClose: lambda alg, n: lambda r: relations.adm_close(alg, BinRel(n, r)).bits,
+    Cg: lambda alg, n: relations.family_closure(alg, relations.CONGRUENCE),
+    Comm1: lambda alg, n: lambda r, s: commutator.comm1(alg, BinRel(n, r), BinRel(n, s)).bits,
+    Comm: lambda alg, n: lambda r, s: commutator.comm(alg, BinRel(n, r), BinRel(n, s)).bits,
+    CommW: lambda alg, n: lambda r, s: commutator.comm_weak(alg, BinRel(n, r), BinRel(n, s)).bits,
+    K: lambda alg, n: lambda r, s, v: commutator.k_op(
+        alg, BinRel(n, r), BinRel(n, s), BinRel(n, v)
+    ).bits,
+    Join: lambda alg, n: lambda r, s: relations.cong_join(alg, BinRel(n, r), BinRel(n, s)).bits,
 }
 
 # nodes whose first two children are commutator arguments (close_inputs)
 _COMMUTATORS = (Comm1, Comm, CommW, K)
 
 
+# each node type's field names, in argument order, read once from its dataclass
+_FIELDS = {t: tuple(f.name for f in fields(t)) for t in NODES}
+
+
 def children(e: RelExpr) -> tuple:
-    """The values of `e`'s child attributes, in argument order."""
+    """The values of `e`'s fields, in argument order."""
     try:
-        fields = NODES[type(e)][0]
+        names = _FIELDS[type(e)]
     except KeyError:
         raise EvalError(f"unknown expression node {e!r}") from None
-    return tuple(getattr(e, f) for f in fields)
+    return tuple(getattr(e, f) for f in names)
 
 
 def free_names(e: RelExpr) -> set[str]:
@@ -493,6 +447,6 @@ def eval_expr(alg, env: dict, e: RelExpr, close_inputs: bool = False) -> BinRel:
         if close_inputs and type(node) in _COMMUTATORS:
             args[0] = close(args[0])
             args[1] = close(args[1])
-        return NODES[type(node)][1](alg, n)(*args)
+        return NODES[type(node)](alg, n)(*args)
 
     return BinRel(n, ev(e))

@@ -43,6 +43,7 @@ from .relations import (
     BinRel,
     InvariantViolation,
     RelFamily,
+    UsageError,
     delta_bits,
     enumerate_relations,
     family_closure,
@@ -121,7 +122,7 @@ def _spec(cond_id) -> ConditionSpec:
         return CONDITIONS[cond_id]
     except KeyError:
         valid = sorted(conditions.CONDITION_IDS) + sorted(conditions.META_CHECKS)
-        raise ValueError(f"unknown condition {cond_id!r}; valid: {', '.join(valid)}") from None
+        raise UsageError(f"unknown condition {cond_id!r}; valid: {', '.join(valid)}") from None
 
 
 def _make_witness(spec, env, pair):
@@ -188,7 +189,7 @@ class _Plan:
         args = tuple(self._visit(c) for c in children(node))
         level = max((self.level_of[a] for a in args), default=0)
         slot = self._new_slot(node, level)
-        self.steps[level].append((slot, NODES[type(node)][1](self.alg, self.n), args))
+        self.steps[level].append((slot, NODES[type(node)](self.alg, self.n), args))
         return slot
 
     def start(self):

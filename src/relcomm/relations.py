@@ -35,11 +35,19 @@ _ENV_OVERRIDE = "RELCOMM_MAX_N"
 _warned_override = False
 
 
+class UsageError(ValueError):
+    """Input the caller can correct: the CLI reports it with exit code 2."""
+
+
+class InvariantViolation(RuntimeError):
+    """An internal consistency check failed: a bug, not a usage error."""
+
+
 class SizeMismatch(ValueError):
     pass
 
 
-class NotReflexive(ValueError):
+class NotReflexive(UsageError):
     def __init__(self, rel_name, element):
         self.rel_name = rel_name
         self.element = element
@@ -48,7 +56,7 @@ class NotReflexive(ValueError):
         )
 
 
-class NotAdmissible(ValueError):
+class NotAdmissible(UsageError):
     def __init__(self, rel_name, op_name, arg_pairs, image_pair):
         self.rel_name = rel_name
         self.op_name = op_name
@@ -60,12 +68,8 @@ class NotAdmissible(ValueError):
         )
 
 
-class FamilyBoundError(ValueError):
+class FamilyBoundError(UsageError):
     pass
-
-
-class InvariantViolation(RuntimeError):
-    """An internal consistency check failed: a bug, not a usage error."""
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,7 @@ class BinRel:
         bits = 0
         for a, b in pairs:
             if not (0 <= a < size and 0 <= b < size):
-                raise ValueError(f"pair ({a},{b}) outside universe 0..{size - 1}")
+                raise UsageError(f"pair ({a},{b}) outside universe 0..{size - 1}")
             bits |= 1 << (a * size + b)
         return cls(size, bits)
 
@@ -292,9 +296,9 @@ def is_congruence(alg, r) -> bool:
 
 def cong_join(alg: FiniteAlgebra, gamma: BinRel, delta: BinRel) -> BinRel:
     """Join in the congruence lattice: star(gamma ; delta)."""
-    for name, rel in (("gamma", gamma), ("delta", delta)):
+    for position, rel in (("first", gamma), ("second", delta)):
         if not is_congruence(alg, rel):
-            raise ValueError(f"cong_join argument {name} is not a congruence")
+            raise UsageError(f"the {position} argument of cong_join is not a congruence")
     return star(compose(gamma, delta))
 
 
@@ -315,7 +319,7 @@ class RelFamily:
     def __post_init__(self):
         # a sampled sweep over no bindings would report "no counterexample"
         if self.sample_count < 1:
-            raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
+            raise UsageError(f"sample_count must be >= 1, got {self.sample_count}")
 
     def with_kind(self, kind: str) -> "RelFamily":
         return replace(self, kind=kind)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import conditions, properties
 from .algebra import FiniteAlgebra
-from .relations import RelFamily
+from .relations import RelFamily, UsageError
 
 PROFILE_DIVERSITY = "profile-diversity"
 
@@ -39,19 +39,19 @@ class SearchTask:
 
     def __post_init__(self):
         if self.budget < 0:
-            raise ValueError("budget must be >= 0")
+            raise UsageError("budget must be >= 0")
         if not self.sizes or min(self.sizes) < 1:
-            raise ValueError(f"sizes must be non-empty and each >= 1, got {self.sizes}")
+            raise UsageError(f"sizes must be non-empty and each >= 1, got {self.sizes}")
         if self.start_index < 0:
-            raise ValueError(f"start_index must be >= 0, got {self.start_index}")
+            raise UsageError(f"start_index must be >= 0, got {self.start_index}")
         if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+            raise UsageError(f"jobs must be >= 1, got {self.jobs}")
         if self.target is not None:
             for cid in self.target:
                 if cid not in conditions.CONDITIONS:
-                    raise ValueError(f"unknown condition id {cid!r}")
+                    raise UsageError(f"unknown condition id {cid!r}")
                 if cid in conditions.SAMPLED_ONLY:  # a sampled miss is no profile bit
-                    raise ValueError(f"{cid} can only be sampled; search profiles exhaustively")
+                    raise UsageError(f"{cid} can only be sampled; search profiles exhaustively")
 
 
 def catalog() -> list[tuple[str, FiniteAlgebra]]:
@@ -259,16 +259,15 @@ def run_search(task: SearchTask) -> SearchReport:
     if task.target is not None:
         group_keys = sorted(groups)
         for a, b in itertools.combinations(group_keys, 2):
-            if a != b:
-                separations.append(
-                    {
-                        "target": list(task.target),
-                        "profile_a": list(a),
-                        "profile_b": list(b),
-                        "witness_a": groups[a][0],
-                        "witness_b": groups[b][0],
-                    }
-                )
+            separations.append(
+                {
+                    "target": list(task.target),
+                    "profile_a": list(a),
+                    "profile_b": list(b),
+                    "witness_a": groups[a][0],
+                    "witness_b": groups[b][0],
+                }
+            )
     return SearchReport(
         task=task,
         entries=entries,

@@ -1,9 +1,13 @@
 import hashlib
+import importlib
 import json
 
 import pytest
 
+from relcomm import commutator, relations
+from relcomm.algebra import _indices
 from relcomm.cli import main
+from relcomm.relations import BinRel
 
 
 def run(capsys, *argv):
@@ -368,6 +372,87 @@ def test_broken_report_exits_one(capsys, monkeypatch):
     code, _, err = run(capsys, "check", "-a", "algebras/z2.alg", "--condition", "L1A_I")
     assert code == 1
     assert "failed report requires a witness" in err
+
+
+Z2 = ("-a", "algebras/z2.alg")
+
+# every way a caller can get the input wrong, with a fragment of the
+# message; FIVE stands for a five-element algebra file
+USAGE_ERRORS = [
+    (("eval", *Z2, "-e", "R &"), "expected a relation expression"),
+    (("eval", *Z2, "-e", "{(\u00b2,1)}"), "unexpected character"),
+    (("eval", *Z2, "-e", "R"), "unbound relation name"),
+    (("eval", *Z2, "-e", "{(0,5)}"), "outside universe"),
+    (("eval", *Z2, "-e", "comm1(R,R)", "--bind", "R={(0,1)}"), "not reflexive"),
+    (("eval", *Z2, "-e", "comm1(R,R)", "--bind", "R=delta+{(0,1)}"), "not admissible"),
+    (("eval", *Z2, "-e", "join(all,{(0,1)})"), "second argument of cong_join"),
+    (("eval", *Z2, "-e", "join({(0,1)},all)"), "first argument of cong_join"),
+    (("eval", *Z2, "-e", "R", "--bind", "delta=all"), "bad --bind"),
+    (("eval", "-a", "nosuch.alg", "-e", "delta"), "nosuch.alg"),
+    (("eval", "-a", "pyproject.toml", "-e", "delta"), "unknown keyword"),
+    (("check", *Z2, "--condition", "XYZ"), "unknown condition"),
+    (("check", *Z2, "--condition", "T3_I", "--family", "sampled", "--samples", "0"), "sample_count"),
+    (("enumerate", "-a", "FIVE", "--family", "reflexive-admissible"), "capped at n=4"),
+    (("search", "--target", "T3_I"), "--target"),
+    (("search", "--target", "TRIV_K,T3_I"), "can only be sampled"),
+    (("search", "--target", "XYZ,T3_I"), "unknown condition id"),
+    (("search", "--sizes", "a"), "--sizes"),
+    (("search", "--sizes", "0"), "sizes must be"),
+    (("search", "--budget", "-1"), "budget"),
+    (("search", "--start-index", "-1"), "start_index"),
+    (("search", "--jobs", "0"), "jobs"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=[m for _, m in USAGE_ERRORS])
+def test_usage_errors_exit_two(capsys, monkeypatch, tmp_path, argv, message):
+    five = tmp_path / "five.alg"
+    five.write_text("size 5\n")
+    monkeypatch.delenv("RELCOMM_MAX_N", raising=False)
+    code, out, err = run(capsys, *(str(five) if a == "FIVE" else a for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+def _raise(exc):
+    def fail(*args):
+        raise exc
+
+    return fail
+
+
+# faults injected below the CLI: (module, attribute, replacement, argv, type)
+INTERNAL_ERRORS = [
+    # a kernel that returns bits outside the 2x2 square
+    ("relations", "star", lambda r: BinRel(2, r.bits | 1 << 4), ("eval", *Z2, "-e", "cg(delta)"),
+     "ValueError"),
+    # a negative bitset listed inside M(R,S)
+    ("commutator", "_indices", lambda bits: _indices(-1), ("eval", *Z2, "-e", "comm1(all,all)"),
+     "ValueError"),
+    ("properties", "check_condition", _raise(KeyError("T3_I")), ("check", *Z2, "--condition", "T3_I"),
+     "KeyError"),
+    ("cli", "enumerate_relations", _raise(ValueError("boom")),
+     ("enumerate", *Z2, "--family", "congruence"), "ValueError"),
+]
+
+
+@pytest.mark.parametrize(
+    "module, attr, replacement, argv, exc_type",
+    INTERNAL_ERRORS,
+    ids=[f"{module}.{attr}" for module, attr, *_ in INTERNAL_ERRORS],
+)
+def test_internal_errors_exit_one(capsys, monkeypatch, module, attr, replacement, argv, exc_type):
+    relations.clear_caches()
+    commutator.clear_caches()
+    monkeypatch.setattr(importlib.import_module(f"relcomm.{module}"), attr, replacement)
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        monkeypatch.undo()
+        relations.clear_caches()
+        commutator.clear_caches()
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {exc_type}: ")
 
 
 # sha1 of `check-all --format structured`, pinned so that refactors can show

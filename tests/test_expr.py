@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from relcomm import (
     tol_close,
     union_,
 )
+from relcomm.conditions import CONDITIONS
 from relcomm.expr import (
     NODES,
     AdmClose,
@@ -116,25 +118,6 @@ def test_parse_whitespace_insignificant():
     assert a == b
 
 
-def test_parse_error_positions():
-    with pytest.raises(ParseError) as exc:
-        parse_expr("R &")
-    assert exc.value.line == 1
-    assert exc.value.col == 4
-    with pytest.raises(ParseError) as exc:
-        parse_expr("R\n; ;")
-    assert exc.value.line == 2
-    with pytest.raises(ParseError) as exc:
-        parse_expr("comm1(R)")
-    assert exc.value.expected
-    with pytest.raises(ParseError):
-        parse_expr("R^x")
-    with pytest.raises(ParseError):
-        parse_expr("{(0,1)")
-    with pytest.raises(ParseError):
-        parse_expr("R S")
-
-
 def _random_expr(rng, depth, names=("R", "S", "T")):
     if depth == 0 or rng.random() < 0.25:
         return rng.choice(
@@ -183,15 +166,65 @@ def _node_types(e):
                 yield from _node_types(c)
 
 
-def test_roundtrip_generated_corpus():
+def _corpus():
     rng = random.Random(1905)
+    return [_random_expr(rng, rng.randint(1, 5)) for _ in range(200)]
+
+
+def test_roundtrip_generated_corpus():
     seen = set()
-    for _ in range(200):
-        e = _random_expr(rng, rng.randint(1, 5))
+    for e in _corpus():
         assert parse_expr(pretty(e)) == e, pretty(e)
         seen.update(_node_types(e))
     # every node type has a spelling, so the corpus must reach each one
     assert set(NODES) <= seen
+
+
+def test_printer_output_pinned():
+    # sha1 of the printed corpus and of both sides of every condition, one
+    # expression a line, taken before the printer was rebuilt on `SYNTAX`
+    exprs = _corpus() + [e for spec in CONDITIONS.values() for e in (spec.lhs, spec.rhs)]
+    text = "\n".join(pretty(e) for e in exprs)
+    assert hashlib.sha1(text.encode()).hexdigest() == "09f9e5e6b9a13b9cf3823941c22bf04b7ab924cc"
+
+
+_EXPR = ("a relation expression",)
+_POSTFIX_OPS = ("'^-'", "'^*'", "'^o'")
+
+# (input, line, col, expected, message) of the ParseError each malformed
+# input raises, taken before the parser was rebuilt on `SYNTAX`
+PARSE_ERRORS = [
+    ("", 1, 1, _EXPR, "1:1: unexpected end of input (expected a relation expression)"),
+    ("R &", 1, 4, _EXPR, "1:4: unexpected end of input (expected a relation expression)"),
+    ("R\n; ;", 2, 3, _EXPR, "2:3: found ';' (expected a relation expression)"),
+    ("R^x", 1, 2, _POSTFIX_OPS, "1:2: bad postfix operator (expected '^-' or '^*' or '^o')"),
+    ("R^", 1, 2, _POSTFIX_OPS, "1:2: bad postfix operator (expected '^-' or '^*' or '^o')"),
+    ("comm1(R)", 1, 8, ("','",), "1:8: found ')' (expected ',')"),
+    ("comm1", 1, 6, ("'('",), "1:6: unexpected end of input (expected '(')"),
+    ("cg(R,S)", 1, 5, ("')'",), "1:5: found ',' (expected ')')"),
+    ("K(R,S;T", 1, 8, ("')'",), "1:8: unexpected end of input (expected ')')"),
+    ("K(R,S,T)", 1, 6, ("';'",), "1:6: found ',' (expected ';')"),
+    ("K(R,S;T)^x", 1, 9, _POSTFIX_OPS, "1:9: bad postfix operator (expected '^-' or '^*' or '^o')"),
+    ("{(0,1)", 1, 7, ("'}'",), "1:7: unexpected end of input (expected '}')"),
+    ("{(0,1),}", 1, 8, ("'('",), "1:8: found '}' (expected '(')"),
+    ("{(0,1)(1,0)}", 1, 7, ("'}'",), "1:7: found '(' (expected '}')"),
+    ("{(a,1)}", 1, 3, ("'int'",), "1:3: found 'a' (expected 'int')"),
+    ("R S", 1, 3, ("end of input",), "1:3: trailing input 'S' (expected end of input)"),
+    ("(R", 1, 3, ("')'",), "1:3: unexpected end of input (expected ')')"),
+    (")", 1, 1, _EXPR, "1:1: found ')' (expected a relation expression)"),
+    ("delta(R)", 1, 6, ("end of input",), "1:6: trailing input '(' (expected end of input)"),
+    ("R + $", 1, 5, (), "1:5: unexpected character '$'"),
+    ("a;\n  b &", 2, 6, _EXPR, "2:6: unexpected end of input (expected a relation expression)"),
+    ("R^-^", 1, 4, _POSTFIX_OPS, "1:4: bad postfix operator (expected '^-' or '^*' or '^o')"),
+]
+
+
+def test_parse_error_positions():
+    for text, line, col, expected, message in PARSE_ERRORS:
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text)
+        assert (exc.value.line, exc.value.col, exc.value.expected) == (line, col, expected), text
+        assert str(exc.value) == message, text
 
 
 def test_eval_nodes_agree_with_module_calls():
