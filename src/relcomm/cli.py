@@ -13,6 +13,7 @@ reports a violation, or any other exception, which is an internal failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -56,7 +57,10 @@ def _add_format_flag(sub):
     sub.add_argument("--format", choices=("text", "structured"), default="text")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and shared by every later
+    `main` call in the process."""
     parser = argparse.ArgumentParser(
         prog="relcomm",
         description="Relation commutators on finite algebras: evaluate, check, search.",

@@ -22,10 +22,9 @@ for all infix levels.  A node's fields are stated once, in its dataclass:
 `children` reads them, and a call takes one argument per field.
 
 The meaning of each node is given once, in `NODES`, as a function over the
-`bits` ints of relations on the algebra's universe.  `BinRel` appears only
-at the boundary: `eval_expr` takes names bound to `BinRel`s and returns
-one, and the nodes that call commutator functions and `adm_close` wrap
-their arguments (`relations.family_closure` does it for TolClose and Cg).
+`bits` ints of relations on the algebra's universe: the int kernels of
+`relations` and `commutator`.  `BinRel` appears only at the boundary:
+`eval_expr` takes names bound to `BinRel`s and returns one.
 """
 
 from __future__ import annotations
@@ -363,13 +362,14 @@ def _pp(e, min_level):
 # returns the node's function for one algebra of size n, from the values of
 # its fields, in order, to the node's value, all values being relation
 # `bits` ints.  `eval_expr` walks this table, and `properties` compiles
-# condition plans from it, binding each step once per check.  The
-# relation-algebra nodes are the int kernels of `relations` and bare `&`/`|`;
-# the nodes that need the algebra wrap their arguments as `BinRel`s, or bind
-# `family_closure`, and look up `relations` and `commutator` at call time,
-# so their checks run and a wrapper installed on a module attribute sees
-# every call.  A field that is not an expression (Literal's pair tuple) is
-# passed to the function as it is.  NameRef is not here: a name's value
+# condition plans from it, binding each step once per check.  Every node
+# binds an int kernel of `relations` or `commutator` (or bare `&`/`|`),
+# with the algebra or its size, when the binder runs: no step wraps a
+# `BinRel` or looks a module attribute up per call.  The kernels keep the
+# checks of their `BinRel` forms: M(R, S) checks R and S on every cache
+# miss, `cg` its admissibility invariant, `join` that both arguments are
+# congruences.  A field that is not an expression (Literal's pair tuple)
+# is passed to the function as it is.  NameRef is not here: a name's value
 # comes from the binding.
 NODES = {
     Delta: lambda alg, n: partial(relations.delta_bits, n),
@@ -381,16 +381,14 @@ NODES = {
     Compose: lambda alg, n: partial(relations.compose_bits, n),
     Intersect: lambda alg, n: operator.and_,
     Union: lambda alg, n: operator.or_,
-    TolClose: lambda alg, n: relations.family_closure(alg, relations.TOLERANCE),
-    AdmClose: lambda alg, n: lambda r: relations.adm_close(alg, BinRel(n, r)).bits,
-    Cg: lambda alg, n: relations.family_closure(alg, relations.CONGRUENCE),
-    Comm1: lambda alg, n: lambda r, s: commutator.comm1(alg, BinRel(n, r), BinRel(n, s)).bits,
-    Comm: lambda alg, n: lambda r, s: commutator.comm(alg, BinRel(n, r), BinRel(n, s)).bits,
-    CommW: lambda alg, n: lambda r, s: commutator.comm_weak(alg, BinRel(n, r), BinRel(n, s)).bits,
-    K: lambda alg, n: lambda r, s, v: commutator.k_op(
-        alg, BinRel(n, r), BinRel(n, s), BinRel(n, v)
-    ).bits,
-    Join: lambda alg, n: lambda r, s: relations.cong_join(alg, BinRel(n, r), BinRel(n, s)).bits,
+    TolClose: lambda alg, n: partial(relations.tol_close_bits, alg),
+    AdmClose: lambda alg, n: partial(relations.adm_close_bits, alg),
+    Cg: lambda alg, n: partial(relations.cg_bits, alg),
+    Comm1: lambda alg, n: partial(commutator.comm1_bits, alg),
+    Comm: lambda alg, n: partial(commutator.comm_bits, alg),
+    CommW: lambda alg, n: partial(commutator.comm_weak_bits, alg),
+    K: lambda alg, n: partial(commutator.k_op_bits, alg),
+    Join: lambda alg, n: partial(relations.cong_join_bits, alg),
 }
 
 # nodes whose first two children are commutator arguments (close_inputs)

@@ -10,16 +10,25 @@ member exactly when its closure adds nothing, which is how `is_admissible`,
 the closed sets with Ganter's NextClosure, which visits them in ascending
 order of `bits`.  The search for an operation that maps pairs of r outside
 r (`_admissibility_witness`) exists only to word error messages.
+
+Every cache is keyed by relation bits.  The relation-algebra kernels
+(`converse_bits`, `compose_bits`, `star_bits`) are keyed by (n, bits), the
+closures (`adm_close_bits`, `tol_close_bits`, `cg_bits`) by (algebra,
+bits); `cg_bits` checks its admissibility invariant on every miss.  Their
+`BinRel` forms check sizes (`SizeMismatch`), call them and keep no cache;
+`adm_close`, `tol_close` and `cg` carry their kernel's `cache_info` and
+`cache_clear`.  `cong_join_bits` is uncached and checks both arguments.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .algebra import FiniteAlgebra, _indices, subuniverse_closure
 
@@ -155,10 +164,17 @@ def is_transitive(r: BinRel) -> bool:
     return compose(r, r).bits & ~r.bits == 0
 
 
+def _bits_on(alg: FiniteAlgebra, r: BinRel) -> int:
+    """r's bits, once r is checked to be a relation on alg's universe."""
+    if alg.size != r.size:
+        raise SizeMismatch(f"algebra size {alg.size} vs relation size {r.size}")
+    return r.bits
+
+
 def is_admissible(alg: FiniteAlgebra, r: BinRel) -> bool:
     """Whether r is compatible with every operation: r is its own
     admissible closure, so each distinct r costs one memoised closure."""
-    return adm_close(alg, r) == r
+    return adm_close_bits(alg, _bits_on(alg, r)) == r.bits
 
 
 def _admissibility_witness(alg, r):
@@ -260,46 +276,92 @@ def star(r: BinRel) -> BinRel:
     return BinRel(r.size, star_bits(r.size, r.bits))
 
 
+def cached_by(kernel):
+    """Give the decorated `BinRel` form its kernel's `cache_info` and
+    `cache_clear`, so that a counter read on the public name reads the one
+    cache that every caller shares."""
+
+    def attach(wrapper):
+        wrapper.cache_info = kernel.cache_info
+        wrapper.cache_clear = kernel.cache_clear
+        return wrapper
+
+    return attach
+
+
 @lru_cache(maxsize=65536)
-def adm_close(alg: FiniteAlgebra, r: BinRel) -> BinRel:
+def adm_close_bits(alg: FiniteAlgebra, r: int) -> int:
     """Smallest compatible relation containing r (closure in the square)."""
-    if alg.size != r.size:
-        raise SizeMismatch(f"algebra size {alg.size} vs relation size {r.size}")
-    return BinRel(r.size, subuniverse_closure(alg, 2, r.bits).bits)
+    return subuniverse_closure(alg, 2, r).bits
 
 
 @lru_cache(maxsize=65536)
-def tol_close(alg: FiniteAlgebra, r: BinRel) -> BinRel:
+def tol_close_bits(alg: FiniteAlgebra, r: int) -> int:
     """Smallest tolerance containing r."""
-    base = union_(union_(BinRel.delta(r.size), r), converse(r))
-    return adm_close(alg, base)
+    n = alg.size
+    return adm_close_bits(alg, delta_bits(n) | r | converse_bits(n, r))
 
 
 @lru_cache(maxsize=65536)
-def cg(alg: FiniteAlgebra, r: BinRel) -> BinRel:
+def cg_bits(alg: FiniteAlgebra, r: int) -> int:
     """Smallest congruence containing r."""
-    out = star(tol_close(alg, r))
+    n = alg.size
+    out = star_bits(n, tol_close_bits(alg, r))
     # transitive closure of an admissible relation stays admissible
-    if not is_admissible(alg, out):
-        witness = _admissibility_witness(alg, out)
-        raise InvariantViolation(f"cg({r!r}) = {out!r} is not admissible: {witness}")
+    if adm_close_bits(alg, out) != out:
+        witness = _admissibility_witness(alg, BinRel(n, out))
+        raise InvariantViolation(
+            f"cg({BinRel(n, r)!r}) = {BinRel(n, out)!r} is not admissible: {witness}"
+        )
     return out
 
 
+def _join_argument(alg, bits, position):
+    if cg_bits(alg, bits) != bits:
+        raise UsageError(f"the {position} argument of cong_join is not a congruence")
+    return bits
+
+
+def cong_join_bits(alg: FiniteAlgebra, a: int, b: int) -> int:
+    """Join in the congruence lattice: star(a ; b), each argument checked
+    to be a congruence first."""
+    a = _join_argument(alg, a, "first")
+    b = _join_argument(alg, b, "second")
+    n = alg.size
+    return star_bits(n, compose_bits(n, a, b))
+
+
+@cached_by(adm_close_bits)
+def adm_close(alg: FiniteAlgebra, r: BinRel) -> BinRel:
+    """Smallest compatible relation containing r (closure in the square)."""
+    return BinRel(r.size, adm_close_bits(alg, _bits_on(alg, r)))
+
+
+@cached_by(tol_close_bits)
+def tol_close(alg: FiniteAlgebra, r: BinRel) -> BinRel:
+    """Smallest tolerance containing r."""
+    return BinRel(r.size, tol_close_bits(alg, _bits_on(alg, r)))
+
+
+@cached_by(cg_bits)
+def cg(alg: FiniteAlgebra, r: BinRel) -> BinRel:
+    """Smallest congruence containing r."""
+    return BinRel(r.size, cg_bits(alg, _bits_on(alg, r)))
+
+
 def is_tolerance(alg, r) -> bool:
-    return tol_close(alg, r) == r
+    return tol_close_bits(alg, _bits_on(alg, r)) == r.bits
 
 
 def is_congruence(alg, r) -> bool:
-    return cg(alg, r) == r
+    return cg_bits(alg, _bits_on(alg, r)) == r.bits
 
 
 def cong_join(alg: FiniteAlgebra, gamma: BinRel, delta: BinRel) -> BinRel:
     """Join in the congruence lattice: star(gamma ; delta)."""
-    for position, rel in (("first", gamma), ("second", delta)):
-        if not is_congruence(alg, rel):
-            raise UsageError(f"the {position} argument of cong_join is not a congruence")
-    return star(compose(gamma, delta))
+    # gamma is checked whole, size and congruence, before delta's size
+    a = _join_argument(alg, _bits_on(alg, gamma), "first")
+    return BinRel(alg.size, cong_join_bits(alg, a, _bits_on(alg, delta)))
 
 
 @dataclass(frozen=True)
@@ -342,17 +404,14 @@ def _family_max_n(kind: str) -> int:
 
 def family_closure(alg: FiniteAlgebra, kind: str):
     """The closure operator, from relation bits to relation bits, whose
-    closed sets are the family `kind`.  `BinRel`s appear only at this
-    boundary, for the caches of `adm_close`, `tol_close` and `cg`, which it
-    looks up at call time."""
-    n = alg.size
+    closed sets are the family `kind`: one of the cached kernels."""
     if kind == REFLEXIVE_ADMISSIBLE:
-        delta = delta_bits(n)
-        return lambda r: adm_close(alg, BinRel(n, delta | r)).bits
+        delta = delta_bits(alg.size)
+        return lambda r: adm_close_bits(alg, delta | r)
     if kind == TOLERANCE:
-        return lambda r: tol_close(alg, BinRel(n, r)).bits
+        return partial(tol_close_bits, alg)
     if kind == CONGRUENCE:
-        return lambda r: cg(alg, BinRel(n, r)).bits
+        return partial(cg_bits, alg)
     raise ValueError(f"unknown family kind {kind!r}")
 
 
@@ -390,13 +449,24 @@ def random_pairs(rng, n, k) -> int:
 def _sample_relations(n, close, sample_count, seed):
     rng = random.Random(seed)
     seen = set()
+    # Each draw is a set of 1-3 pairs.  Once every such set has been
+    # closed, no later draw can yield a new member, so the sampling stops;
+    # the draws are tracked only when that can come before the attempts
+    # run out.
+    inputs = sum(math.comb(n * n, k) for k in (1, 2, 3))
+    tried = set() if inputs < sample_count * 20 else None
     attempts = 0
     while len(seen) < sample_count and attempts < sample_count * 20:
         attempts += 1
-        bits = close(random_pairs(rng, n, rng.randint(1, 3)))
+        drawn = random_pairs(rng, n, rng.randint(1, 3))
+        bits = close(drawn)
         if bits not in seen:
             seen.add(bits)
             yield bits
+        if tried is not None:
+            tried.add(drawn)
+            if len(tried) == inputs:
+                return
 
 
 def enumerate_relations(alg: FiniteAlgebra, family: RelFamily):
@@ -426,9 +496,5 @@ def enumerate_relations(alg: FiniteAlgebra, family: RelFamily):
 
 
 def clear_caches():
-    converse_bits.cache_clear()
-    compose_bits.cache_clear()
-    star_bits.cache_clear()
-    adm_close.cache_clear()
-    tol_close.cache_clear()
-    cg.cache_clear()
+    for kernel in (converse_bits, compose_bits, star_bits, adm_close_bits, tol_close_bits, cg_bits):
+        kernel.cache_clear()

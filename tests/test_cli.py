@@ -6,8 +6,7 @@ import pytest
 
 from relcomm import commutator, relations
 from relcomm.algebra import _indices
-from relcomm.cli import main
-from relcomm.relations import BinRel
+from relcomm.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -353,7 +352,7 @@ def test_invariant_violation_exits_one(capsys, monkeypatch):
     # a "transitive closure" that is reflexive but not admissible on Z2:
     # (0,1) + (1,1) = (1,0) leaves it, so cg's real check must fire
     broken = relations.BinRel.from_pairs(2, [(0, 0), (1, 1), (0, 1)])
-    monkeypatch.setattr(relations, "star", lambda r: broken)
+    monkeypatch.setattr(relations, "star_bits", lambda n, a: broken.bits)
     code, _, err = run(capsys, "eval", "-a", "algebras/z2.alg", "-e", "cg(delta)")
     monkeypatch.undo()
     relations.clear_caches()
@@ -424,7 +423,7 @@ def _raise(exc):
 # faults injected below the CLI: (module, attribute, replacement, argv, type)
 INTERNAL_ERRORS = [
     # a kernel that returns bits outside the 2x2 square
-    ("relations", "star", lambda r: BinRel(2, r.bits | 1 << 4), ("eval", *Z2, "-e", "cg(delta)"),
+    ("relations", "star_bits", lambda n, a: a | 1 << 4, ("eval", *Z2, "-e", "cg(delta)"),
      "ValueError"),
     # a negative bitset listed inside M(R,S)
     ("commutator", "_indices", lambda bits: _indices(-1), ("eval", *Z2, "-e", "comm1(all,all)"),
@@ -516,3 +515,36 @@ def test_sampled_enumerate_structured_golden(capsys, kind):
     )
     assert code == 0
     assert hashlib.sha1(out.encode("utf-8")).hexdigest() == GOLDEN_SAMPLED_ENUMERATE[kind]
+
+
+def test_main_builds_its_parser_once(capsys):
+    build_parser.cache_clear()
+    assert run(capsys, "eval", *Z2, "-e", "comm1(all,all)") == (0, "{(0,0),(1,1)}\n", "")
+    assert run(capsys, "check", *Z2, "--condition", "T3_I") == (
+        0,
+        "T3_I: fails (2 bindings, exhaustive)\n"
+        "  R = {(0,0),(0,1),(1,0),(1,1)}\n"
+        "  violating pair: (0, 1)\n",
+        "",
+    )
+    # a binding made through the shared parser does not outlive its call
+    assert run(capsys, "eval", *Z2, "-e", "R", "--bind", "R={(0,1)}") == (0, "{(0,1)}\n", "")
+    code, out, err = run(capsys, "eval", *Z2, "-e", "R")
+    assert (code, out) == (2, "") and "unbound relation name 'R'" in err
+    info = build_parser.cache_info()
+    assert (info.hits, info.misses) == (3, 1)
+
+
+def test_sampled_enumeration_stops_once_every_draw_was_tried(capsys, monkeypatch):
+    # Z2 has 14 distinct draws of 1-3 pairs and 2 congruences; the sampler
+    # used to close draws until 20 attempts per sample had run out
+    calls = []
+    kernel = relations.cg_bits
+    monkeypatch.setattr(relations, "cg_bits", lambda *a: calls.append(a) or kernel(*a))
+    outputs = []
+    for samples in ("20", "100000"):
+        del calls[:]
+        argv = ("enumerate", *Z2, "--family", "congruence", "--mode", "sampled")
+        outputs.append(run(capsys, *argv, "--samples", samples))
+        assert len(calls) < 100, samples
+    assert outputs[0] == outputs[1] == (0, "{(0,0),(0,1),(1,0),(1,1)}\n{(0,0),(1,1)}\n", "")

@@ -38,8 +38,11 @@ from relcomm import (
 from relcomm.relations import (
     FamilyBoundError,
     SizeMismatch,
+    _sample_relations,
     compose_bits,
     converse_bits,
+    family_closure,
+    random_pairs,
     star_bits,
 )
 from relcomm.search import Signature, random_algebra
@@ -370,3 +373,26 @@ def test_enumerate_matches_oracle_on_random_groupoids():
 def test_enumerate_matches_oracle_on_mixed_arities(n, arities, seed):
     sig = Signature(size=n, ops=tuple((f"f{a}", a) for a in sorted(arities)))
     assert_family_matches_oracle(random_algebra(sig, seed))
+
+
+def _sample_without_stop(n, close, sample_count, seed):
+    """The sampler as it was before it stopped on exhausted draws."""
+    rng = random.Random(seed)
+    seen = set()
+    attempts = 0
+    while len(seen) < sample_count and attempts < sample_count * 20:
+        attempts += 1
+        bits = close(random_pairs(rng, n, rng.randint(1, 3)))
+        if bits not in seen:
+            seen.add(bits)
+            yield bits
+
+
+@pytest.mark.parametrize("name", ["Z2", "L2", "C3", "Z3", "RB3"])
+def test_sampling_stop_keeps_the_sampled_sequence(algebras, name):
+    alg = algebras[name]
+    for kind in (REFLEXIVE_ADMISSIBLE, TOLERANCE, CONGRUENCE):
+        close = family_closure(alg, kind)
+        for count, seed in ((1, 0), (5, 1), (30, 5), (200, 0), (400, 3)):
+            expected = list(_sample_without_stop(alg.size, close, count, seed))
+            assert list(_sample_relations(alg.size, close, count, seed)) == expected
