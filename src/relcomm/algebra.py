@@ -92,12 +92,6 @@ class FiniteAlgebra:
     def __hash__(self):
         return self._hash
 
-    def operation(self, name: str) -> Operation:
-        for op in self.operations:
-            if op.name == name:
-                return op
-        raise KeyError(f"no operation named {name!r}")
-
     def __repr__(self):
         ops = ", ".join(f"{op.name}/{op.arity}" for op in self.operations)
         return f"FiniteAlgebra(size={self.size}, ops=[{ops}])"
@@ -113,6 +107,12 @@ class TupleSet:
     power: int
     bits: int
 
+    def __post_init__(self):
+        if not 0 <= self.bits < 1 << self.size**self.power:
+            raise ValueError(
+                f"{self.bits} is not a set of {self.power}-tuples over 0..{self.size - 1}"
+            )
+
     def contains(self, *t: int) -> bool:
         if len(t) != self.power or not all(0 <= v < self.size for v in t):
             raise ValueError(f"{t} is not a {self.power}-tuple over 0..{self.size - 1}")
@@ -120,8 +120,6 @@ class TupleSet:
 
     def members(self):
         """Yield the tuples in ascending encoding order."""
-        if self.bits >> self.size**self.power:
-            raise ValueError(f"{self.bits} is not a set of {self.power}-tuples over 0..{self.size - 1}")
         for e in _indices(self.bits):
             yield _decode(self.size, self.power, e)
 

@@ -24,10 +24,10 @@ Each value has one cache, on an int kernel keyed by (algebra, R bits,
 S bits): `m_set_bits`, `comm1_bits`, `comm_bits` and `comm_weak_bits`;
 `k_op_bits` reads the cached M(R, S) and keeps no cache.  Condition plans
 bind the kernels.  The `BinRel` functions `m_set`, `k_op`, `comm1`, `comm`
-and `comm_weak` check the sizes of R and S, call the kernels and keep no
-cache of their own; the cached ones carry their kernel's `cache_info` and
-`cache_clear`.  All functions are pure, so concurrent calls with equal
-arguments return equal values.
+and `comm_weak` check the sizes of R and S (`k_op` then V's), call the
+kernels and keep no cache of their own; the cached ones carry their
+kernel's `cache_info` and `cache_clear`.  All functions are pure, so
+concurrent calls with equal arguments return equal values.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from functools import lru_cache
 from .algebra import FiniteAlgebra, TupleSet, _indices, subuniverse_closure
 from .relations import (
     BinRel,
+    _bits_on,
     cached_by,
     cg_bits,
     delta_bits,
@@ -140,9 +141,11 @@ def m_set(alg: FiniteAlgebra, r: BinRel, s: BinRel) -> TupleSet:
 def k_op(alg: FiniteAlgebra, r: BinRel, s: BinRel, v: BinRel) -> BinRel:
     """K(R, S; V): bottom rows of M(R, S) matrices with top row in V.
 
-    V may be any relation; R and S must be reflexive and admissible.
+    V may be any relation on the algebra's universe, checked after R and
+    S; R and S must be reflexive and admissible.
     """
-    return BinRel(alg.size, k_op_bits(alg, *_pair_bits(alg, r, s), v.bits))
+    m = m_set_bits(alg, *_pair_bits(alg, r, s))  # checks R, then S, before V
+    return BinRel(alg.size, _bottom_rows(alg.size, m, _bits_on(alg, v)))
 
 
 @cached_by(comm1_bits)

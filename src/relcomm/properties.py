@@ -7,13 +7,14 @@ re-evaluated standalone (`recheck_witness`).
 
 `check_condition` compiles its condition into a plan (`_Plan`): one step
 per distinct subterm, each at a level, the deepest quantifier among its
-free names (or constant).  The sweep lists each quantifier's family once,
-runs the constant steps once, and after binding quantifier i runs only the
-level-i steps, so a subterm is rebuilt only when a name it uses changes.
-A plan's values are the `bits` ints of relations, computed by the node
-functions of `expr.NODES` bound to the algebra, and sampled draws too;
-`BinRel`s appear only at the boundary, in the families' listing and the
-witness.
+free names (or constant).  One sweep (`_sweep`) serves both family modes:
+it runs the constant steps once, walks the quantifiers as nested loops,
+and after binding quantifier i runs only the level-i steps, so a subterm
+is rebuilt only when a name it uses changes; the mode decides only where
+the relations come from.  A plan's values are the `bits` ints of
+relations, computed by the node functions of `expr.NODES` bound to the
+algebra, and sampled draws too; `BinRel`s appear only at the boundary, in
+the families' listing and the witness.
 Bindings are visited in nested order, the first quantifier outermost and
 each family in enumeration order, and the first violating binding stops
 the sweep: the verdict, witness and count are those of a plain
@@ -241,47 +242,6 @@ def _family_lists(alg, quantifiers, family):
     return [lists[q.kind] for q in quantifiers]
 
 
-def _sweep_exhaustive(alg, plan, family):
-    """(bindings checked, first violating vals and pair or None).
-
-    Bindings are visited in nested quantifier order, the first quantifier
-    outermost, each over its family in enumeration order; a binding whose
-    relation is not above its quantifier's bound is skipped uncounted.
-    Running a level's steps once per binding of that level adds no
-    evaluation a per-binding walk would not make: every family is
-    non-empty and contains the full relation, which passes every bound, so
-    each partial binding extends to at least one full binding.
-    """
-    lists = _family_lists(alg, plan.spec.quantifiers, family)
-    vals = plan.start()
-    depth = len(lists)
-    checked = 0
-
-    def descend(i):
-        nonlocal checked
-        above = plan.above[i]
-        inner = i + 1 < depth
-        for bits in lists[i]:
-            if above is not None and vals[above] & ~bits:
-                continue
-            plan.bind(vals, i, bits)
-            if inner:
-                pair = descend(i + 1)
-            else:
-                checked += 1
-                pair = plan.violation(vals)
-            if pair is not None:
-                return pair
-        return None
-
-    if depth:
-        pair = descend(0)
-    else:
-        checked = 1
-        pair = plan.violation(vals)
-    return checked, None if pair is None else (vals, pair)
-
-
 def _sample_one(alg, q, above, rng):
     """One relation drawn for q, above the bits `above` (0 for no bound)."""
     n = alg.size
@@ -297,32 +257,63 @@ def _sample_one(alg, q, above, rng):
     return family_closure(alg, q.kind)(above | random_pairs(rng, n, rng.randint(0, 3)))
 
 
-def _sweep_sampled(alg, plan, family):
-    """Like `_sweep_exhaustive`, over `family.sample_count` bindings drawn
-    from `family.seed`, quantifier by quantifier; every step that depends
-    on a quantifier runs for each drawn binding."""
-    rng = random.Random(family.seed)
-    start = plan.start()
+def _sweep(alg, plan, family):
+    """(bindings checked, first violating vals and pair or None).
+
+    Bindings are visited in nested quantifier order, the first quantifier
+    outermost; a binding whose relation is not above its quantifier's
+    bound is skipped uncounted.  The mode decides only where quantifier
+    i's relations come from: its family in enumeration order, or draws
+    from one `random.Random(family.seed)`, `family.sample_count` for the
+    first quantifier and one for each later quantifier per binding of the
+    one before, drawn above the bound that binding computed.
+
+    Running a level's steps once per binding of that level adds no
+    evaluation a per-binding walk would not make: each partial binding
+    extends to a full one, since every family contains the full relation,
+    which passes every bound, and every draw is above its bound.
+    """
+    quantifiers = plan.spec.quantifiers
+    if family.mode == "sampled":
+        rng = random.Random(family.seed)
+
+        def members(i):
+            q, above = quantifiers[i], plan.above[i]
+            for _ in range(family.sample_count if i == 0 else 1):
+                yield _sample_one(alg, q, 0 if above is None else vals[above], rng)
+
+    else:
+        members = _family_lists(alg, quantifiers, family).__getitem__
+    vals = plan.start()
+    depth = len(quantifiers)
     checked = 0
-    for _ in range(family.sample_count):
-        checked += 1
-        vals = list(start)
-        for i, q in enumerate(plan.spec.quantifiers):
-            above = plan.above[i]
-            bound = 0 if above is None else vals[above]
-            plan.bind(vals, i, _sample_one(alg, q, bound, rng))
-        pair = plan.violation(vals)
-        if pair is not None:
-            return checked, (vals, pair)
-    return checked, None
+
+    def descend(i):
+        nonlocal checked
+        above = plan.above[i]
+        inner = i + 1 < depth
+        for bits in members(i):
+            if above is not None and vals[above] & ~bits:
+                continue
+            plan.bind(vals, i, bits)
+            if inner:
+                pair = descend(i + 1)
+            else:
+                checked += 1
+                pair = plan.violation(vals)
+            if pair is not None:
+                return pair
+        return None
+
+    pair = descend(0)
+    return checked, None if pair is None else (vals, pair)
 
 
 def check_condition(alg, cond_id: str, family: RelFamily) -> PropertyReport:
     """Quantify one condition over its families; first violation wins."""
     spec = _spec(cond_id)
     plan = _Plan(spec, alg)
-    sweep = _sweep_sampled if family.mode == "sampled" else _sweep_exhaustive
-    checked, found = sweep(alg, plan, family)
+    checked, found = _sweep(alg, plan, family)
     witness = None
     if found is not None:
         vals, pair = found

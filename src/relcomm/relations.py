@@ -88,18 +88,17 @@ class BinRel:
     size: int
     bits: int
 
+    def __post_init__(self):
+        if not 0 <= self.bits < 1 << self.size * self.size:
+            raise ValueError(f"{self.bits} is not a relation on 0..{self.size - 1}")
+
     def contains(self, a: int, b: int) -> bool:
         if not (0 <= a < self.size and 0 <= b < self.size):
             raise ValueError(f"pair ({a},{b}) outside universe 0..{self.size - 1}")
         return bool(self.bits >> (a * self.size + b) & 1)
 
     def pairs(self) -> list[tuple[int, int]]:
-        if self.bits >> self.size * self.size:
-            raise ValueError(f"{self.bits} is not a relation on 0..{self.size - 1}")
         return [divmod(i, self.size) for i in _indices(self.bits)]
-
-    def count(self) -> int:
-        return self.bits.bit_count()
 
     def is_subset(self, other: "BinRel") -> bool:
         _check_sizes(self, other)
@@ -369,8 +368,9 @@ class RelFamily:
     """A quantifier range: which relations, and how they are produced.
 
     kind is one of the family constants (may be None for templates that
-    checkers re-target per quantified name); sampled mode draws
-    `sample_count` closure-generated relations from `seed`.
+    checkers re-target per quantified name); mode is "exhaustive" or
+    "sampled", and sampled mode draws `sample_count` closure-generated
+    relations from `seed`.
     """
 
     kind: str | None = None
@@ -379,6 +379,10 @@ class RelFamily:
     seed: int = 0
 
     def __post_init__(self):
+        if self.mode not in ("exhaustive", "sampled"):
+            raise UsageError(
+                f"family mode must be 'exhaustive' or 'sampled', got {self.mode!r}"
+            )
         # a sampled sweep over no bindings would report "no counterexample"
         if self.sample_count < 1:
             raise UsageError(f"sample_count must be >= 1, got {self.sample_count}")
@@ -482,8 +486,6 @@ def enumerate_relations(alg: FiniteAlgebra, family: RelFamily):
     close = family_closure(alg, kind)
     if family.mode == "sampled":
         members = _sample_relations(n, close, family.sample_count, family.seed)
-    elif family.mode != "exhaustive":
-        raise ValueError(f"unknown family mode {family.mode!r}")
     elif n > _family_max_n(kind):
         raise FamilyBoundError(
             f"exhaustive {kind} enumeration is capped at n={_family_max_n(kind)} "

@@ -30,7 +30,6 @@ class Signature:
 @dataclass(frozen=True)
 class SearchTask:
     sizes: tuple[int, ...] = (3, 4)
-    ops: tuple[tuple[str, int], ...] = (("f", 2),)
     budget: int = 100
     seed: int = 0
     target: tuple[str, str] | None = None  # None means profile-diversity
@@ -224,7 +223,7 @@ def run_search(task: SearchTask) -> SearchReport:
     generated = 0
     for i in range(task.start_index, task.start_index + task.budget):
         size = task.sizes[i % len(task.sizes)]
-        sig = Signature(size=size, ops=task.ops)
+        sig = Signature(size=size)
         alg = random_algebra(sig, f"{task.seed}:{i}")
         generated += 1
         if size <= 4:

@@ -270,6 +270,20 @@ def test_listing_rejects_bits_outside_the_universe():
     assert list(TupleSet(2, 3, 1 << 7).members()) == [(1, 1, 1)]
 
 
+def test_construction_rejects_bits_outside_the_universe():
+    for build in (
+        lambda: BinRel(2, -1),
+        lambda: BinRel(2, 1 << 4),
+        lambda: TupleSet(2, 2, -3),
+        lambda: TupleSet(2, 3, 1 << 8),
+        lambda: relcomm.compose(BinRel(2, -1), BinRel.full(2)),
+    ):
+        with pytest.raises(ValueError):
+            build()
+    assert BinRel(2, (1 << 4) - 1) == BinRel.full(2)
+    assert len(TupleSet(2, 3, (1 << 8) - 1)) == 8
+
+
 def test_tupleset_inclusion_needs_same_size_and_power():
     assert TupleSet(3, 2, 0b10) <= TupleSet(3, 2, 0b110)
     assert not TupleSet(3, 2, 0b1) <= TupleSet(3, 2, 0b110)

@@ -257,6 +257,8 @@ def test_condition_quantifier_names_cover_formulas():
     from relcomm.expr import free_names
 
     for cond_id, spec in CONDITIONS.items():
+        # the sweep walks at least one quantifier
+        assert spec.quantifiers, cond_id
         bound = {q.name for q in spec.quantifiers}
         used = free_names(spec.lhs) | free_names(spec.rhs)
         assert used <= bound, cond_id

@@ -192,6 +192,13 @@ def test_bad_inputs_raise_the_same_errors_through_the_forms():
     assert _raised(relations.cong_join_bits, Z2, full.bits, not_adm.bits)[:2] == (
         UsageError, "the second argument of cong_join is not a congruence"
     )
+    # K's V is checked to lie on the algebra's universe, after R and S
+    for v in (BinRel.full(3), BinRel.from_pairs(3, [(2, 2)])):
+        assert _raised(k_op, Z2, full, full, v) == (
+            SizeMismatch, "algebra size 2 vs relation size 3", None
+        )
+        assert _raised(k_op, Z2, not_refl, full, v)[::2] == (NotReflexive, "R")
+        assert _raised(k_op, Z2, full, not_adm, v)[::2] == (NotAdmissible, "S")
 
 
 # the cached public names whose `cache_info` the benchmark reads

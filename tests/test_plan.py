@@ -1,6 +1,8 @@
 """Differential tests of the compiled condition plans (`properties._Plan`)
 against the reference evaluator `eval_expr` and a plain per-binding sweep."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +30,7 @@ from relcomm.expr import (
     TolClose,
     Union,
 )
-from relcomm.properties import PropertyReport, Witness, _Plan
+from relcomm.properties import PropertyReport, Witness, _Plan, _sample_one
 from relcomm.relations import REFLEXIVE_ADMISSIBLE, BinRel
 from relcomm.search import Signature, catalog, random_algebra
 
@@ -129,6 +131,18 @@ def test_plan_matches_eval_expr(name, e):
     assert _plan_values(alg, e, rels) == want
 
 
+def _reference_witness(alg, spec, env):
+    """The witness of `spec` at one binding, by `eval_expr` of both sides,
+    or None."""
+    lhs = eval_expr(alg, env, spec.lhs).bits
+    rhs = eval_expr(alg, env, spec.rhs).bits
+    bad = lhs & ~rhs if spec.relation == "subset" else lhs ^ rhs
+    if not bad:
+        return None
+    pair = divmod((bad & -bad).bit_length() - 1, alg.size)
+    return Witness(spec.id, {name: rel.pairs() for name, rel in env.items()}, pair)
+
+
 def _reference_check(alg, cond_id, family):
     """A plain sweep: nested `enumerate_relations` per quantifier per outer
     binding, and `eval_expr` of both sides at every binding."""
@@ -149,13 +163,28 @@ def _reference_check(alg, cond_id, family):
     witness = None
     for env in bindings(0, {}):
         checked += 1
-        lhs = eval_expr(alg, env, spec.lhs).bits
-        rhs = eval_expr(alg, env, spec.rhs).bits
-        bad = lhs & ~rhs if spec.relation == "subset" else lhs ^ rhs
-        if bad:
-            pair = divmod((bad & -bad).bit_length() - 1, alg.size)
-            relations = {name: rel.pairs() for name, rel in env.items()}
-            witness = Witness(cond_id, relations, pair)
+        witness = _reference_witness(alg, spec, env)
+        if witness is not None:
+            break
+    return PropertyReport(cond_id, witness is None, witness, checked, family.mode)
+
+
+def _reference_sampled_check(alg, cond_id, family):
+    """A plain sampled sweep: per sample, per quantifier, one draw from one
+    generator seeded with `family.seed`, above the bound `eval_expr` gives,
+    and `eval_expr` of both sides."""
+    spec = CONDITIONS[cond_id]
+    rng = random.Random(family.seed)
+    checked = 0
+    witness = None
+    for _ in range(family.sample_count):
+        checked += 1
+        env = {}
+        for q in spec.quantifiers:
+            above = 0 if q.above is None else eval_expr(alg, env, q.above).bits
+            env[q.name] = BinRel(alg.size, _sample_one(alg, q, above, rng))
+        witness = _reference_witness(alg, spec, env)
+        if witness is not None:
             break
     return PropertyReport(cond_id, witness is None, witness, checked, family.mode)
 
@@ -189,3 +218,19 @@ def test_sweep_matches_reference_on_catalog():
         for cid in ("T4_I_COR", "T4_II_COR", "T2_V", "T2_VI", "T3_V", "SEQ_B", "PROB_V"):
             want = _reference_check(alg, cid, family).to_record()
             assert check_condition(alg, cid, family).to_record() == want, (name, cid)
+
+
+def test_sampled_sweep_matches_reference():
+    # every id, those over arbitrary relations (L1B_*, TRIV_K) and the
+    # `above` bounds of T4_*_COR included
+    algebras = [random_algebra(Signature(3, (("f", 2),)), seed) for seed in (15, 22, 26, 30)]
+    algebras += [ALGEBRAS[name] for name in ("S2", "Z4", "C3")]
+    failing = 0
+    for alg in algebras:
+        for seed, count in ((0, 25), (1, 8)):
+            family = RelFamily(mode="sampled", sample_count=count, seed=seed)
+            for cid in CONDITIONS:
+                want = _reference_sampled_check(alg, cid, family).to_record()
+                assert check_condition(alg, cid, family).to_record() == want, (alg, seed, cid)
+                failing += want["verdict"] == "fails"
+    assert failing >= 100  # so first witnesses are compared

@@ -38,6 +38,7 @@ from relcomm import (
 from relcomm.relations import (
     FamilyBoundError,
     SizeMismatch,
+    UsageError,
     _sample_relations,
     compose_bits,
     converse_bits,
@@ -346,6 +347,13 @@ def test_family_rejects_fewer_than_one_sample():
         with pytest.raises(ValueError, match="sample_count"):
             RelFamily(mode="sampled", sample_count=count)
     assert RelFamily(mode="sampled", sample_count=1).sample_count == 1
+
+
+def test_family_rejects_an_unknown_mode():
+    # refused where the family is built, not later inside enumeration
+    for mode in ("sample", "Exhaustive", ""):
+        with pytest.raises(UsageError, match="'exhaustive' or 'sampled'"):
+            RelFamily(mode=mode)
 
 
 def assert_family_matches_oracle(alg):
