@@ -5,16 +5,21 @@ family and reports either success over the whole range or the first
 violating binding.  Failed reports always carry a witness that can be
 re-evaluated standalone (`recheck_witness`).
 
-`check_condition` compiles its condition into a plan (`_Plan`): one step
-per distinct subterm, each at a level, the deepest quantifier among its
-free names (or constant).  One sweep (`_sweep`) serves both family modes:
-it runs the constant steps once, walks the quantifiers as nested loops,
-and after binding quantifier i runs only the level-i steps, so a subterm
-is rebuilt only when a name it uses changes; the mode decides only where
-the relations come from.  A plan's values are the `bits` ints of
-relations, computed by the node functions of `expr.NODES` bound to the
-algebra, and sampled draws too; `BinRel`s appear only at the boundary, in
-the families' listing and the witness.
+`check_condition` sweeps its condition with a compiled plan (`_Plan`):
+one step per distinct subterm, each at a level, the deepest quantifier
+among its free names (or constant), and one generated Python function
+that runs the whole sweep.  That function runs the constant steps once,
+walks the quantifiers as nested `for` loops, and after binding
+quantifier i runs the level-(i+1) steps as straight-line assignments, so
+a subterm is rebuilt only when a name it uses changes; it counts and
+tests each binding inline.  Its source names only slots and argument
+positions: the algebra enters as the tuple of step functions from
+`expr.NODES` bound to it, and the family mode as the `members` function
+that gives each quantifier's relations (`_members`).  So one plan per
+condition spec serves every algebra and both modes, cached by the spec's
+value (`_plan`).  A plan's values are the `bits` ints of relations, and
+sampled draws too; `BinRel`s appear only at the boundary, in the
+families' listing and the witness.
 Bindings are visited in nested order, the first quantifier outermost and
 each family in enumeration order, and the first violating binding stops
 the sweep: the verdict, witness and count are those of a plain
@@ -36,10 +41,22 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from . import conditions
 from .conditions import ANY, CONDITIONS, ConditionSpec
-from .expr import NODES, EvalError, Literal, NameRef, RelExpr, children, eval_expr, pretty
+from .expr import (
+    NODES,
+    EvalError,
+    Intersect,
+    Literal,
+    NameRef,
+    RelExpr,
+    Union,
+    children,
+    eval_expr,
+    pretty,
+)
 from .relations import (
     BinRel,
     InvariantViolation,
@@ -134,49 +151,59 @@ def _make_witness(spec, env, pair):
     )
 
 
-def _violation(spec, n, lhs, rhs):
-    """The least pair that breaks `lhs <= rhs` (or `lhs == rhs`), given as
-    relation bits, or None."""
-    if spec.relation == "subset":
-        bad = lhs & ~rhs
-    else:
-        bad = lhs ^ rhs
-    if bad == 0:
-        return None
+def _least_pair(bad, n):
+    """The pair of the lowest set bit of the nonzero relation bits `bad`."""
     return divmod((bad & -bad).bit_length() - 1, n)
 
 
+# steps spelled as operators in a plan's source instead of kernel calls
+_OPERATORS = {Intersect: "&", Union: "|"}
+
+
 class _Plan:
-    """A condition compiled into numbered steps over one array of relation
-    bits, bound to one algebra.
+    """A condition compiled into one generated Python function, `sweep`,
+    that walks all of its bindings; the plan holds no algebra.
 
     Every distinct subterm of the two sides and of the quantifiers' `above`
-    bounds gets one slot; equal subterms share it.  A step computes one
-    slot from its children's slots with the node's function from
-    `expr.NODES`, bound to the algebra when the plan is built.  Its level is
-    the deepest quantifier among its free names, and `steps[i + 1]` runs
-    right after quantifier i is bound (`steps[0]` holds the constant
-    steps), so a subterm is recomputed only when a name it uses changes.
-    Slots hold `bits` ints; `env` turns a binding back into `BinRel`s.
+    bounds gets one slot, the local `s<slot>` of `sweep`; equal subterms
+    share it.  A step computes one slot from its children's slots.  Its
+    level is the deepest quantifier among its free names: the level-0 steps
+    run once, and the level-(i+1) steps right after quantifier i is bound,
+    so a subterm is recomputed only when a name it uses changes.
+    Intersect and Union are spelled `&` and `|`; every other step calls
+    the function of its node in `expr.NODES`, bound to the algebra, which
+    `sweep` takes in `fns`, in the order of `kernels`.  The constant slots
+    (a literal's pairs) are read from `consts`.
+
+    `sweep(fns, consts, members)` binds quantifier i to each relation bits
+    of `members(i, bound)`, where `bound` is its `above` bound (0 for
+    none), skipping those not above it, and counts and tests every full
+    binding.  It returns (bindings checked, the names' bits at the first
+    violating binding or None, that binding's bad bits).  The source
+    spells only slot numbers, argument positions and fixed names, so it
+    depends on the spec alone, and not on the algebra or the family mode.
     """
 
-    def __init__(self, spec, alg):
+    def __init__(self, spec):
         self.spec = spec
-        self.alg = alg
-        self.n = alg.size
         quantifiers = spec.quantifiers
-        self.initial = []  # slot values known before any step runs
+        self.consts = []
+        self.kernels = []  # the node type of each called step, in order
         self.level_of = []
-        self.steps = [[] for _ in range(len(quantifiers) + 1)]
         self.slot_of = {}
+        self.steps = [[] for _ in range(len(quantifiers) + 1)]  # source lines per level
         self.names = [self._new_slot(NameRef(q.name), i + 1) for i, q in enumerate(quantifiers)]
         self.above = [None if q.above is None else self._visit(q.above) for q in quantifiers]
         self.lhs = self._visit(spec.lhs)
         self.rhs = self._visit(spec.rhs)
+        self.consts = tuple(self.consts)
+        self.source = self._source()
+        namespace = {"__builtins__": {}}  # `sweep` reads only its arguments
+        exec(compile(self.source, "<condition plan>", "exec"), namespace)
+        self.sweep = namespace["sweep"]
 
-    def _new_slot(self, key, level, value=None):
-        slot = self.slot_of[key] = len(self.initial)
-        self.initial.append(value)
+    def _new_slot(self, key, level):
+        slot = self.slot_of[key] = len(self.level_of)
         self.level_of.append(level)
         return slot
 
@@ -184,46 +211,49 @@ class _Plan:
         if node in self.slot_of:
             return self.slot_of[node]
         if not isinstance(node, RelExpr):
-            return self._new_slot(node, 0, node)
+            slot = self._new_slot(node, 0)
+            self.steps[0].append(f"s{slot} = consts[{len(self.consts)}]")
+            self.consts.append(node)
+            return slot
         if type(node) is NameRef:
             raise EvalError(f"unbound relation name {node.name!r}")
-        args = tuple(self._visit(c) for c in children(node))
+        args = [self._visit(c) for c in children(node)]
         level = max((self.level_of[a] for a in args), default=0)
         slot = self._new_slot(node, level)
-        self.steps[level].append((slot, NODES[type(node)](self.alg, self.n), args))
+        operands = [f"s{a}" for a in args]
+        if type(node) in _OPERATORS:
+            value = f" {_OPERATORS[type(node)]} ".join(operands)
+        else:
+            value = f"f{len(self.kernels)}({', '.join(operands)})"
+            self.kernels.append(type(node))
+        self.steps[level].append(f"s{slot} = {value}")
         return slot
 
-    def start(self):
-        """A value array with the constant steps done."""
-        vals = list(self.initial)
-        self.run(vals, 0)
-        return vals
-
-    def run(self, vals, level):
-        for out, fn, args in self.steps[level]:
-            # most steps are binary or unary; spelling those out saves
-            # building an argument list per step
-            if len(args) == 2:
-                vals[out] = fn(vals[args[0]], vals[args[1]])
-            elif len(args) == 1:
-                vals[out] = fn(vals[args[0]])
-            else:
-                vals[out] = fn(*[vals[a] for a in args])
-
-    def bind(self, vals, i, bits):
-        """Bind quantifier i to the relation `bits` and run the steps that
-        depend on it."""
-        vals[self.names[i]] = bits
-        self.run(vals, i + 1)
-
-    def violation(self, vals):
-        return _violation(self.spec, self.n, vals[self.lhs], vals[self.rhs])
-
-    def env(self, vals):
-        return {
-            q.name: BinRel(self.n, vals[slot])
-            for q, slot in zip(self.spec.quantifiers, self.names)
-        }
+    def _source(self):
+        lines = ["def sweep(fns, consts, members):"]
+        pad = "    "
+        if self.kernels:
+            lines.append(pad + "".join(f"f{k}, " for k in range(len(self.kernels))) + "= fns")
+        lines += [pad + step for step in self.steps[0]]
+        lines.append(pad + "checked = 0")
+        for i, (name, above) in enumerate(zip(self.names, self.above)):
+            bound = 0 if above is None else f"s{above}"
+            lines.append(f"{pad}for s{name} in members({i}, {bound}):")
+            pad += "    "
+            if above is not None:
+                lines += [f"{pad}if s{above} & ~s{name}:", f"{pad}    continue"]
+            lines += [pad + step for step in self.steps[i + 1]]
+        lhs, rhs = f"s{self.lhs}", f"s{self.rhs}"
+        bad = f"{lhs} & ~{rhs}" if self.spec.relation == "subset" else f"{lhs} ^ {rhs}"
+        bound_names = "".join(f"s{name}, " for name in self.names)
+        lines += [
+            f"{pad}checked += 1",
+            f"{pad}bad = {bad}",
+            f"{pad}if bad:",
+            f"{pad}    return checked, ({bound_names}), bad",
+            "    return checked, None, 0",
+        ]
+        return "\n".join(lines) + "\n"
 
 
 def _family_lists(alg, quantifiers, family):
@@ -257,70 +287,66 @@ def _sample_one(alg, q, above, rng):
     return family_closure(alg, q.kind)(above | random_pairs(rng, n, rng.randint(0, 3)))
 
 
-def _sweep(alg, plan, family):
-    """(bindings checked, first violating vals and pair or None).
+def _members(alg, quantifiers, family):
+    """`members(i, bound)` for a plan's sweep: the relation bits of
+    quantifier i at one binding of the quantifiers before it, where `bound`
+    is the bits of its `above` bound (0 for none).
+
+    The mode decides only this: exhaustively, quantifier i's family in
+    enumeration order; sampled, draws from one `random.Random(family.seed)`,
+    `family.sample_count` for the first quantifier and one for each later
+    quantifier per binding of the one before, each drawn above `bound`
+    when the sweep asks for it.
+    """
+    if family.mode == "sampled":
+        rng = random.Random(family.seed)
+
+        def members(i, bound):
+            q = quantifiers[i]
+            for _ in range(family.sample_count if i == 0 else 1):
+                yield _sample_one(alg, q, bound, rng)
+
+        return members
+    lists = _family_lists(alg, quantifiers, family)
+    return lambda i, bound: lists[i]
+
+
+# Plans hold no algebra, so one plan per spec serves every algebra.  The
+# key is the spec's value, never its id alone: specs built outside the
+# condition table may share an id.  The bound is far above the table's size.
+_plan = lru_cache(maxsize=256)(_Plan)
+
+
+def _sweep(alg, spec, members):
+    """(bindings checked, the witness of the first violating binding or
+    None), by the plan of `spec` with its steps bound to `alg`.
 
     Bindings are visited in nested quantifier order, the first quantifier
-    outermost; a binding whose relation is not above its quantifier's
-    bound is skipped uncounted.  The mode decides only where quantifier
-    i's relations come from: its family in enumeration order, or draws
-    from one `random.Random(family.seed)`, `family.sample_count` for the
-    first quantifier and one for each later quantifier per binding of the
-    one before, drawn above the bound that binding computed.
+    outermost, each over `members` (`_members`); a binding whose relation
+    is not above its quantifier's bound is skipped uncounted.
 
     Running a level's steps once per binding of that level adds no
     evaluation a per-binding walk would not make: each partial binding
     extends to a full one, since every family contains the full relation,
     which passes every bound, and every draw is above its bound.
     """
-    quantifiers = plan.spec.quantifiers
-    if family.mode == "sampled":
-        rng = random.Random(family.seed)
-
-        def members(i):
-            q, above = quantifiers[i], plan.above[i]
-            for _ in range(family.sample_count if i == 0 else 1):
-                yield _sample_one(alg, q, 0 if above is None else vals[above], rng)
-
-    else:
-        members = _family_lists(alg, quantifiers, family).__getitem__
-    vals = plan.start()
-    depth = len(quantifiers)
-    checked = 0
-
-    def descend(i):
-        nonlocal checked
-        above = plan.above[i]
-        inner = i + 1 < depth
-        for bits in members(i):
-            if above is not None and vals[above] & ~bits:
-                continue
-            plan.bind(vals, i, bits)
-            if inner:
-                pair = descend(i + 1)
-            else:
-                checked += 1
-                pair = plan.violation(vals)
-            if pair is not None:
-                return pair
-        return None
-
-    pair = descend(0)
-    return checked, None if pair is None else (vals, pair)
+    plan = _plan(spec)
+    n = alg.size
+    fns = tuple(NODES[kernel](alg, n) for kernel in plan.kernels)
+    checked, bits, bad = plan.sweep(fns, plan.consts, members)
+    if bits is None:
+        return checked, None
+    env = {q.name: BinRel(n, b) for q, b in zip(spec.quantifiers, bits)}
+    return checked, _make_witness(spec, env, _least_pair(bad, n))
 
 
 def check_condition(alg, cond_id: str, family: RelFamily) -> PropertyReport:
     """Quantify one condition over its families; first violation wins."""
     spec = _spec(cond_id)
-    plan = _Plan(spec, alg)
-    checked, found = _sweep(alg, plan, family)
-    witness = None
-    if found is not None:
-        vals, pair = found
-        witness = _make_witness(spec, plan.env(vals), pair)
+    checked, witness = _sweep(alg, spec, _members(alg, spec.quantifiers, family))
     return PropertyReport(
         condition=cond_id,
-        holds=found is None,
+        holds=witness is None,
         witness=witness,
         relations_checked=checked,
         family_mode=family.mode,
@@ -329,9 +355,10 @@ def check_condition(alg, cond_id: str, family: RelFamily) -> PropertyReport:
 
 def _eval_bound(alg, spec, env):
     """The violating pair of `spec` at one explicit binding, or None."""
-    lhs = eval_expr(alg, env, spec.lhs)
-    rhs = eval_expr(alg, env, spec.rhs)
-    return _violation(spec, alg.size, lhs.bits, rhs.bits)
+    lhs = eval_expr(alg, env, spec.lhs).bits
+    rhs = eval_expr(alg, env, spec.rhs).bits
+    bad = lhs & ~rhs if spec.relation == "subset" else lhs ^ rhs
+    return _least_pair(bad, alg.size) if bad else None
 
 
 def _check_bound(alg, cond_id, rels) -> PropertyReport:

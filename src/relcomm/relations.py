@@ -395,6 +395,10 @@ def _family_max_n(kind: str) -> int:
     global _warned_override
     override = os.environ.get(_ENV_OVERRIDE)
     if override:
+        try:
+            bound = int(override)
+        except ValueError:
+            raise UsageError(f"{_ENV_OVERRIDE} must be an integer, got {override!r}") from None
         if not _warned_override:
             warnings.warn(
                 f"{_ENV_OVERRIDE}={override} overrides the enumeration bounds; "
@@ -402,7 +406,7 @@ def _family_max_n(kind: str) -> int:
                 stacklevel=3,
             )
             _warned_override = True
-        return int(override)
+        return bound
     return _DEFAULT_MAX_N[kind]
 
 

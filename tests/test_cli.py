@@ -413,6 +413,13 @@ def test_usage_errors_exit_two(capsys, monkeypatch, tmp_path, argv, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_malformed_bound_override_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("RELCOMM_MAX_N", "abc")
+    code, out, err = run(capsys, "check", *Z2, "--condition", "T3_I")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "RELCOMM_MAX_N must be an integer, got 'abc'" in err
+
+
 def _raise(exc):
     def fail(*args):
         raise exc

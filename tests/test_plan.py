@@ -1,6 +1,9 @@
 """Differential tests of the compiled condition plans (`properties._Plan`)
-against the reference evaluator `eval_expr` and a plain per-binding sweep."""
+and their generated sweeps against the reference evaluator `eval_expr` and
+a plain per-binding sweep."""
 
+import ast
+import itertools
 import random
 
 import pytest
@@ -30,7 +33,15 @@ from relcomm.expr import (
     TolClose,
     Union,
 )
-from relcomm.properties import PropertyReport, Witness, _Plan, _sample_one
+from relcomm.properties import (
+    PropertyReport,
+    Witness,
+    _members,
+    _Plan,
+    _plan,
+    _sample_one,
+    _sweep,
+)
 from relcomm.relations import REFLEXIVE_ADMISSIBLE, BinRel
 from relcomm.search import Signature, catalog, random_algebra
 
@@ -77,60 +88,6 @@ def _extend(sub):
 EXPRS = st.recursive(_leaves, _extend, max_leaves=8)
 
 
-def _outcome(fn):
-    try:
-        return fn()
-    except ValueError:
-        return ValueError
-
-
-def _nested(rels, depth):
-    if depth == 0:
-        yield ()
-        return
-    for r in rels:
-        for rest in _nested(rels, depth - 1):
-            yield (r,) + rest
-
-
-def _plan_values(alg, e, rels):
-    """The value of `e` through a plan at each binding of R, S, T over
-    `rels`, in nested order, with the plan's slot bits wrapped as `BinRel`;
-    each quantifier is bound only when its relation changes, as in a sweep.
-    A raised ValueError ends the list."""
-    quantifiers = tuple(Quantifier(n, REFLEXIVE_ADMISSIBLE) for n in NAMES)
-    plan = _Plan(ConditionSpec("DIFF", quantifiers, e, e), alg)
-    out = []
-    try:
-        vals = plan.start()
-        bound = [None] * len(NAMES)
-        for binding in _nested(rels, len(NAMES)):
-            first = next(i for i, r in enumerate(binding) if r is not bound[i])
-            for i in range(first, len(NAMES)):
-                plan.bind(vals, i, binding[i].bits)
-                bound[i] = binding[i]
-            out.append(BinRel(alg.size, vals[plan.lhs]))
-    except ValueError:
-        out.append(ValueError)
-    return out
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(SMALL), EXPRS)
-def test_plan_matches_eval_expr(name, e):
-    alg = ALGEBRAS[name]
-    rels = RA_LISTS[name]
-    want = []
-    for r, s, t in _nested(rels, len(NAMES)):
-        env = {"R": r, "S": s, "T": t}
-        want.append(_outcome(lambda: eval_expr(alg, env, e)))
-        if want[-1] is ValueError:
-            break
-    # a hoisted step raises at the first binding whose prefix it depends on,
-    # which is the first binding the reference raises at
-    assert _plan_values(alg, e, rels) == want
-
-
 def _reference_witness(alg, spec, env):
     """The witness of `spec` at one binding, by `eval_expr` of both sides,
     or None."""
@@ -141,6 +98,88 @@ def _reference_witness(alg, spec, env):
         return None
     pair = divmod((bad & -bad).bit_length() - 1, alg.size)
     return Witness(spec.id, {name: rel.pairs() for name, rel in env.items()}, pair)
+
+
+QUANTIFIERS = tuple(Quantifier(n, REFLEXIVE_ADMISSIBLE) for n in NAMES)
+
+
+def _reference_outcome(alg, spec, rels):
+    """A plain walk over the bindings of R, S, T over `rels` in nested
+    order, with `eval_expr` of both sides at each: the report's record, or
+    ValueError and the indices of the first binding that raised."""
+    checked = 0
+    witness = None
+    for index in itertools.product(range(len(rels)), repeat=len(NAMES)):
+        env = {name: rels[k] for name, k in zip(NAMES, index)}
+        try:
+            witness = _reference_witness(alg, spec, env)
+        except ValueError:
+            return ValueError, index
+        checked += 1
+        if witness is not None:
+            break
+    return PropertyReport(spec.id, witness is None, witness, checked, "exhaustive").to_record()
+
+
+def _plan_outcome(alg, spec, rels):
+    """The same by the generated sweep of `spec`'s plan, whose members note
+    the binding being built: a step hoisted to quantifier i raises right
+    after quantifier i is bound, before any later quantifier is."""
+    index = [0] * len(NAMES)
+
+    def members(i, bound):
+        for k, rel in enumerate(rels):
+            index[i:] = [k] + [0] * (len(NAMES) - 1 - i)
+            yield rel.bits
+
+    try:
+        checked, witness = _sweep(alg, spec, members)
+    except ValueError:
+        return ValueError, tuple(index)
+    return PropertyReport(spec.id, witness is None, witness, checked, "exhaustive").to_record()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SMALL), EXPRS, st.data(), st.sampled_from(("subset", "equal")))
+def test_plan_matches_eval_expr(name, e, data, relation):
+    # half the right sides contain the left one, so that more sweeps run
+    # past the first binding; every spec has the id "DIFF", so a plan
+    # cached by id alone would answer for another spec
+    f = data.draw(st.one_of(EXPRS, EXPRS.map(lambda g: Union(e, g))))
+    spec = ConditionSpec("DIFF", QUANTIFIERS, e, f, relation)
+    alg = ALGEBRAS[name]
+    rels = RA_LISTS[name]
+    assert _plan_outcome(alg, spec, rels) == _reference_outcome(alg, spec, rels)
+
+
+def test_plan_source_depends_on_the_spec_alone():
+    # a plan takes no algebra; its source is rebuilt identically and holds
+    # no assert, which `python -O` would strip
+    for spec in CONDITIONS.values():
+        source = _Plan(spec).source
+        assert _Plan(spec).source == source, spec.id
+        tree = ast.parse(source)
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), spec.id
+
+
+def test_one_plan_per_spec_serves_every_algebra_and_mode():
+    _plan.cache_clear()
+    for name in ("C3", "Z4"):
+        for family in (RelFamily(mode="exhaustive"), RelFamily(mode="sampled", sample_count=3)):
+            for cid in ("T2_I", "T4_I_COR"):
+                check_condition(ALGEBRAS[name], cid, family)
+    assert _plan.cache_info().misses == 2
+
+
+def test_specs_sharing_an_id_keep_their_own_plans():
+    alg = ALGEBRAS["Z2"]
+    quantifiers = (Quantifier("R", REFLEXIVE_ADMISSIBLE),)
+    holds = ConditionSpec("SAME", quantifiers, Delta(), NameRef("R"))
+    fails = ConditionSpec("SAME", quantifiers, NameRef("R"), Delta())
+    assert _plan(holds).sweep is not _plan(fails).sweep
+    witnesses = [_sweep(alg, spec, _members(alg, quantifiers, RA))[1] for spec in (holds, fails)]
+    assert witnesses[0] is None
+    assert witnesses[1] == Witness("SAME", {"R": [(0, 0), (0, 1), (1, 0), (1, 1)]}, (0, 1))
 
 
 def _reference_check(alg, cond_id, family):
