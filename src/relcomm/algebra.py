@@ -21,12 +21,33 @@ threads; closure itself runs single-threaded.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 # Operations with arity above this are rejected at construction time:
 # closure cost grows as |S|**(arity-1) images and nothing here needs more.
 MAX_ARITY = 4
+
+# Every memo of relcomm; `relations.clear_caches` empties them all.
+MEMOS = []
+# Kernel memos are keyed by relation bits: the largest measured holds 4,096
+# entries (`compose_bits`, `m_set_bits`, `comm1_bits` on RB3's L1A_III), but
+# `search` keys them by algebra too, so they grow with its budget.  Plan
+# memos hold one entry per (algebra, power) or condition spec: search-n4
+# fills 122 image plans and 5 condition plans.
+KERNEL_ENTRIES, PLAN_ENTRIES = 65536, 256
+
+
+def memo(maxsize):
+    """Memoise in a plain `functools.lru_cache`, registered in `MEMOS`."""
+
+    def register(fn):
+        cached = lru_cache(maxsize=maxsize)(fn)
+        MEMOS.append(cached)
+        return cached
+
+    return register
 
 
 @dataclass(frozen=True)
@@ -36,6 +57,26 @@ class Operation:
     name: str
     arity: int
     table: tuple[int, ...]
+
+
+def _operation(op, n: int) -> Operation:
+    """An Operation value or a (name, arity, table) triple, checked to be an
+    operation on {0..n-1}: a `str` name, an int arity and a tuple of ints."""
+    name, arity, table = (op.name, op.arity, op.table) if isinstance(op, Operation) else op
+    name, table = str(name), tuple(table)
+    for what, v in (("arity", arity), *(("table entry", v) for v in table)):
+        if not hasattr(v, "__index__"):
+            raise ValueError(f"operation {name!r} {what} {v!r} is not an integer")
+    if arity < 0:
+        raise ValueError(f"operation {name!r} has negative arity")
+    if arity > MAX_ARITY:
+        raise ValueError(f"operation {name!r} has arity {arity} above the cap {MAX_ARITY}")
+    if len(table) != n**arity:
+        raise ValueError(f"operation {name!r} needs {n**arity} table entries, got {len(table)}")
+    for v in table:
+        if not 0 <= v < n:
+            raise ValueError(f"operation {name!r} table entry {v} outside 0..{n - 1}")
+    return Operation(name, operator.index(arity), tuple(map(operator.index, table)))
 
 
 @dataclass(frozen=True)
@@ -52,34 +93,13 @@ class FiniteAlgebra:
     def __post_init__(self):
         if self.size < 1:
             raise ValueError(f"algebra size must be positive, got {self.size}")
-        ops = []
-        for op in self.operations:
-            if not isinstance(op, Operation):
-                name, arity, table = op
-                op = Operation(str(name), int(arity), tuple(table))
-            ops.append(op)
-        object.__setattr__(self, "operations", tuple(ops))
+        ops = tuple(_operation(op, self.size) for op in self.operations)
+        object.__setattr__(self, "operations", ops)
         names = set()
         for op in self.operations:
             if op.name in names:
                 raise ValueError(f"duplicate operation name {op.name!r}")
             names.add(op.name)
-            if op.arity < 0:
-                raise ValueError(f"operation {op.name!r} has negative arity")
-            if op.arity > MAX_ARITY:
-                raise ValueError(
-                    f"operation {op.name!r} has arity {op.arity} above the cap {MAX_ARITY}"
-                )
-            expected = self.size**op.arity
-            if len(op.table) != expected:
-                raise ValueError(
-                    f"operation {op.name!r} needs {expected} table entries, got {len(op.table)}"
-                )
-            for v in op.table:
-                if not (0 <= v < self.size):
-                    raise ValueError(
-                        f"operation {op.name!r} table entry {v} outside 0..{self.size - 1}"
-                    )
         # hashed once, from ints only, so that every cache keyed by the
         # algebra hashes it in O(1) and a pickled copy keeps a hash that is
         # valid under any string hash seed
@@ -164,7 +184,7 @@ def eval_op(alg: FiniteAlgebra, op_index: int, args) -> int:
     return op.table[_encode(alg.size, args)]
 
 
-@lru_cache(maxsize=256)
+@memo(PLAN_ENTRIES)
 def _image_plans(alg: FiniteAlgebra, power: int):
     """The image steps of `subuniverse_closure`, as (tables, products).
 

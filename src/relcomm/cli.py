@@ -13,12 +13,12 @@ reports a violation, or any other exception, which is an internal failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import traceback
 
 from . import conditions, properties, search
+from .algebra import memo
 from .algfile import load_algebra
 from .expr import Literal, NameRef, ParseError, eval_expr, parse_expr, pretty
 from .relations import RelFamily, UsageError, enumerate_relations
@@ -57,7 +57,7 @@ def _add_format_flag(sub):
     sub.add_argument("--format", choices=("text", "structured"), default="text")
 
 
-@functools.cache
+@memo(1)
 def build_parser():
     """The argument parser, built on first use and shared by every later
     `main` call in the process."""

@@ -20,21 +20,16 @@ has (x, w) iff bit (x, w) of the slice at (x, x) is set.  The blocks are
 spread from the relations' bits: pair bit i of S, (b, b'), becomes bit
 i*(n*n + 1), and pair (a, a') of R bit (n + 1)*(a*n*n + a').
 
-Each value has one cache, on an int kernel keyed by (algebra, R bits,
-S bits): `m_set_bits`, `comm1_bits`, `comm_bits` and `comm_weak_bits`;
-`k_op_bits` reads the cached M(R, S) and keeps no cache.  Condition plans
-bind the kernels.  The `BinRel` functions `m_set`, `k_op`, `comm1`, `comm`
-and `comm_weak` check the sizes of R and S (`k_op` then V's), call the
-kernels and keep no cache of their own; the cached ones carry their
-kernel's `cache_info` and `cache_clear`.  All functions are pure, so
-concurrent calls with equal arguments return equal values.
+Each value is an int kernel of (algebra, R bits, S bits), which condition
+plans bind; the memoised ones are in `algebra.MEMOS`.  The `BinRel` forms
+check the sizes of R and S (`k_op` then V's), call the kernels and keep no
+cache; the memoised ones carry their kernel's `cache_info`.  All functions
+are pure, so concurrent calls with equal arguments return equal values.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .algebra import FiniteAlgebra, TupleSet, _indices, subuniverse_closure
+from .algebra import KERNEL_ENTRIES, FiniteAlgebra, TupleSet, _indices, memo, subuniverse_closure
 from .relations import (
     BinRel,
     _bits_on,
@@ -46,7 +41,7 @@ from .relations import (
 )
 
 
-@lru_cache(maxsize=65536)
+@memo(KERNEL_ENTRIES)
 def m_set_bits(alg: FiniteAlgebra, r: int, s: int) -> int:
     """The bits of the matrix set M(R, S) of the relations with bits r
     and s, in the `TupleSet` encoding of (x, y, z, w) tuples, where x and y
@@ -82,14 +77,13 @@ def k_op_bits(alg: FiniteAlgebra, r: int, s: int, v: int) -> int:
     return _bottom_rows(alg.size, m_set_bits(alg, r, s), v)
 
 
-@lru_cache(maxsize=65536)
+@memo(KERNEL_ENTRIES)
 def comm1_bits(alg: FiniteAlgebra, r: int, s: int) -> int:
     """[R, S | 1]: transitive closure of K(R, S; delta)."""
     n = alg.size
     return star_bits(n, k_op_bits(alg, r, s, delta_bits(n)))
 
 
-@lru_cache(maxsize=65536)
 def comm_weak_bits(alg: FiniteAlgebra, r: int, s: int) -> int:
     """[R, S | 1]_W: pairs (x, w) with the matrix (x, x; x, w) in M(R, S)."""
     m = m_set_bits(alg, r, s)
@@ -102,7 +96,7 @@ def comm_weak_bits(alg: FiniteAlgebra, r: int, s: int) -> int:
     return bits
 
 
-@lru_cache(maxsize=65536)
+@memo(KERNEL_ENTRIES)
 def comm_bits(alg: FiniteAlgebra, r: int, s: int) -> int:
     """[R, S]: least congruence d with K(R, S; d) <= d.
 
@@ -154,7 +148,6 @@ def comm1(alg: FiniteAlgebra, r: BinRel, s: BinRel) -> BinRel:
     return BinRel(alg.size, comm1_bits(alg, *_pair_bits(alg, r, s)))
 
 
-@cached_by(comm_weak_bits)
 def comm_weak(alg: FiniteAlgebra, r: BinRel, s: BinRel) -> BinRel:
     """[R, S | 1]_W: pairs (x, w) with the matrix (x, x; x, w) in M(R, S)."""
     return BinRel(alg.size, comm_weak_bits(alg, *_pair_bits(alg, r, s)))
@@ -165,7 +158,3 @@ def comm(alg: FiniteAlgebra, r: BinRel, s: BinRel) -> BinRel:
     """[R, S]: least congruence d with K(R, S; d) <= d."""
     return BinRel(alg.size, comm_bits(alg, *_pair_bits(alg, r, s)))
 
-
-def clear_caches():
-    for kernel in (m_set_bits, comm1_bits, comm_weak_bits, comm_bits):
-        kernel.cache_clear()

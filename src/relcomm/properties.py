@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 from . import conditions
+from .algebra import PLAN_ENTRIES, memo
 from .conditions import ANY, CONDITIONS, ConditionSpec
 from .expr import (
     NODES,
@@ -313,8 +313,8 @@ def _members(alg, quantifiers, family):
 
 # Plans hold no algebra, so one plan per spec serves every algebra.  The
 # key is the spec's value, never its id alone: specs built outside the
-# condition table may share an id.  The bound is far above the table's size.
-_plan = lru_cache(maxsize=256)(_Plan)
+# condition table may share an id.
+_plan = memo(PLAN_ENTRIES)(_Plan)
 
 
 def _sweep(alg, spec, members):
@@ -488,14 +488,14 @@ def check_meta(alg, meta_id: str, family: RelFamily) -> PropertyReport:
     return check_ids(alg, [meta_id], family)[meta_id]
 
 
-def evaluate_problem_profile(alg, family: RelFamily | None = None) -> dict[str, bool]:
-    """The five-bit truth profile of the open-problem conditions,
-    exhaustively quantified.  Derivable implications between the bits are
-    checked; a violation is an implementation bug (InvariantViolation)."""
-    reports = check_ids(alg, conditions.PROBLEM_IDS, family or RelFamily(mode="exhaustive"))
+def evaluate_problem_profile(alg, ids=conditions.PROBLEM_IDS) -> dict[str, bool]:
+    """The truth profile of `ids` (the open-problem conditions by default),
+    exhaustively quantified.  Derivable implications between two of them
+    are checked; a violation is an implementation bug (InvariantViolation)."""
+    reports = check_ids(alg, ids, RelFamily(mode="exhaustive"))
     profile = {cid: rep.holds for cid, rep in reports.items()}
     for stronger, weaker in conditions.PROBLEM_IMPLICATIONS:
-        if profile[stronger] and not profile[weaker]:
+        if profile.get(stronger) and not profile.get(weaker, True):
             raise InvariantViolation(
                 f"profile implication {stronger} => {weaker} violated: {profile}"
             )

@@ -11,13 +11,13 @@ the closed sets with Ganter's NextClosure, which visits them in ascending
 order of `bits`.  The search for an operation that maps pairs of r outside
 r (`_admissibility_witness`) exists only to word error messages.
 
-Every cache is keyed by relation bits.  The relation-algebra kernels
-(`converse_bits`, `compose_bits`, `star_bits`) are keyed by (n, bits), the
-closures (`adm_close_bits`, `tol_close_bits`, `cg_bits`) by (algebra,
-bits); `cg_bits` checks its admissibility invariant on every miss.  Their
-`BinRel` forms check sizes (`SizeMismatch`), call them and keep no cache;
-`adm_close`, `tol_close` and `cg` carry their kernel's `cache_info` and
-`cache_clear`.  `cong_join_bits` is uncached and checks both arguments.
+The kernels take relation bits, with n (`converse_bits`, `compose_bits`,
+`star_bits`) or the algebra (the closures); their memos are in
+`algebra.MEMOS`, which `clear_caches` empties.  `cg_bits` checks its
+admissibility invariant on every miss.  Their `BinRel` forms check sizes
+(`SizeMismatch`), call them and keep no cache; `adm_close`, `tol_close`
+and `cg` carry their kernel's `cache_info`.  `cong_join_bits` is uncached
+and checks both arguments.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ import os
 import random
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import partial
 
-from .algebra import FiniteAlgebra, _indices, subuniverse_closure
+from .algebra import KERNEL_ENTRIES, MEMOS, FiniteAlgebra, _indices, memo, subuniverse_closure
 
 REFLEXIVE_ADMISSIBLE = "reflexive-admissible"
 TOLERANCE = "tolerance"
@@ -41,7 +41,6 @@ CONGRUENCE = "congruence"
 _DEFAULT_MAX_N = {REFLEXIVE_ADMISSIBLE: 4, TOLERANCE: 6, CONGRUENCE: 10}
 
 _ENV_OVERRIDE = "RELCOMM_MAX_N"
-_warned_override = False
 
 
 class UsageError(ValueError):
@@ -200,7 +199,8 @@ def require_reflexive_admissible(alg, r, name="R"):
     missing = delta_bits(r.size) & ~r.bits
     if missing:
         raise NotReflexive(name, ((missing & -missing).bit_length() - 1) // (r.size + 1))
-    if not is_admissible(alg, r):
+    # the kernel, so that a counter on `is_admissible` sees only its callers
+    if adm_close_bits(alg, _bits_on(alg, r)) != r.bits:
         w = _admissibility_witness(alg, r)
         if w is None:
             raise InvariantViolation(
@@ -214,7 +214,7 @@ def require_reflexive_admissible(alg, r, name="R"):
 # `compose` and `star` are their `BinRel` forms.
 
 
-@lru_cache(maxsize=65536)
+@memo(KERNEL_ENTRIES)
 def converse_bits(n: int, a: int) -> int:
     bits = 0
     for i in _indices(a):
@@ -223,7 +223,7 @@ def converse_bits(n: int, a: int) -> int:
     return bits
 
 
-@lru_cache(maxsize=65536)
+@memo(KERNEL_ENTRIES)
 def compose_bits(n: int, a: int, b: int) -> int:
     """(x, z) related iff x A y and y B z for some y."""
     mask = (1 << n) - 1
@@ -240,7 +240,7 @@ def compose_bits(n: int, a: int, b: int) -> int:
     return bits
 
 
-@lru_cache(maxsize=65536)
+@memo(KERNEL_ENTRIES)
 def star_bits(n: int, a: int) -> int:
     """Transitive closure (not reflexive-transitive), by iterated squaring."""
     while True:
@@ -276,32 +276,31 @@ def star(r: BinRel) -> BinRel:
 
 
 def cached_by(kernel):
-    """Give the decorated `BinRel` form its kernel's `cache_info` and
-    `cache_clear`, so that a counter read on the public name reads the one
-    cache that every caller shares."""
+    """Give the decorated `BinRel` form its kernel's `cache_info`, so that a
+    counter read on the public name reads the one cache every caller
+    shares."""
 
     def attach(wrapper):
         wrapper.cache_info = kernel.cache_info
-        wrapper.cache_clear = kernel.cache_clear
         return wrapper
 
     return attach
 
 
-@lru_cache(maxsize=65536)
+@memo(KERNEL_ENTRIES)
 def adm_close_bits(alg: FiniteAlgebra, r: int) -> int:
     """Smallest compatible relation containing r (closure in the square)."""
     return subuniverse_closure(alg, 2, r).bits
 
 
-@lru_cache(maxsize=65536)
+@memo(KERNEL_ENTRIES)
 def tol_close_bits(alg: FiniteAlgebra, r: int) -> int:
     """Smallest tolerance containing r."""
     n = alg.size
     return adm_close_bits(alg, delta_bits(n) | r | converse_bits(n, r))
 
 
-@lru_cache(maxsize=65536)
+@memo(KERNEL_ENTRIES)
 def cg_bits(alg: FiniteAlgebra, r: int) -> int:
     """Smallest congruence containing r."""
     n = alg.size
@@ -392,22 +391,21 @@ class RelFamily:
 
 
 def _family_max_n(kind: str) -> int:
-    global _warned_override
+    """The cap on n for `kind`; an override warns from this one place."""
     override = os.environ.get(_ENV_OVERRIDE)
-    if override:
-        try:
-            bound = int(override)
-        except ValueError:
-            raise UsageError(f"{_ENV_OVERRIDE} must be an integer, got {override!r}") from None
-        if not _warned_override:
-            warnings.warn(
-                f"{_ENV_OVERRIDE}={override} overrides the enumeration bounds; "
-                "exhaustive sweeps may get very slow",
-                stacklevel=3,
-            )
-            _warned_override = True
-        return bound
-    return _DEFAULT_MAX_N[kind]
+    if not override:
+        return _DEFAULT_MAX_N[kind]
+    try:
+        bound = int(override)
+    except ValueError:
+        raise UsageError(f"{_ENV_OVERRIDE} must be an integer, got {override!r}") from None
+    if bound < 1:
+        raise UsageError(f"{_ENV_OVERRIDE} must be at least 1, got {bound}")
+    warnings.warn(
+        f"{_ENV_OVERRIDE}={override} overrides the enumeration bounds; "
+        "exhaustive sweeps may get very slow"
+    )
+    return bound
 
 
 def family_closure(alg: FiniteAlgebra, kind: str):
@@ -490,9 +488,9 @@ def enumerate_relations(alg: FiniteAlgebra, family: RelFamily):
     close = family_closure(alg, kind)
     if family.mode == "sampled":
         members = _sample_relations(n, close, family.sample_count, family.seed)
-    elif n > _family_max_n(kind):
+    elif n > (bound := _family_max_n(kind)):
         raise FamilyBoundError(
-            f"exhaustive {kind} enumeration is capped at n={_family_max_n(kind)} "
+            f"exhaustive {kind} enumeration is capped at n={bound} "
             f"(algebra has n={n}); use sampled mode or {_ENV_OVERRIDE}"
         )
     else:
@@ -502,5 +500,5 @@ def enumerate_relations(alg: FiniteAlgebra, family: RelFamily):
 
 
 def clear_caches():
-    for kernel in (converse_bits, compose_bits, star_bits, adm_close_bits, tol_close_bits, cg_bits):
-        kernel.cache_clear()
+    for cached in MEMOS:
+        cached.cache_clear()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import conditions, properties
 from .algebra import FiniteAlgebra
-from .relations import RelFamily, UsageError
+from .relations import UsageError
 
 PROFILE_DIVERSITY = "profile-diversity"
 
@@ -153,8 +153,11 @@ class SearchReport:
     entries: list[SearchEntry]
     groups: dict[tuple, list[str]]
     separations: list[dict]
-    candidates_generated: int
     duplicates_skipped: int
+
+    @property
+    def candidates_generated(self):
+        return self.task.budget
 
     @property
     def resume(self):
@@ -195,23 +198,13 @@ class SearchReport:
         )
 
 
-def _target_ids(task: SearchTask):
-    return task.target if task.target is not None else conditions.PROBLEM_IDS
-
-
-def _evaluate(args):
-    alg, ids = args
-    reports = properties.check_ids(alg, ids, RelFamily(mode="exhaustive"))
-    return {cid: rep.holds for cid, rep in reports.items()}
-
-
 def run_search(task: SearchTask) -> SearchReport:
     """Profile the catalog plus `budget` random algebras and group them.
 
     Any two groups that differ in the target coordinates are reported as a
     separation, with full tables embedded so the verdicts can be replayed.
     """
-    ids = _target_ids(task)
+    ids = task.target if task.target is not None else conditions.PROBLEM_IDS
     candidates: list[tuple[str, FiniteAlgebra]] = []
     seen = set()
     duplicates = 0
@@ -220,12 +213,10 @@ def run_search(task: SearchTask) -> SearchReport:
         if key is not None:
             seen.add(key)
         candidates.append((name, alg))
-    generated = 0
     for i in range(task.start_index, task.start_index + task.budget):
         size = task.sizes[i % len(task.sizes)]
         sig = Signature(size=size)
         alg = random_algebra(sig, f"{task.seed}:{i}")
-        generated += 1
         if size <= 4:
             key = canonical_form(alg)
             if key in seen:
@@ -234,12 +225,13 @@ def run_search(task: SearchTask) -> SearchReport:
             seen.add(key)
         candidates.append((f"rand-{size}-{i}", alg))
 
-    work = [(alg, ids) for _, alg in candidates]
+    algs = [alg for _, alg in candidates]
+    work = (properties.evaluate_problem_profile, algs, itertools.repeat(ids))
     if task.jobs > 1:
         with ProcessPoolExecutor(max_workers=task.jobs) as pool:
-            profiles = list(pool.map(_evaluate, work, chunksize=4))
+            profiles = list(pool.map(*work, chunksize=4))
     else:
-        profiles = [_evaluate(w) for w in work]
+        profiles = list(map(*work))
 
     entries = []
     groups: dict[tuple, list[str]] = {}
@@ -272,6 +264,5 @@ def run_search(task: SearchTask) -> SearchReport:
         entries=entries,
         groups=groups,
         separations=separations,
-        candidates_generated=generated,
         duplicates_skipped=duplicates,
     )

@@ -13,7 +13,7 @@ from conftest import tuple_bits
 from oracles import naive_tuple_closure
 import relcomm
 from relcomm import BinRel, FiniteAlgebra, adm_close, eval_op, load_algebra, subuniverse_closure
-from relcomm.algebra import TupleSet, _decode, _image, _image_plans
+from relcomm.algebra import Operation, TupleSet, _decode, _image, _image_plans
 from relcomm.relations import clear_caches
 
 Z2 = FiniteAlgebra(2, (("+", 2, (0, 1, 1, 0)),))
@@ -56,6 +56,32 @@ def test_algebra_validation():
         FiniteAlgebra(2, (("f", 1, (0, 1)), ("f", 1, (1, 0))))  # dup name
     with pytest.raises(ValueError):
         FiniteAlgebra(2, (("f", 5, tuple([0] * 32)),))  # arity cap
+
+
+def test_operations_are_normalised_the_same_way():
+    # an Operation value takes the path of a triple: its table becomes a
+    # tuple, so the algebra hashes and equals the one built from the triple
+    alg = FiniteAlgebra(2, (Operation("f", 2, [0, 1, 1, 0]),))
+    assert alg == FiniteAlgebra(2, (("f", 2, [0, 1, 1, 0]),))
+    assert alg.operations == (Operation("f", 2, (0, 1, 1, 0)),)
+    assert hash(alg) == hash(FiniteAlgebra(2, (("f", 2, (0, 1, 1, 0)),)))
+
+
+@pytest.mark.parametrize(
+    "op, message",
+    [
+        (("f", 2.5, (0, 1, 1, 0)), "operation 'f' arity 2.5 is not an integer"),
+        (("f", 2.0, (0, 1, 1, 0)), "operation 'f' arity 2.0 is not an integer"),
+        (("f", "2", (0, 1, 1, 0)), "operation 'f' arity '2' is not an integer"),
+        (("f", 2, (0.0, 1, 1, 0)), "operation 'f' table entry 0.0 is not an integer"),
+        (Operation("g", 2.5, (0, 1, 1, 0)), "operation 'g' arity 2.5 is not an integer"),
+        (Operation("g", 1, [0, "1"]), "operation 'g' table entry '1' is not an integer"),
+    ],
+)
+def test_non_integral_operations_are_rejected(op, message):
+    with pytest.raises(ValueError) as info:
+        FiniteAlgebra(2, (op,))
+    assert str(info.value) == message
 
 
 def test_closure_pure_set_is_identity():

@@ -420,6 +420,14 @@ def test_malformed_bound_override_is_a_usage_error(capsys, monkeypatch):
     assert err.startswith("error: ") and "RELCOMM_MAX_N must be an integer, got 'abc'" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_bound_override_below_one_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("RELCOMM_MAX_N", value)
+    code, out, err = run(capsys, "check", *Z2, "--condition", "T3_I")
+    assert (code, out) == (2, "")
+    assert err == f"error: RELCOMM_MAX_N must be at least 1, got {value}\n"
+
+
 def _raise(exc):
     def fail(*args):
         raise exc
@@ -449,14 +457,12 @@ INTERNAL_ERRORS = [
 )
 def test_internal_errors_exit_one(capsys, monkeypatch, module, attr, replacement, argv, exc_type):
     relations.clear_caches()
-    commutator.clear_caches()
     monkeypatch.setattr(importlib.import_module(f"relcomm.{module}"), attr, replacement)
     try:
         code, out, err = run(capsys, *argv)
     finally:
         monkeypatch.undo()
         relations.clear_caches()
-        commutator.clear_caches()
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {exc_type}: ")
 
@@ -512,6 +518,27 @@ GOLDEN_SAMPLED_ENUMERATE = {
     "tolerance": "4ce425d1c09d83dc89eff5f32e677e2457cc09ed",
     "congruence": "c6a8ab7bc2f3686cb22efe759b83d4d99a6c97fd",
 }
+
+
+# sha1 of `search ... --format structured`: the default problem profile,
+# a two-id target serially and through the process pool, and a target
+# whose ids come in reverse table order
+GOLDEN_SEARCH = {
+    "--sizes 3,4 --budget 30 --seed 0": "9be2f2def71a622968394d0a2e6d6b7311d4d216",
+    "--sizes 3 --budget 25 --seed 7 --target PROB_I,PROB_IV":
+        "b1efcd3cd4f26bb4fa5dc47dfb7de96146ebba15",
+    "--sizes 3 --budget 25 --seed 7 --target PROB_I,PROB_IV --jobs 2":
+        "b1efcd3cd4f26bb4fa5dc47dfb7de96146ebba15",
+    "--sizes 4 --budget 12 --seed 3 --target PROB_II,PROB_I":
+        "ff257a0a650394c5126caa2eac718a13844475c8",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_SEARCH))
+def test_search_structured_golden(capsys, args):
+    code, out, _ = run(capsys, "search", *args.split(), "--format", "structured")
+    assert code == 0
+    assert hashlib.sha1(out.encode("utf-8")).hexdigest() == GOLDEN_SEARCH[args]
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN_SAMPLED_ENUMERATE))

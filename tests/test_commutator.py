@@ -107,7 +107,6 @@ def test_closures_go_through_the_module_attributes(monkeypatch):
 
         monkeypatch.setattr(module, "subuniverse_closure", counting)
     relations.clear_caches()
-    commutator.clear_caches()
     r, s = refl(2, (0, 1)), FULL2
     adm_close(L2, r)
     assert calls == ["relcomm.relations"]
@@ -384,9 +383,7 @@ def test_m_set_contains_term_oracle_on_random_groupoids():
 def test_concurrent_calls_agree():
     from concurrent.futures import ThreadPoolExecutor
 
-    from relcomm import commutator
-
-    commutator.clear_caches()
+    relations.clear_caches()
     args = [(L2, FULL2, refl(2, (0, 1))) for _ in range(16)]
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(lambda a: comm(*a), args))

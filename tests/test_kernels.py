@@ -160,7 +160,6 @@ def test_bad_inputs_raise_the_same_errors_through_the_forms():
     wrong_size_not_refl = BinRel.from_pairs(3, [(0, 1)])
     full = BinRel.full(2)
     relations.clear_caches()
-    commutator.clear_caches()
     for fn in (m_set, comm1, comm, comm_weak, lambda alg, r, s: k_op(alg, r, s, full)):
         assert _raised(fn, Z2, not_refl, full)[::2] == (NotReflexive, "R")
         assert _raised(fn, Z2, full, not_refl)[::2] == (NotReflexive, "S")
@@ -175,7 +174,7 @@ def test_bad_inputs_raise_the_same_errors_through_the_forms():
         assert _raised(fn, Z2, not_adm, wrong_size)[::2] == (NotAdmissible, "R")
         assert _raised(fn, Z2, full, wrong_size)[0] is SizeMismatch
         # and the kernels themselves raise the same on a miss
-        commutator.clear_caches()
+        relations.clear_caches()
     assert _raised(commutator.m_set_bits, Z2, not_refl.bits, full.bits)[::2] == (NotReflexive, "R")
     assert _raised(commutator.comm1_bits, Z2, full.bits, not_adm.bits)[::2] == (NotAdmissible, "S")
     for fn in (adm_close, tol_close, cg, relations.is_admissible, relations.is_congruence):
@@ -221,7 +220,6 @@ def _counts():
 def test_benchmark_cache_names_read_the_kernel_caches(algebras):
     c3 = algebras["C3"]
     relations.clear_caches()
-    commutator.clear_caches()
     family = RelFamily(REFLEXIVE_ADMISSIBLE)
     # L1A_I sweeps Comm1 over the listed family; T2_ID adds Cg and TolClose
     for condition in ("L1A_I", "T2_ID"):
@@ -250,7 +248,6 @@ def test_clear_caches_empties_every_kernel_cache(algebras):
     ]
     assert any(fn.cache_info().currsize for fn in cached)
     relations.clear_caches()
-    commutator.clear_caches()
     assert all(fn.cache_info().currsize == 0 for fn in cached)
     # a public name shares its kernel's cache rather than keeping its own
     for module, name in BENCHMARK_CACHES:

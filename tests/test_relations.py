@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -319,14 +320,26 @@ def test_enumerate_bounds():
 
 
 def test_enumerate_bound_override(monkeypatch):
-    import relcomm.relations as relations_mod
-
     monkeypatch.setenv("RELCOMM_MAX_N", "2")
-    monkeypatch.setattr(relations_mod, "_warned_override", False)
     pure3 = FiniteAlgebra(3, ())
     with pytest.warns(UserWarning):
         with pytest.raises(FamilyBoundError):
             list(enumerate_relations(pure3, RelFamily(kind=REFLEXIVE_ADMISSIBLE)))
+
+
+def test_bound_override_warns_once_from_one_place(monkeypatch):
+    import relcomm.relations as relations_mod
+
+    monkeypatch.setenv("RELCOMM_MAX_N", "2")
+    pure3 = FiniteAlgebra(3, ())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        for _ in range(3):
+            with pytest.raises(FamilyBoundError, match="capped at n=2 "):
+                list(enumerate_relations(pure3, RelFamily(kind=REFLEXIVE_ADMISSIBLE)))
+    # the warning registry shows it once, and the warning names relations
+    assert [w.filename for w in caught] == [relations_mod.__file__]
+    assert "RELCOMM_MAX_N=2 overrides" in str(caught[0].message)
 
 
 def test_sampled_mode_deterministic(algebras):

@@ -141,3 +141,24 @@ def test_search_task_validation():
     for cid in ("TRIV_K", "L1B_I", "L1B_II", "L1B_III"):
         with pytest.raises(ValueError, match="profiles exhaustively"):
             SearchTask(target=(cid, "T3_I"))
+
+
+def test_search_checks_the_problem_implications(monkeypatch):
+    # the profile of every candidate goes through the implication check;
+    # PROB_I is an alias of T2_I, so a corrupted T2_I sweep breaks
+    # PROB_II => PROB_I on the catalog's trivial algebra
+    from relcomm import properties
+    from relcomm.relations import InvariantViolation
+
+    real = properties.check_condition
+
+    def broken(alg, cond_id, family):
+        rep = real(alg, cond_id, family)
+        if cond_id == "T2_I":
+            rep.holds = False
+            rep.witness = properties.Witness("T2_I", {"R": [(0, 0)]}, (0, 1))
+        return rep
+
+    monkeypatch.setattr(properties, "check_condition", broken)
+    with pytest.raises(InvariantViolation, match="PROB_II => PROB_I"):
+        run_search(SearchTask(budget=0))

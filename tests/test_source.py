@@ -1,9 +1,13 @@
 """Rules about the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import relcomm
+from relcomm import relations
+from relcomm.algebra import MEMOS
+from relcomm.cli import main
 
 
 def test_no_assert_statements_in_package():
@@ -23,3 +27,36 @@ def test_every_export_resolves_once():
     names = relcomm.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(relcomm, name)] == []
+
+
+def _modules():
+    package = Path(relcomm.__file__).parent
+    names = sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    assert "algebra" in names and "cli" in names
+    return [relcomm] + [importlib.import_module(f"relcomm.{name}") for name in names]
+
+
+def test_every_cache_is_a_registered_memo():
+    # a memo kept outside `algebra.MEMOS` is missed by `clear_caches` and by
+    # anything that reads the memo table; a public form that carries a
+    # kernel's counters (`relations.cached_by`) must share a registered one
+    shared = [cached.cache_info for cached in MEMOS]
+    stray = [
+        f"{module.__name__}.{name}"
+        for module in _modules()
+        for name, value in vars(module).items()
+        for obj in [value, *(vars(value).values() if isinstance(value, type) else ())]
+        if hasattr(obj, "cache_info") and obj.cache_info not in shared
+    ]
+    assert stray == []
+    # and the walk sees every registered memo
+    found = [value for module in _modules() for value in vars(module).values()]
+    assert all(any(cached is value for value in found) for cached in MEMOS)
+
+
+def test_clear_caches_empties_every_memo(capsys):
+    # Z2's check-all fills every memo, the parser's included
+    assert main(["check-all", "-a", "algebras/z2.alg"]) == 0
+    assert [cached for cached in MEMOS if not cached.cache_info().currsize] == []
+    relations.clear_caches()
+    assert [cached for cached in MEMOS if cached.cache_info().currsize] == []
