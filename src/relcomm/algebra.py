@@ -59,6 +59,12 @@ class Operation:
     table: tuple[int, ...]
 
 
+def is_whole(v, least: int = 1) -> bool:
+    """Whether `v` is an integer (has `__index__`, so no float or str) of
+    at least `least`: the one test of every size, power and count."""
+    return hasattr(v, "__index__") and v >= least
+
+
 def _operation(op, n: int) -> Operation:
     """An Operation value or a (name, arity, table) triple, checked to be an
     operation on {0..n-1}: a `str` name, an int arity and a tuple of ints."""
@@ -91,8 +97,8 @@ class FiniteAlgebra:
     operations: tuple[Operation, ...] = ()
 
     def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"algebra size must be positive, got {self.size}")
+        if not is_whole(self.size):
+            raise ValueError(f"algebra size must be a positive integer, got {self.size!r}")
         ops = tuple(_operation(op, self.size) for op in self.operations)
         object.__setattr__(self, "operations", ops)
         names = set()
@@ -128,6 +134,10 @@ class TupleSet:
     bits: int
 
     def __post_init__(self):
+        if not (is_whole(self.size) and is_whole(self.power)):
+            raise ValueError(
+                f"size and power must be positive integers, got {self.size!r} and {self.power!r}"
+            )
         if not 0 <= self.bits < 1 << self.size**self.power:
             raise ValueError(
                 f"{self.bits} is not a set of {self.power}-tuples over 0..{self.size - 1}"
@@ -303,8 +313,8 @@ def subuniverse_closure(alg: FiniteAlgebra, power: int, generators: int, *, clos
     combination that includes a later member is still applied when that
     member is processed.
     """
-    if power < 1:
-        raise ValueError("power must be positive")
+    if not is_whole(power):
+        raise ValueError(f"power must be a positive integer, got {power!r}")
     n = alg.size
     for name, bits in (("generators", generators), ("closed", closed)):
         if not isinstance(bits, int) or not (0 <= bits < 1 << n**power):

@@ -139,8 +139,9 @@ def _spec(cond_id) -> ConditionSpec:
     try:
         return CONDITIONS[cond_id]
     except KeyError:
-        valid = sorted(conditions.CONDITION_IDS) + sorted(conditions.META_CHECKS)
-        raise UsageError(f"unknown condition {cond_id!r}; valid: {', '.join(valid)}") from None
+        raise UsageError(
+            f"unknown condition {cond_id!r}; valid: {', '.join(sorted(CONDITIONS))}"
+        ) from None
 
 
 def _make_witness(spec, env, pair):
@@ -177,9 +178,9 @@ class _Plan:
 
     `sweep(fns, consts, members)` binds quantifier i to each relation bits
     of `members(i, bound)`, where `bound` is its `above` bound (0 for
-    none), skipping those not above it, and counts and tests every full
-    binding.  It returns (bindings checked, the names' bits at the first
-    violating binding or None, that binding's bad bits).  The source
+    none), and counts and tests every full binding.  It returns (bindings
+    checked, the names' bits at the first violating binding or None, that
+    binding's bad bits).  The source
     spells only slot numbers, argument positions and fixed names, so it
     depends on the spec alone, and not on the algebra or the family mode.
     """
@@ -240,8 +241,6 @@ class _Plan:
             bound = 0 if above is None else f"s{above}"
             lines.append(f"{pad}for s{name} in members({i}, {bound}):")
             pad += "    "
-            if above is not None:
-                lines += [f"{pad}if s{above} & ~s{name}:", f"{pad}    continue"]
             lines += [pad + step for step in self.steps[i + 1]]
         lhs, rhs = f"s{self.lhs}", f"s{self.rhs}"
         bad = f"{lhs} & ~{rhs}" if self.spec.relation == "subset" else f"{lhs} ^ {rhs}"
@@ -289,14 +288,15 @@ def _sample_one(alg, q, above, rng):
 
 def _members(alg, quantifiers, family):
     """`members(i, bound)` for a plan's sweep: the relation bits of
-    quantifier i at one binding of the quantifiers before it, where `bound`
-    is the bits of its `above` bound (0 for none).
+    quantifier i above `bound`, the bits of its `above` bound at one
+    binding of the quantifiers before it (0 for none).
 
-    The mode decides only this: exhaustively, quantifier i's family in
-    enumeration order; sampled, draws from one `random.Random(family.seed)`,
-    `family.sample_count` for the first quantifier and one for each later
-    quantifier per binding of the one before, each drawn above `bound`
-    when the sweep asks for it.
+    The mode decides only this: exhaustively, the members of quantifier
+    i's family above `bound`, in enumeration order (the family's list
+    itself for bound 0); sampled, draws from one
+    `random.Random(family.seed)`, `family.sample_count` for the first
+    quantifier and one for each later quantifier per binding of the one
+    before, each drawn above `bound`.
     """
     if family.mode == "sampled":
         rng = random.Random(family.seed)
@@ -308,7 +308,7 @@ def _members(alg, quantifiers, family):
 
         return members
     lists = _family_lists(alg, quantifiers, family)
-    return lambda i, bound: lists[i]
+    return lambda i, bound: [m for m in lists[i] if not bound & ~m] if bound else lists[i]
 
 
 # Plans hold no algebra, so one plan per spec serves every algebra.  The
@@ -322,8 +322,8 @@ def _sweep(alg, spec, members):
     None), by the plan of `spec` with its steps bound to `alg`.
 
     Bindings are visited in nested quantifier order, the first quantifier
-    outermost, each over `members` (`_members`); a binding whose relation
-    is not above its quantifier's bound is skipped uncounted.
+    outermost, each over `members` (`_members`), which gives only
+    relations above their quantifier's bound.
 
     Running a level's steps once per binding of that level adds no
     evaluation a per-binding walk would not make: each partial binding
@@ -458,7 +458,14 @@ def check_ids(alg, ids, family: RelFamily) -> dict[str, PropertyReport]:
     """The reports of condition and meta-check ids over `family`, in the
     order of `ids`, each condition swept at most once.  An alias takes its
     original's report under its own id, and a condition in
-    `conditions.SAMPLED_ONLY` is swept in sampled mode."""
+    `conditions.SAMPLED_ONLY` is swept in sampled mode.  An unknown id is
+    refused before anything is swept."""
+    for cid in ids:
+        if cid not in CONDITIONS and cid not in conditions.META_CHECKS:
+            raise UsageError(
+                f"unknown condition {cid!r}; valid: {', '.join(sorted(CONDITIONS))}; "
+                f"meta-checks: {', '.join(sorted(conditions.META_CHECKS))}"
+            )
     swept = {}
 
     def report(cid):

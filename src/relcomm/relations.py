@@ -30,7 +30,15 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import partial
 
-from .algebra import KERNEL_ENTRIES, MEMOS, FiniteAlgebra, _indices, memo, subuniverse_closure
+from .algebra import (
+    KERNEL_ENTRIES,
+    MEMOS,
+    FiniteAlgebra,
+    _indices,
+    is_whole,
+    memo,
+    subuniverse_closure,
+)
 
 REFLEXIVE_ADMISSIBLE = "reflexive-admissible"
 TOLERANCE = "tolerance"
@@ -88,6 +96,8 @@ class BinRel:
     bits: int
 
     def __post_init__(self):
+        if not is_whole(self.size):
+            raise ValueError(f"relation size must be a positive integer, got {self.size!r}")
         if not 0 <= self.bits < 1 << self.size * self.size:
             raise ValueError(f"{self.bits} is not a relation on 0..{self.size - 1}")
 
@@ -383,8 +393,8 @@ class RelFamily:
                 f"family mode must be 'exhaustive' or 'sampled', got {self.mode!r}"
             )
         # a sampled sweep over no bindings would report "no counterexample"
-        if self.sample_count < 1:
-            raise UsageError(f"sample_count must be >= 1, got {self.sample_count}")
+        if not is_whole(self.sample_count):
+            raise UsageError(f"sample_count must be an integer >= 1, got {self.sample_count!r}")
 
     def with_kind(self, kind: str) -> "RelFamily":
         return replace(self, kind=kind)

@@ -12,10 +12,10 @@ import itertools
 import json
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import conditions, properties
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, is_whole
 from .relations import UsageError
 
 PROFILE_DIVERSITY = "profile-diversity"
@@ -37,14 +37,14 @@ class SearchTask:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.budget < 0:
-            raise UsageError("budget must be >= 0")
-        if not self.sizes or min(self.sizes) < 1:
-            raise UsageError(f"sizes must be non-empty and each >= 1, got {self.sizes}")
-        if self.start_index < 0:
-            raise UsageError(f"start_index must be >= 0, got {self.start_index}")
-        if self.jobs < 1:
-            raise UsageError(f"jobs must be >= 1, got {self.jobs}")
+        if not is_whole(self.budget, 0):
+            raise UsageError(f"budget must be an integer >= 0, got {self.budget!r}")
+        if not self.sizes or not all(map(is_whole, self.sizes)):
+            raise UsageError(f"sizes must be non-empty and each an integer >= 1, got {self.sizes}")
+        if not is_whole(self.start_index, 0):
+            raise UsageError(f"start_index must be an integer >= 0, got {self.start_index!r}")
+        if not is_whole(self.jobs):
+            raise UsageError(f"jobs must be an integer >= 1, got {self.jobs!r}")
         if self.target is not None:
             for cid in self.target:
                 if cid not in conditions.CONDITIONS:
@@ -88,13 +88,6 @@ def catalog() -> list[tuple[str, FiniteAlgebra]]:
     ]
 
 
-def catalog_algebra(name: str) -> FiniteAlgebra:
-    for entry_name, alg in catalog():
-        if entry_name == name:
-            return alg
-    raise KeyError(f"no catalog algebra named {name!r}")
-
-
 def random_algebra(sig: Signature, seed) -> FiniteAlgebra:
     """Uniformly random operation tables, reproducible from (sig, seed)."""
     rng = random.Random(seed)
@@ -105,30 +98,28 @@ def random_algebra(sig: Signature, seed) -> FiniteAlgebra:
     return FiniteAlgebra(sig.size, tuple(ops))
 
 
-def canonical_form(alg: FiniteAlgebra):
-    """Least table tuple over all universe permutations (n <= 4 intended)."""
+def _relabelled(alg: FiniteAlgebra, perm):
+    """The tables of the copy of `alg` in which each element a is renamed
+    perm[a]: each entry lands at the row-major index of its renamed
+    arguments (for a nullary op, the one index 0)."""
     n = alg.size
-    best = None
-    for perm in itertools.permutations(range(n)):
-        inv = [0] * n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        key = []
-        for op in alg.operations:
-            if op.arity == 0:
-                key.append((perm[op.table[0]],))
-                continue
-            entries = []
-            for args in itertools.product(range(n), repeat=op.arity):
-                idx = 0
-                for v in args:
-                    idx = idx * n + inv[v]
-                entries.append(perm[op.table[idx]])
-            key.append(tuple(entries))
-        key = tuple(key)
-        if best is None or key < best:
-            best = key
-    return (n, best)
+    tables = []
+    for op in alg.operations:
+        landing = [0]
+        for _ in range(op.arity):
+            landing = [s * n + perm[v] for s in landing for v in range(n)]
+        table = [0] * len(op.table)
+        for at, v in zip(landing, op.table):
+            table[at] = perm[v]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def canonical_form(alg: FiniteAlgebra):
+    """Least relabelling's tables over all universe permutations (n <= 4
+    intended)."""
+    n = alg.size
+    return (n, min(_relabelled(alg, perm) for perm in itertools.permutations(range(n))))
 
 
 @dataclass
@@ -137,14 +128,6 @@ class SearchEntry:
     size: int
     ops: list
     profile: dict[str, bool]
-
-    def to_record(self):
-        return {
-            "name": self.name,
-            "size": self.size,
-            "ops": self.ops,
-            "profile": self.profile,
-        }
 
 
 @dataclass
@@ -187,7 +170,7 @@ class SearchReport:
                 "algebras": self.groups[profile_key],
             }
         for entry in self.entries:
-            yield {"kind": "algebra", **entry.to_record()}
+            yield {"kind": "algebra", **asdict(entry)}
         for sep in self.separations:
             yield {"kind": "separation", **sep}
 
@@ -196,6 +179,13 @@ class SearchReport:
             json.dumps(rec, separators=(",", ":"), sort_keys=True)
             for rec in self.to_records()
         )
+
+
+def _random_candidates(task: SearchTask):
+    """The task's `budget` named random algebras, sizes taken in turn."""
+    for i in range(task.start_index, task.start_index + task.budget):
+        size = task.sizes[i % len(task.sizes)]
+        yield f"rand-{size}-{i}", random_algebra(Signature(size=size), f"{task.seed}:{i}")
 
 
 def run_search(task: SearchTask) -> SearchReport:
@@ -208,22 +198,14 @@ def run_search(task: SearchTask) -> SearchReport:
     candidates: list[tuple[str, FiniteAlgebra]] = []
     seen = set()
     duplicates = 0
-    for name, alg in catalog():
-        key = canonical_form(alg) if alg.size <= 4 else None
-        if key is not None:
-            seen.add(key)
-        candidates.append((name, alg))
-    for i in range(task.start_index, task.start_index + task.budget):
-        size = task.sizes[i % len(task.sizes)]
-        sig = Signature(size=size)
-        alg = random_algebra(sig, f"{task.seed}:{i}")
-        if size <= 4:
+    for name, alg in itertools.chain(catalog(), _random_candidates(task)):
+        if alg.size <= 4:  # a canonical form costs n! relabellings
             key = canonical_form(alg)
             if key in seen:
                 duplicates += 1
                 continue
             seen.add(key)
-        candidates.append((f"rand-{size}-{i}", alg))
+        candidates.append((name, alg))
 
     algs = [alg for _, alg in candidates]
     work = (properties.evaluate_problem_profile, algs, itertools.repeat(ids))

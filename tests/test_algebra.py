@@ -296,6 +296,24 @@ def test_listing_rejects_bits_outside_the_universe():
     assert list(TupleSet(2, 3, 1 << 7).members()) == [(1, 1, 1)]
 
 
+def test_sizes_and_powers_are_positive_integers():
+    # rejected at construction, rather than failing later in a closure
+    z2 = FiniteAlgebra(2, (("f", 1, (1, 0)),))
+    for build in (
+        lambda: FiniteAlgebra(2.0, (("f", 1, (1, 0)),)),
+        lambda: FiniteAlgebra("2"),
+        lambda: FiniteAlgebra(0),
+        lambda: TupleSet(2, 0, 1),
+        lambda: TupleSet(2, 1.0, 1),
+        lambda: TupleSet(0, 2, 0),
+        lambda: subuniverse_closure(z2, 1.0, 1),
+        lambda: subuniverse_closure(z2, 0, 0),
+    ):
+        with pytest.raises(ValueError, match="integer"):
+            build()
+    assert subuniverse_closure(z2, 1, 1).bits == 0b11
+
+
 def test_construction_rejects_bits_outside_the_universe():
     for build in (
         lambda: BinRel(2, -1),

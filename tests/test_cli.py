@@ -230,6 +230,18 @@ def test_search_target(capsys):
     assert any(r["kind"] == "separation" for r in recs)
 
 
+def test_search_target_text(capsys):
+    code, out, _ = run(
+        capsys, "search", "--sizes", "2", "--budget", "40", "--seed", "1",
+        "--target", "PROB_IV,PROB_V",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "searched 40 candidates (32 isomorphic duplicates skipped)"
+    assert "separation on ['PROB_IV', 'PROB_V']: Set2 vs Trivial1" in lines
+    assert lines[-1] == "resume: {'seed': 1, 'next_index': 40}"
+
+
 def test_search_bad_target(capsys):
     code, _, err = run(capsys, "search", "--target", "PROB_I", "--budget", "0")
     assert code == 2
@@ -531,6 +543,12 @@ GOLDEN_SEARCH = {
         "b1efcd3cd4f26bb4fa5dc47dfb7de96146ebba15",
     "--sizes 4 --budget 12 --seed 3 --target PROB_II,PROB_I":
         "ff257a0a650394c5126caa2eac718a13844475c8",
+    # 32 of the 40 two-element candidates are isomorphic to earlier ones
+    "--sizes 2 --budget 40 --seed 1 --target PROB_IV,PROB_V":
+        "2028699b09cb831c39f0f5de95ee6e553a980886",
+    # the n = 5 candidates are never deduplicated
+    "--sizes 2,5 --budget 12 --seed 4 --target PROB_IV,PROB_V":
+        "452df23ee75e6d4929d0d31f42b29019c387919f",
 }
 
 

@@ -162,6 +162,21 @@ def test_plan_source_depends_on_the_spec_alone():
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), spec.id
 
 
+def test_members_apply_the_above_bound():
+    # exhaustive `members` gives only the relations above a quantifier's
+    # bound, so no generated loop tests a bound of its own
+    for spec in CONDITIONS.values():
+        tree = ast.parse(_Plan(spec).source)
+        assert not any(isinstance(node, ast.Continue) for node in ast.walk(tree)), spec.id
+    alg = ALGEBRAS["C3"]
+    quantifiers = CONDITIONS["T4_I_COR"].quantifiers
+    members = _members(alg, quantifiers, RelFamily())
+    everything = members(2, 0)
+    assert everything is members(2, 0)  # the family's list itself
+    for bound in (0b100010001, 0b110110001, 0b111111111):
+        assert members(2, bound) == [m for m in everything if m & bound == bound]
+
+
 def test_one_plan_per_spec_serves_every_algebra_and_mode():
     _plan.cache_clear()
     for name in ("C3", "Z4"):

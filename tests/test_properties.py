@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,14 +14,17 @@ from relcomm import (
     meta_report,
     recheck_witness,
 )
-from relcomm.conditions import CONDITIONS, META_CHECKS, PROBLEM_IDS
+from relcomm.conditions import ANY, CONDITIONS, META_CHECKS, PROBLEM_IDS, ConditionSpec, Quantifier
+from relcomm.expr import Literal, NameRef, RelExpr, children
 from relcomm.properties import (
     VERDICT_FAILS,
     VERDICT_HOLDS,
     VERDICT_SAMPLED_OK,
     PropertyReport,
     Witness,
+    _members,
     _sample_one,
+    _sweep,
 )
 from relcomm.relations import family_closure
 
@@ -130,6 +134,76 @@ def test_x1b_with_v_delta_implies_x1a_bound(algebras, ra_lists):
                     lhs = eval_expr(alg, env, spec_b.lhs)
                     assert lhs.is_subset(rhs_b)
                     assert rhs_b.is_subset(rhs_a)
+
+
+def _put(e, name, value):
+    """`e` with every reference to `name` replaced by `value`."""
+    if isinstance(e, NameRef):
+        return value if e.name == name else e
+    if not isinstance(e, RelExpr):
+        return e
+    return type(e)(*(_put(c, name, value) for c in children(e)))
+
+
+# (algebra, id) pairs left out for time: 2.4 M or more bindings each
+_SINGLETON_SLOW = {("C3", "L1B_III")} | {
+    (name, f"L1B_{part}") for name in ("Set3", "RB3") for part in ("I", "II", "III")
+}
+
+
+def test_k_lemmas_hold_exhaustively_through_singleton_filters(algebras):
+    """The K-lemmas L1B_I..III and TRIV_K quantify V over all 2**(n*n)
+    relations, so a check of them can only sample V.  They are decided
+    exactly by the singletons V = {(x, y)}:
+
+    - each left side K(A, B, V) is the union over V's pairs (x, y) of
+      K(A, B, {(x, y)}), since `_bottom_rows` ORs the slices of M(A, B)
+      at V's pairs (and K(A, B, {}) is empty);
+    - each right side is monotone in V: K is monotone in its filter, and
+      composition, converse and intersection are monotone.
+
+    So if LHS({p}) <= RHS({p}) for every pair p, then for every V,
+    LHS(V) = U LHS({p}) <= U RHS({p}) <= RHS(V); the converse is the
+    special case V = {p}.  Each singleton is swept exhaustively over the
+    other quantifiers."""
+    for name, alg in algebras.items():
+        n = alg.size
+        for cid in ("L1B_I", "L1B_II", "L1B_III", "TRIV_K"):
+            if (name, cid) in _SINGLETON_SLOW:
+                continue
+            spec = CONDITIONS[cid]
+            assert spec.quantifiers[-1] == Quantifier("V", ANY)
+            quantifiers = spec.quantifiers[:-1]
+            members = _members(alg, quantifiers, EXH)
+            for pair in itertools.product(range(n), repeat=2):
+                v = Literal((pair,))
+                single = ConditionSpec(
+                    cid, quantifiers, _put(spec.lhs, "V", v), _put(spec.rhs, "V", v), spec.relation
+                )
+                checked, witness = _sweep(alg, single, members)
+                assert witness is None, (name, cid, pair, witness)
+                assert checked > 0
+
+
+def test_unknown_ids_are_refused_by_the_function_that_runs_them(algebras, monkeypatch):
+    from relcomm import properties
+    from relcomm.relations import UsageError
+
+    z2 = algebras["Z2"]
+    # check_condition sweeps conditions only, so it lists no meta-check
+    with pytest.raises(UsageError, match="unknown condition 'EQ_X2'") as exc:
+        check_condition(z2, "EQ_X2", EXH)
+    valid = str(exc.value).split("valid: ")[1].split(", ")
+    assert valid == sorted(CONDITIONS)
+    # check_ids runs both kinds, lists both, and sweeps nothing first
+    swept = []
+    monkeypatch.setattr(
+        properties, "check_condition", lambda alg, cid, family: swept.append(cid)
+    )
+    with pytest.raises(UsageError, match="unknown condition 'NOPE'") as exc:
+        properties.check_ids(z2, ["T3_I", "NOPE"], EXH)
+    assert swept == []
+    assert "T3_I" in str(exc.value) and "meta-checks: CHAIN_X2" in str(exc.value)
 
 
 def test_equivalence_claims_catalog(algebras):

@@ -354,6 +354,19 @@ def test_sampled_mode_deterministic(algebras):
         assert is_reflexive(r) and is_symmetric(r) and is_admissible(alg, r)
 
 
+def test_relation_sizes_and_sample_counts_are_positive_integers():
+    for build in (
+        lambda: BinRel.full(-1),
+        lambda: BinRel(0, 0),
+        lambda: BinRel(2.0, 1),
+    ):
+        with pytest.raises(ValueError, match="positive integer"):
+            build()
+    for count in (1.5, 2.0, "3"):
+        with pytest.raises(UsageError, match="sample_count"):
+            RelFamily(mode="sampled", sample_count=count)
+
+
 def test_family_rejects_fewer_than_one_sample():
     # a sampled sweep over no bindings would report "no counterexample found"
     for count in (0, -3):

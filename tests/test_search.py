@@ -1,12 +1,15 @@
+import itertools
+import random
+
 import pytest
 
 from relcomm import BinRel, FiniteAlgebra, RelFamily, check_condition
+from relcomm.relations import UsageError
 from relcomm.search import (
     SearchTask,
     Signature,
     canonical_form,
     catalog,
-    catalog_algebra,
     random_algebra,
     run_search,
 )
@@ -20,14 +23,12 @@ def test_catalog_required_entries():
 
 
 def test_catalog_tables():
-    z2 = catalog_algebra("Z2")
-    assert z2.operations[0].table == (0, 1, 1, 0)
-    l2 = catalog_algebra("L2")
+    algebras = dict(catalog())
+    assert algebras["Z2"].operations[0].table == (0, 1, 1, 0)
+    l2 = algebras["L2"]
     assert l2.operations[0].table == (0, 0, 0, 1)
     assert l2.operations[1].table == (0, 1, 1, 1)
-    assert catalog_algebra("Set2").operations == ()
-    with pytest.raises(KeyError):
-        catalog_algebra("nope")
+    assert algebras["Set2"].operations == ()
 
 
 def test_random_algebra_deterministic():
@@ -48,17 +49,55 @@ def test_random_algebra_valid():
 
 
 def test_canonical_form_identifies_isomorphs():
-    # x*y = x on {0,1} relabeled is still x*y = x
-    a = FiniteAlgebra(2, (("f", 2, (0, 0, 1, 1)),))
-    # swap the labels: f'(x,y) = perm(f(inv x, inv y))
-    b = FiniteAlgebra(2, (("f", 2, (0, 0, 1, 1)),))
-    assert canonical_form(a) == canonical_form(b)
+    # swapping the labels of {0,1} turns meet into join
+    meet = FiniteAlgebra(2, (("f", 2, (0, 0, 0, 1)),))
+    join = FiniteAlgebra(2, (("f", 2, (0, 1, 1, 1)),))
+    assert meet != join
+    assert canonical_form(meet) == canonical_form(join)
     # constant-0 vs constant-1 tables are isomorphic copies
     c0 = FiniteAlgebra(2, (("f", 2, (0, 0, 0, 0)),))
     c1 = FiniteAlgebra(2, (("f", 2, (1, 1, 1, 1)),))
     assert canonical_form(c0) == canonical_form(c1)
     ident = FiniteAlgebra(2, (("f", 2, (0, 1, 0, 1)),))
     assert canonical_form(c0) != canonical_form(ident)
+
+
+def _relabel(alg, perm):
+    """The copy of `alg` with each element a renamed perm[a], written out
+    by brute force: f'(perm x1, ..., perm xk) = perm f(x1, ..., xk)."""
+    n = alg.size
+    ops = []
+    for op in alg.operations:
+        table = {}
+        for i, args in enumerate(itertools.product(range(n), repeat=op.arity)):
+            table[tuple(perm[a] for a in args)] = perm[op.table[i]]
+        ops.append((op.name, op.arity, tuple(table[args] for args in sorted(table))))
+    return FiniteAlgebra(n, tuple(ops))
+
+
+def test_canonical_form_is_invariant_under_relabelling():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        arities = [rng.randint(0, 3) for _ in range(rng.randint(0, 3))]
+        alg = random_algebra(
+            Signature(size=n, ops=tuple((f"f{k}", a) for k, a in enumerate(arities))),
+            rng.random(),
+        )
+        perm = list(range(n))
+        rng.shuffle(perm)
+        copy = _relabel(alg, perm)
+        assert canonical_form(copy) == canonical_form(alg), (alg, perm)
+        # the form is one of the relabellings' tables, so it keeps their shape
+        size, tables = canonical_form(alg)
+        assert size == n and [len(t) for t in tables] == [n**a for a in arities]
+
+
+def test_catalog_canonical_forms_are_distinct():
+    # the search deduplicates the catalog in the same loop as the random
+    # candidates, so two isomorphic catalog entries would drop one
+    forms = [canonical_form(alg) for _, alg in catalog()]
+    assert len(set(forms)) == len(forms)
 
 
 def test_run_search_catalog_only_profiles():
@@ -118,6 +157,18 @@ def test_run_search_duplicates_skipped():
     assert len(generated_names) == 40 - report.duplicates_skipped
 
 
+def test_run_search_keeps_isomorphs_above_four_elements(monkeypatch):
+    # canonical forms are taken up to n = 4 only (n! relabellings), so a
+    # larger candidate is profiled even when it repeats an earlier one
+    from relcomm import search
+
+    z5 = FiniteAlgebra(5, (("+", 2, tuple((a + b) % 5 for a in range(5) for b in range(5))),))
+    monkeypatch.setattr(search, "random_algebra", lambda sig, seed: z5)
+    report = run_search(SearchTask(sizes=(5,), budget=2, target=("PROB_IV", "PROB_V")))
+    assert report.duplicates_skipped == 0
+    assert [e.name for e in report.entries[len(catalog()):]] == ["rand-5-0", "rand-5-1"]
+
+
 def test_run_search_parallel_matches_serial():
     serial = run_search(SearchTask(sizes=(3,), budget=10, seed=5, jobs=1))
     parallel = run_search(SearchTask(sizes=(3,), budget=10, seed=5, jobs=2))
@@ -141,6 +192,19 @@ def test_search_task_validation():
     for cid in ("TRIV_K", "L1B_I", "L1B_II", "L1B_III"):
         with pytest.raises(ValueError, match="profiles exhaustively"):
             SearchTask(target=(cid, "T3_I"))
+
+
+def test_search_task_rejects_non_integral_values():
+    # checked at construction, rather than failing inside `run_search`
+    for bad in (
+        dict(sizes=(3.5,)),
+        dict(sizes=(3, "4")),
+        dict(budget=2.5),
+        dict(start_index=1.0),
+        dict(jobs=2.0),
+    ):
+        with pytest.raises(UsageError, match="integer"):
+            SearchTask(**bad)
 
 
 def test_search_checks_the_problem_implications(monkeypatch):
