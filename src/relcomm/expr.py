@@ -32,7 +32,7 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from dataclasses import dataclass, fields
-from functools import partial, reduce
+from functools import partial
 
 from . import commutator, relations
 from .relations import BinRel, UsageError
@@ -154,14 +154,6 @@ class K(RelExpr):
     left: RelExpr
     right: RelExpr
     filter: RelExpr
-
-
-def comp(*es):
-    return reduce(Compose, es)
-
-
-def inter(*es):
-    return reduce(Intersect, es)
 
 
 # The surface syntax: every spelling of a node, once.  The tokenizer, the

@@ -498,7 +498,12 @@ def check_meta(alg, meta_id: str, family: RelFamily) -> PropertyReport:
 def evaluate_problem_profile(alg, ids=conditions.PROBLEM_IDS) -> dict[str, bool]:
     """The truth profile of `ids` (the open-problem conditions by default),
     exhaustively quantified.  Derivable implications between two of them
-    are checked; a violation is an implementation bug (InvariantViolation)."""
+    are checked; a violation is an implementation bug (InvariantViolation).
+    An id in `conditions.SAMPLED_ONLY` is refused: a sampled sweep that
+    finds no violation proves nothing, so it is no profile bit."""
+    for cid in ids:
+        if cid in conditions.SAMPLED_ONLY:
+            raise UsageError(f"{cid} can only be sampled; a problem profile is exhaustive")
     reports = check_ids(alg, ids, RelFamily(mode="exhaustive"))
     profile = {cid: rep.holds for cid, rep in reports.items()}
     for stronger, weaker in conditions.PROBLEM_IMPLICATIONS:

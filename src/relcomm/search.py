@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 from . import conditions, properties
@@ -46,6 +45,8 @@ class SearchTask:
         if not is_whole(self.jobs):
             raise UsageError(f"jobs must be an integer >= 1, got {self.jobs!r}")
         if self.target is not None:
+            if len(set(self.target)) != len(self.target):
+                raise UsageError(f"target names one condition twice: {','.join(self.target)}")
             for cid in self.target:
                 if cid not in conditions.CONDITIONS:
                     raise UsageError(f"unknown condition id {cid!r}")
@@ -210,6 +211,8 @@ def run_search(task: SearchTask) -> SearchReport:
     algs = [alg for _, alg in candidates]
     work = (properties.evaluate_problem_profile, algs, itertools.repeat(ids))
     if task.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # off every other import path
+
         with ProcessPoolExecutor(max_workers=task.jobs) as pool:
             profiles = list(pool.map(*work, chunksize=4))
     else:

@@ -407,6 +407,7 @@ USAGE_ERRORS = [
     (("search", "--target", "T3_I"), "--target"),
     (("search", "--target", "TRIV_K,T3_I"), "can only be sampled"),
     (("search", "--target", "XYZ,T3_I"), "unknown condition id"),
+    (("search", "--target", "PROB_I,PROB_I"), "names one condition twice"),
     (("search", "--sizes", "a"), "--sizes"),
     (("search", "--sizes", "0"), "sizes must be"),
     (("search", "--budget", "-1"), "budget"),

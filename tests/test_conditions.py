@@ -6,6 +6,8 @@ generator quadruples, so the commutators have elementary definitions).  A
 transcription slip in the table would show up as a mismatch.
 """
 
+import hashlib
+
 import pytest
 
 from oracles import naive_compose, naive_transitive_closure
@@ -234,6 +236,14 @@ NAIVE = {
     "SEQ_K": (lambda: cgp(R), lambda: comp(comm1n(R, R), R)),
     "SEQ_L": (lambda: cgp(R), lambda: comp(comm1n(R, R), R, comm1n(R, R))),
 }
+
+
+def test_condition_table_pinned():
+    # sha1 of every spec's repr: ids, quantifier names, kinds and bounds,
+    # both sides and the relation; the printer pin in test_expr covers only
+    # the two sides
+    text = repr(list(CONDITIONS.values()))
+    assert hashlib.sha1(text.encode()).hexdigest() == "3fae873202a99d450feac02024ed91b673de7066"
 
 
 def test_every_condition_has_a_naive_twin():

@@ -26,7 +26,7 @@ from relcomm.properties import (
     _sample_one,
     _sweep,
 )
-from relcomm.relations import family_closure
+from relcomm.relations import UsageError, family_closure
 
 EXH = RelFamily(mode="exhaustive")
 EQUIVALENCE_IDS = [m for m, (rule, _) in META_CHECKS.items() if rule == "agree"]
@@ -291,6 +291,14 @@ def test_problem_profiles(algebras):
         "PROB_IV": True,
         "PROB_V": True,
     }
+
+
+@pytest.mark.parametrize("cond_id", ["L1B_I", "TRIV_K"])
+def test_problem_profile_refuses_sampled_only_ids(algebras, cond_id):
+    # a sampled sweep that finds nothing proves nothing, so it is no
+    # profile bit; before anything is swept, the id is refused
+    with pytest.raises(UsageError, match=f"{cond_id} can only be sampled"):
+        evaluate_problem_profile(algebras["Z2"], ["T3_I", cond_id])
 
 
 def test_problem_profile_implication_violation_raises(algebras, monkeypatch):

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import relcomm
@@ -60,3 +63,18 @@ def test_clear_caches_empties_every_memo(capsys):
     assert [cached for cached in MEMOS if not cached.cache_info().currsize] == []
     relations.clear_caches()
     assert [cached for cached in MEMOS if cached.cache_info().currsize] == []
+
+
+def test_cli_import_loads_no_process_pool():
+    # only `search --jobs N` with N > 1 uses a process pool; every other
+    # command, and every import of the package, skips its import cost
+    probe = (
+        "import sys, relcomm.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('concurrent', 'multiprocessing')))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(relcomm.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, check=True, timeout=60
+    ).stdout
+    assert out == b"[]\n"
