@@ -12,7 +12,9 @@ of that member's encoding; wider operations enumerate their fixed
 arguments over decoded members.  Generators come in as a bitset in the
 `TupleSet` encoding; a caller that knows part of them to be closed
 already passes that part as a second bitset, `closed=`, and no
-combination inside that block is imaged.
+combination inside that block is imaged.  A third bitset, `within=`, bounds
+the closure from above: saturation ends once it holds every tuple of that
+bound, which by default is the whole power.
 
 All values are immutable after construction and safe to share across
 threads; closure itself runs single-threaded.
@@ -34,8 +36,8 @@ MEMOS = []
 # Kernel memos are keyed by relation bits: the largest measured holds 4,096
 # entries (`compose_bits`, `m_set_bits`, `comm1_bits` on RB3's L1A_III), but
 # `search` keys them by algebra too, so they grow with its budget.  Plan
-# memos hold one entry per (algebra, power) or condition spec: search-n4
-# fills 122 image plans and 5 condition plans.
+# memos hold one entry per (algebra, power), condition spec or universe
+# size: search-n4 fills 122 image plans and 5 condition plans.
 KERNEL_ENTRIES, PLAN_ENTRIES = 65536, 256
 
 
@@ -285,12 +287,15 @@ def _indices(bits: int) -> list[int]:
     return out
 
 
-def subuniverse_closure(alg: FiniteAlgebra, power: int, generators: int, *, closed: int = 0) -> TupleSet:
+def subuniverse_closure(
+    alg: FiniteAlgebra, power: int, generators: int, *, closed: int = 0, within: int | None = None
+) -> TupleSet:
     """Smallest set of k-tuples (k = `power`) containing `generators` and
     `closed` and closed under every operation of `alg` applied
-    coordinatewise, as a `TupleSet`.  `generators` and `closed` are bitsets
-    in the `TupleSet` encoding (a `BinRel.bits` at k = 2), both under one
-    check: an int in 0 <= bits < 2**(n**k), else a `ValueError` naming it.
+    coordinatewise, as a `TupleSet`.  `generators`, `closed` and `within`
+    are bitsets in the `TupleSet` encoding (a `BinRel.bits` at k = 2), all
+    under one check: an int in 0 <= bits < 2**(n**k), else a `ValueError`
+    naming it.
 
     Semi-naive worklist saturation (Bancilhon & Ramakrishnan, 1986):
     members are processed in the order they were added, and processing
@@ -312,12 +317,25 @@ def subuniverse_closure(alg: FiniteAlgebra, power: int, generators: int, *, clos
     count as processed, so no combination among them is imaged, while every
     combination that includes a later member is still applied when that
     member is processed.
+
+    `within`, by default the whole power, is the caller's promise of a
+    set that contains the closure.  Saturation stops as soon as every
+    tuple of `within` is in, since no image can add one then, so the
+    members still queued are never processed.  The promise is checked,
+    once per call: a closure that ends with a tuple outside `within`
+    raises a `ValueError` naming it instead of returning.  The check sees
+    only the tuples the run adds, so a run that reaches every tuple of a
+    bound stops there even if the bound misses a tuple that the run would
+    have added next.
     """
     if not is_whole(power):
         raise ValueError(f"power must be a positive integer, got {power!r}")
     n = alg.size
-    for name, bits in (("generators", generators), ("closed", closed)):
-        if not isinstance(bits, int) or not (0 <= bits < 1 << n**power):
+    whole = (1 << n**power) - 1
+    if within is None:
+        within = whole
+    for name, bits in (("generators", generators), ("closed", closed), ("within", within)):
+        if not isinstance(bits, int) or not (0 <= bits <= whole):
             raise ValueError(f"{name} is not a bitset of {power}-tuples over 0..{n - 1}")
     done = closed  # members 0..i-1
     seen = done | generators
@@ -331,11 +349,11 @@ def subuniverse_closure(alg: FiniteAlgebra, power: int, generators: int, *, clos
     coords = []  # each member's decoded coordinates, kept for wide ops only
     new = seen & ~done
     i = len(order)
-    while True:
+    while seen != within:
         if new:
             order += _indices(new)
         if i == len(order):
-            return TupleSet(n, power, seen)
+            break
         e = order[i]
         single = 1 << e
         sets = (0, done, single, done | single)
@@ -358,3 +376,6 @@ def subuniverse_closure(alg: FiniteAlgebra, power: int, generators: int, *, clos
         new = found & ~seen
         seen |= new
         i += 1
+    if seen & ~within:
+        raise ValueError(f"within does not contain the closure of these {power}-tuples")
+    return TupleSet(n, power, seen)

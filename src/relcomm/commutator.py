@@ -12,6 +12,13 @@ quadruples gives (f(a), f(a), f(a'), f(a')) with f(a) R f(a').  The
 closure therefore takes that block as `closed=` and applies only the
 argument combinations that include an S generator or a later member.
 
+Every matrix of M(R, S) has its rows in S and its columns in R, so M(R, S)
+lies in U(R, S) = {(x, y, z, w) : x S y, z S w, x R z, y R w} (Freese &
+McKenzie, 1987).  U(R, S) intersects four admissible relations lifted to
+A^4, so it is a subuniverse, and it holds both blocks because R and S are
+reflexive.  The closure takes it as `within=` and stops as soon as it has
+every tuple of U(R, S), which is where most closures of large R and S end.
+
 M(R, S) stays in the bitset encoding of `TupleSet`: bit
 ((x*n + y)*n + z)*n + w, so the n*n bits at offset (x*n + y)*n*n form the
 slice at top row (x, y), the bottom rows (z, w) as `BinRel` bits.
@@ -29,7 +36,16 @@ are pure, so concurrent calls with equal arguments return equal values.
 
 from __future__ import annotations
 
-from .algebra import KERNEL_ENTRIES, FiniteAlgebra, TupleSet, _indices, memo, subuniverse_closure
+from .algebra import (
+    KERNEL_ENTRIES,
+    PLAN_ENTRIES,
+    FiniteAlgebra,
+    TupleSet,
+    _image,
+    _indices,
+    memo,
+    subuniverse_closure,
+)
 from .relations import (
     BinRel,
     _bits_on,
@@ -41,6 +57,30 @@ from .relations import (
 )
 
 
+@memo(PLAN_ENTRIES)
+def _swap_middle(n: int):
+    """The move descriptor of `algebra._image` that swaps the middle
+    coordinates of 4-tuples over n elements, (x, y, z, w) -> (x, z, y, w):
+    the tuples with z - y = d move d*(n*n - n) bits, one mask per d."""
+    moves = {}
+    for e in range(n**4):
+        d = (e // n % n - e // (n * n) % n) * (n * n - n)
+        moves[d] = moves.get(d, 0) | 1 << e
+    return moves.pop(0), tuple((m, max(d, 0), max(-d, 0)) for d, m in moves.items())
+
+
+def matrix_bound_bits(n: int, r: int, s: int) -> int:
+    """U(R, S) = {(x, y, z, w) : x S y, z S w, x R z, y R w}, the 4-tuples
+    whose rows lie in S and whose columns lie in R, as (S x S) & swap(R x R):
+    X x X holds the (x, y, z, w) with (x, y) and (z, w) in X, and the swap
+    of the middle coordinates turns rows into columns."""
+
+    def square(x):
+        return sum(1 << i * n * n for i in _indices(x)) * x
+
+    return square(s) & _image(square(r), (_swap_middle(n),))
+
+
 @memo(KERNEL_ENTRIES)
 def m_set_bits(alg: FiniteAlgebra, r: int, s: int) -> int:
     """The bits of the matrix set M(R, S) of the relations with bits r
@@ -50,14 +90,18 @@ def m_set_bits(alg: FiniteAlgebra, r: int, s: int) -> int:
     R and S are checked to be reflexive and admissible first, on every
     miss; that check is what makes the R block closed, so it is passed to
     the closure as `closed=` and the S block as generators, both as
-    bitsets.  The call goes through this module's `subuniverse_closure`
-    name, which the benchmark's closure spans wrap."""
+    bitsets.  The same check makes U(R, S) (`matrix_bound_bits`) a
+    subuniverse holding both blocks, so it contains M(R, S) and is passed
+    as `within=`: the closure stops once it reaches U(R, S), and raises if
+    it ever leaves it.  The call goes through this module's
+    `subuniverse_closure` name, which the benchmark's closure spans wrap."""
     n = alg.size
     require_reflexive_admissible(alg, BinRel(n, r), "R")
     require_reflexive_admissible(alg, BinRel(n, s), "S")
     rows = sum(1 << (n + 1) * (i // n * n * n + i % n) for i in _indices(r))
     columns = sum(1 << i * (n * n + 1) for i in _indices(s))
-    return subuniverse_closure(alg, 4, columns, closed=rows).bits
+    bound = matrix_bound_bits(n, r, s)
+    return subuniverse_closure(alg, 4, columns, closed=rows, within=bound).bits
 
 
 def _bottom_rows(n: int, m: int, v: int) -> int:

@@ -42,6 +42,21 @@ def naive_tuple_closure(size, k, arities, tables, generators):
     return current
 
 
+def naive_matrix_bound(size, r, s):
+    """The 4-tuples (x, y, z, w) with x S y, z S w, x R z and y R w: the
+    matrices with rows in S and columns in R.  `r` and `s` are relation
+    bit ints, pair (a, b) at bit a*size + b."""
+
+    def holds(rel, a, b):
+        return rel >> (a * size + b) & 1
+
+    return {
+        (x, y, z, w)
+        for x, y, z, w in itertools.product(range(size), repeat=4)
+        if holds(s, x, y) and holds(s, z, w) and holds(r, x, z) and holds(r, y, w)
+    }
+
+
 def naive_transitive_closure(pairs):
     """One-step chaining repeated to a fixed point."""
     rel = set(pairs)

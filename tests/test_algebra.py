@@ -111,14 +111,50 @@ def test_closure_empty_generators():
 
 
 def test_closure_malformed_bitsets():
-    # one check covers both arguments: an int in 0 <= bits < 2**(n**power)
+    # one check covers all three bitsets: an int in 0 <= bits < 2**(n**power)
     for bad in ({(0, 1)}, 1 << 2**2, -1):
         with pytest.raises(ValueError, match="generators"):
             subuniverse_closure(Z2, 2, bad)
         with pytest.raises(ValueError, match="closed"):
             subuniverse_closure(Z2, 2, 0, closed=bad)
+        with pytest.raises(ValueError, match="within"):
+            subuniverse_closure(Z2, 2, 0, within=bad)
     # the largest valid bitset is the whole square
     assert len(subuniverse_closure(Z2, 2, (1 << 2**2) - 1)) == 4
+
+
+def test_closure_checks_its_bound():
+    # the bound may equal the closure, but a closure that leaves it raises:
+    # the diagonal generates nothing else under +, and (0, 1) adds (0, 0)
+    diagonal = tuple_bits(2, {(0, 0), (1, 1)})
+    assert subuniverse_closure(Z2, 2, diagonal, within=diagonal).bits == diagonal
+    with pytest.raises(ValueError, match="within"):
+        subuniverse_closure(Z2, 2, tuple_bits(2, {(0, 1)}), within=tuple_bits(2, {(0, 1), (1, 1)}))
+    # generators outside the bound are refused too, also when the closure
+    # is otherwise finished before the first member is processed
+    with pytest.raises(ValueError, match="within"):
+        subuniverse_closure(PURE3, 1, 0b011, within=0b001)
+
+
+def test_bounded_closure_matches_naive_oracle():
+    # the closure stops once it holds its whole bound: bounded by the whole
+    # power, by the closure itself or by a random superset of it, it must
+    # still give the oracle's closure
+    rng = random.Random(909)
+    signatures = [(0,), (1,), (2,), (0, 2), (1, 2), (3,), (0, 3), (1, 2, 3)]
+    for trial in range(160):
+        arities = signatures[trial % len(signatures)]
+        cap = 27 if 3 in arities else 256
+        n, k = rng.choice([(n, k) for n in range(1, 5) for k in range(1, 5) if n**k <= cap])
+        ops = [(f"f{j}", a, tuple(rng.randrange(n) for _ in range(n**a))) for j, a in enumerate(arities)]
+        alg = FiniteAlgebra(n, tuple(ops))
+        gens = {tuple(rng.randrange(n) for _ in range(k)) for _ in range(rng.randint(0, 3))}
+        want = naive_tuple_closure(n, k, arities, [t for _, _, t in ops], gens)
+        exact = tuple_bits(n, want)
+        superset = exact | rng.getrandbits(n**k)
+        for within in (None, exact, superset):
+            got = subuniverse_closure(alg, k, tuple_bits(n, gens), within=within)
+            assert set(got.members()) == want, (ops, gens, within)
 
 
 def test_closure_matches_naive_oracle_on_random_groupoids():

@@ -550,6 +550,8 @@ GOLDEN_SEARCH = {
     # the n = 5 candidates are never deduplicated
     "--sizes 2,5 --budget 12 --seed 4 --target PROB_IV,PROB_V":
         "452df23ee75e6d4929d0d31f42b29019c387919f",
+    # the benchmark's search-n4 job at seed 0
+    "--sizes 4 --budget 50 --seed 0": "ead3b57cccdc09ebaad186e212ef57ba11b4ac7f",
 }
 
 

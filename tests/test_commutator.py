@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import refl, tuple_bits
+from oracles import naive_matrix_bound, naive_tuple_closure
 from relcomm import (
     REFLEXIVE_ADMISSIBLE,
     BinRel,
@@ -94,6 +95,58 @@ def test_m_set_equals_plain_closure_of_both_blocks(algebras, ra_lists):
     cases += [(chain, rng.choice(rels), rng.choice(rels)) for _ in range(150)]
     for alg, r, s in cases:
         assert m_set(alg, r, s) == plain(alg, r, s), (alg, r, s)
+
+
+def test_matrix_bound_matches_oracle():
+    rng = random.Random(31)
+    for n in range(1, 5):
+        full = (1 << n * n) - 1
+        for r, s in [(0, 0), (full, full), (full, 0)] + [
+            (rng.getrandbits(n * n), rng.getrandbits(n * n)) for _ in range(40)
+        ]:
+            want = tuple_bits(n, naive_matrix_bound(n, r, s))
+            assert commutator.matrix_bound_bits(n, r, s) == want, (n, r, s)
+
+
+def test_m_set_is_the_naive_closure_of_both_blocks_inside_its_bound(algebras, ra_lists):
+    # m_set's closure stops once it reaches its bound; the naive closure
+    # runs to its fixed point, so it checks that no tuple was left out
+    rng = random.Random(8)
+    cases = []
+    for name, alg in algebras.items():
+        if alg.size <= 3:
+            pairs = [(r, s) for r in ra_lists[name] for s in ra_lists[name]]
+            cases += [(alg, *pair) for pair in rng.sample(pairs, min(len(pairs), 400))]
+    fam = RelFamily(REFLEXIVE_ADMISSIBLE)
+    for _ in range(8):
+        alg = FiniteAlgebra(3, (("f", 2, tuple(rng.randrange(3) for _ in range(9))),))
+        rels = list(enumerate_relations(alg, fam))
+        cases += [(alg, rng.choice(rels), rng.choice(rels)) for _ in range(5)]
+    for alg, r, s in cases:
+        n = alg.size
+        gens = [(a, a, a2, a2) for a, a2 in r.pairs()]
+        gens += [(b, b2, b, b2) for b, b2 in s.pairs()]
+        ops = alg.operations
+        want = naive_tuple_closure(n, 4, [op.arity for op in ops], [op.table for op in ops], gens)
+        got = set(m_set(alg, r, s).members())
+        assert got == want, (alg, r, s)
+        assert got <= naive_matrix_bound(n, r.bits, s.bits), (alg, r, s)
+
+
+def test_m_set_closes_within_its_bound(monkeypatch):
+    # the bound only lets the closure stop early, so an unbounded closure
+    # would give every M(R, S) unchanged: check that the bound is passed
+    bounds = []
+
+    def recording(*args, **kwargs):
+        bounds.append(kwargs.get("within"))
+        return subuniverse_closure(*args, **kwargs)
+
+    monkeypatch.setattr(commutator, "subuniverse_closure", recording)
+    relations.clear_caches()
+    r, s = refl(2, (0, 1)), FULL2
+    m_set(L2, r, s)
+    assert bounds == [commutator.matrix_bound_bits(2, r.bits, s.bits)]
 
 
 def test_closures_go_through_the_module_attributes(monkeypatch):
