@@ -35,7 +35,10 @@ MAX_ARITY = 4
 MEMOS = []
 # Kernel memos are keyed by relation bits: the largest measured holds 4,096
 # entries (`compose_bits`, `m_set_bits`, `comm1_bits` on RB3's L1A_III), but
-# `search` keys them by algebra too, so they grow with its budget.  Plan
+# `search` keys them by algebra too, so they grow with its budget.  The
+# index of `m_set_bits`' seeds (`commutator._computed`) takes one key per
+# relation and side: 392 on the 4-chain's 196 reflexive admissible
+# relations, which a 256-entry bound would thrash.  Plan
 # memos hold one entry per (algebra, power), condition spec or universe
 # size: search-n4 fills 122 image plans and 5 condition plans.
 KERNEL_ENTRIES, PLAN_ENTRIES = 65536, 256

@@ -8,9 +8,14 @@ along R and columns along S (cross-checked against a bounded term
 enumeration in the test suite).  The R block {(a, a, a', a') : a R a'}
 is already a subuniverse of A^4, because R is admissible (and reflexive,
 so it holds every constant's diagonal): an operation applied to such
-quadruples gives (f(a), f(a), f(a'), f(a')) with f(a) R f(a').  The
-closure therefore takes that block as `closed=` and applies only the
-argument combinations that include an S generator or a later member.
+quadruples gives (f(a), f(a), f(a'), f(a')) with f(a) R f(a').  M is
+monotone in both arguments, so a matrix set M(R, S') with S' <= S, or
+M(R', S) with R' <= R, is a subuniverse inside M(R, S) too.  The closure
+takes the largest of these at hand as `closed=`: an M(R, S') or M(R', S)
+computed earlier on the same algebra, else the R block.  The block the
+seed may lack is the generators, and only the argument combinations that
+include a generator or a later member are applied.  Every seed closes to
+the same set, so no result depends on what was computed before.
 
 Every matrix of M(R, S) has its rows in S and its columns in R, so M(R, S)
 lies in U(R, S) = {(x, y, z, w) : x S y, z S w, x R z, y R w} (Freese &
@@ -82,26 +87,47 @@ def matrix_bound_bits(n: int, r: int, s: int) -> int:
 
 
 @memo(KERNEL_ENTRIES)
+def _computed(alg: FiniteAlgebra, side: str, bits: int) -> dict:
+    """The matrix sets computed on alg whose R (side "R") or S (side "S")
+    has these bits, by the other relation's bits: the seeds of
+    `m_set_bits`, which fills it."""
+    return {}
+
+
+@memo(KERNEL_ENTRIES)
 def m_set_bits(alg: FiniteAlgebra, r: int, s: int) -> int:
     """The bits of the matrix set M(R, S) of the relations with bits r
     and s, in the `TupleSet` encoding of (x, y, z, w) tuples, where x and y
     sit on the top row, z and w on the bottom.
 
     R and S are checked to be reflexive and admissible first, on every
-    miss; that check is what makes the R block closed, so it is passed to
-    the closure as `closed=` and the S block as generators, both as
-    bitsets.  The same check makes U(R, S) (`matrix_bound_bits`) a
-    subuniverse holding both blocks, so it contains M(R, S) and is passed
-    as `within=`: the closure stops once it reaches U(R, S), and raises if
-    it ever leaves it.  The call goes through this module's
+    miss.  The closure starts from the largest closed set at hand, passed
+    as `closed=`: a matrix set M(R, S') with S' <= S or M(R', S) with
+    R' <= R computed earlier on alg, else the R block, which that check
+    makes closed.  M is monotone in both arguments, so each lies in
+    M(R, S).  The generators are S's block beside the R block or an
+    M(R, S'), and R's block beside an M(R', S).  Every seed closes to the
+    same set, so the result does not depend on what was computed before.
+    The same check makes U(R, S) (`matrix_bound_bits`) a subuniverse
+    holding both blocks, so it contains M(R, S) and is passed as
+    `within=`: the closure stops once it reaches U(R, S), and raises if it
+    ever leaves it.  The call goes through this module's
     `subuniverse_closure` name, which the benchmark's closure spans wrap."""
     n = alg.size
     require_reflexive_admissible(alg, BinRel(n, r), "R")
     require_reflexive_admissible(alg, BinRel(n, s), "S")
     rows = sum(1 << (n + 1) * (i // n * n * n + i % n) for i in _indices(r))
     columns = sum(1 << i * (n * n + 1) for i in _indices(s))
+    by_s, by_r = _computed(alg, "R", r), _computed(alg, "S", s)
+    # snapshots, so that another thread's insertion cannot break the loops
+    seeds = [(rows, columns)]
+    seeds += [(m, columns) for s2, m in tuple(by_s.items()) if s2 & ~s == 0]
+    seeds += [(m, rows) for r2, m in tuple(by_r.items()) if r2 & ~r == 0]
+    closed, generators = max(seeds, key=lambda seed: seed[0].bit_count())
     bound = matrix_bound_bits(n, r, s)
-    return subuniverse_closure(alg, 4, columns, closed=rows, within=bound).bits
+    m = subuniverse_closure(alg, 4, generators, closed=closed, within=bound).bits
+    by_s[s] = by_r[r] = m
+    return m
 
 
 def _bottom_rows(n: int, m: int, v: int) -> int:

@@ -45,6 +45,10 @@ L2 = FiniteAlgebra(2, (("meet", 2, (0, 0, 0, 1)), ("join", 2, (0, 1, 1, 1))))
 PURE2 = FiniteAlgebra(2, ())
 FULL2 = BinRel.full(2)
 D2 = BinRel.delta(2)
+CHAIN4 = FiniteAlgebra(4, (
+    ("meet", 2, tuple(min(a, b) for a in range(4) for b in range(4))),
+    ("join", 2, tuple(max(a, b) for a in range(4) for b in range(4))),
+))
 
 
 def test_m_set_pure_set_is_generators():
@@ -86,13 +90,9 @@ def test_m_set_equals_plain_closure_of_both_blocks(algebras, ra_lists):
         for r in ra_lists[name]
         for s in ra_lists[name]
     ]
-    chain = FiniteAlgebra(4, (
-        ("meet", 2, tuple(min(a, b) for a in range(4) for b in range(4))),
-        ("join", 2, tuple(max(a, b) for a in range(4) for b in range(4))),
-    ))
-    rels = list(enumerate_relations(chain, RelFamily(REFLEXIVE_ADMISSIBLE)))
+    rels = list(enumerate_relations(CHAIN4, RelFamily(REFLEXIVE_ADMISSIBLE)))
     rng = random.Random(5)
-    cases += [(chain, rng.choice(rels), rng.choice(rels)) for _ in range(150)]
+    cases += [(CHAIN4, rng.choice(rels), rng.choice(rels)) for _ in range(150)]
     for alg, r, s in cases:
         assert m_set(alg, r, s) == plain(alg, r, s), (alg, r, s)
 
@@ -131,6 +131,90 @@ def test_m_set_is_the_naive_closure_of_both_blocks_inside_its_bound(algebras, ra
         got = set(m_set(alg, r, s).members())
         assert got == want, (alg, r, s)
         assert got <= naive_matrix_bound(n, r.bits, s.bits), (alg, r, s)
+
+
+def _r_block(n, r):
+    return tuple_bits(n, [(a, a, a2, a2) for a, a2 in r.pairs()])
+
+
+def _unseeded_m_set_bits(alg, r, s):
+    """M(R, S) closed from R's block alone, S's block the generators."""
+    n = alg.size
+    columns = tuple_bits(n, [(b, b2, b, b2) for b, b2 in s.pairs()])
+    bound = commutator.matrix_bound_bits(n, r.bits, s.bits)
+    return subuniverse_closure(alg, 4, columns, closed=_r_block(n, r), within=bound).bits
+
+
+def _random_groupoids(rng, count):
+    return [
+        FiniteAlgebra(3, (("f", 2, tuple(rng.randrange(3) for _ in range(9))),))
+        for _ in range(count)
+    ]
+
+
+def test_seeded_m_set_equals_the_unseeded_closure(monkeypatch, algebras, ra_lists):
+    # m_set_bits starts each closure from a matrix set computed earlier on
+    # the same algebra; visiting the relations by size gives nearly every
+    # miss a seed, a shuffled visit puts larger sets first, and each result
+    # must equal the closure from R's block
+    rng = random.Random(21)
+    fam = RelFamily(REFLEXIVE_ADMISSIBLE)
+    cases = [(alg, ra_lists[name]) for name, alg in algebras.items() if alg.size <= 4]
+    cases.append((CHAIN4, rng.sample(list(enumerate_relations(CHAIN4, fam)), 40)))
+    cases += [(alg, list(enumerate_relations(alg, fam))) for alg in _random_groupoids(rng, 6)]
+    closed = []
+
+    def recording(*args, **kwargs):
+        closed.append(kwargs["closed"])
+        return subuniverse_closure(*args, **kwargs)
+
+    monkeypatch.setattr(commutator, "subuniverse_closure", recording)
+    seeded = 0
+    for alg, rels in cases:
+        rels = sorted(rels, key=lambda rel: rel.bits.bit_count())
+        pairs = [(r, s) for r in rels for s in rels]
+        for order in (pairs, rng.sample(pairs, len(pairs))):
+            relations.clear_caches()
+            got = {}
+            for r, s in order:
+                got[r, s] = commutator.m_set_bits(alg, r.bits, s.bits)
+                seeded += closed[-1] != _r_block(alg.size, r)
+            relations.clear_caches()
+            for (r, s), m in got.items():
+                assert m == _unseeded_m_set_bits(alg, r, s), (alg, r, s)
+    # a change that never seeds would pass the comparison alone
+    assert seeded
+
+
+def test_seeds_never_cross_algebras(algebras):
+    # the computed matrix sets are kept per algebra: after C3's (or one
+    # groupoid's) are in, the same relation bits on Z3 (or another
+    # groupoid) must close to that algebra's own M(R, S)
+    rng = random.Random(13)
+    groupoids = _random_groupoids(rng, 12)
+    fam = RelFamily(REFLEXIVE_ADMISSIBLE)
+    crossing = 0
+    pairs = [(algebras["C3"], algebras["Z3"])] + list(zip(groupoids[::2], groupoids[1::2]))
+    for first, second in pairs:
+        relations.clear_caches()
+        earlier = {}
+        rels = list(enumerate_relations(first, fam))
+        for r in rels:
+            for s in rels:
+                earlier[r.bits, s.bits] = commutator.m_set_bits(first, r.bits, s.bits)
+        rels = list(enumerate_relations(second, fam))
+        for r in rels:
+            for s in rels:
+                want = _unseeded_m_set_bits(second, r, s)
+                assert commutator.m_set_bits(second, r.bits, s.bits) == want, (first, second, r, s)
+                # an M(R, S') or M(R', S) of the first algebra, S' <= S or
+                # R' <= R, that is not in this M(R, S): a wrong seed
+                crossing += any(
+                    m & ~want
+                    for (r2, s2), m in earlier.items()
+                    if (r2 == r.bits and s2 & ~s.bits == 0) or (s2 == s.bits and r2 & ~r.bits == 0)
+                )
+    assert crossing
 
 
 def test_m_set_closes_within_its_bound(monkeypatch):
