@@ -38,7 +38,8 @@ MEMOS = []
 # `search` keys them by algebra too, so they grow with its budget.  The
 # index of `m_set_bits`' seeds (`commutator._computed`) takes one key per
 # relation and side: 392 on the 4-chain's 196 reflexive admissible
-# relations, which a 256-entry bound would thrash.  Plan
+# relations, which a 256-entry bound would thrash; `commutator._blocks`
+# takes one per relation and universe size (196 there).  Plan
 # memos hold one entry per (algebra, power), condition spec or universe
 # size: search-n4 fills 122 image plans and 5 condition plans.
 KERNEL_ENTRIES, PLAN_ENTRIES = 65536, 256
@@ -143,9 +144,9 @@ class TupleSet:
             raise ValueError(
                 f"size and power must be positive integers, got {self.size!r} and {self.power!r}"
             )
-        if not 0 <= self.bits < 1 << self.size**self.power:
+        if not (is_whole(self.bits, 0) and self.bits < 1 << self.size**self.power):
             raise ValueError(
-                f"{self.bits} is not a set of {self.power}-tuples over 0..{self.size - 1}"
+                f"{self.bits!r} is not a set of {self.power}-tuples over 0..{self.size - 1}"
             )
 
     def contains(self, *t: int) -> bool:
@@ -316,10 +317,12 @@ def subuniverse_closure(
     operations yields the empty set.
 
     `closed`, if given, must already be closed under the operations (the
-    caller's promise, not checked): its tuples become members 0..k-1 and
-    count as processed, so no combination among them is imaged, while every
-    combination that includes a later member is still applied when that
-    member is processed.
+    caller's promise, not checked): its tuples count as processed from the
+    start and are never listed, so no combination among them is imaged,
+    while every combination that includes a later member is still applied
+    when that member is processed.  Unary and binary steps read them only
+    inside the bitset of processed members; wide ops decode them once, up
+    front, as the fixed arguments that come before every later member.
 
     `within`, by default the whole power, is the caller's promise of a
     set that contains the closure.  Saturation stops as soon as every
@@ -348,10 +351,12 @@ def subuniverse_closure(
 
     tables, products = _image_plans(alg, power)
     half = n ** (power - power // 2)
-    order = _indices(done)  # each member's encoding, in addition order
-    coords = []  # each member's decoded coordinates, kept for wide ops only
+    # each member's decoded coordinates, `closed`'s first, for wide ops only
+    coords = [_decode(n, power, e) for e in _indices(done)] if products else []
+    first = len(coords)
+    order = []  # the encoding of each member outside `closed`, in addition order
     new = seen & ~done
-    i = len(order)
+    i = 0
     while seen != within:
         if new:
             order += _indices(new)
@@ -365,8 +370,9 @@ def subuniverse_closure(
         for source, highs, lows in tables:
             found |= _image(sets[source], highs[high] + lows[low])
         if products:
-            coords += [_decode(n, power, m) for m in order[len(coords) :]]
-            ranges = ((), coords[:i], (coords[i],), coords[: i + 1])
+            coords += [_decode(n, power, m) for m in order[len(coords) - first :]]
+            at = first + i  # member i's place among all members
+            ranges = ((), coords[:at], (coords[at],), coords[: at + 1])
             for layout, steps in products:
                 for fixed in itertools.product(*[ranges[j] for j in layout]):
                     codes = fixed[0]

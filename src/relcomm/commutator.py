@@ -23,6 +23,9 @@ McKenzie, 1987).  U(R, S) intersects four admissible relations lifted to
 A^4, so it is a subuniverse, and it holds both blocks because R and S are
 reflexive.  The closure takes it as `within=` and stops as soon as it has
 every tuple of U(R, S), which is where most closures of large R and S end.
+The blocks and the factors S x S and swap(R x R) of U(R, S) depend on one
+relation each, so `_blocks` builds them once per relation and universe
+size, and a miss of M(R, S) spends no loop over pairs on them.
 
 M(R, S) stays in the bitset encoding of `TupleSet`: bit
 ((x*n + y)*n + z)*n + w, so the n*n bits at offset (x*n + y)*n*n form the
@@ -74,16 +77,32 @@ def _swap_middle(n: int):
     return moves.pop(0), tuple((m, max(d, 0), max(-d, 0)) for d, m in moves.items())
 
 
+@memo(KERNEL_ENTRIES)
+def _blocks(n: int, x: int):
+    """What M(R, S) reads off a relation X with bits x on n elements, built
+    once per relation, as 4-tuple bits in the `TupleSet` encoding: (X's
+    block as R, {(a, a, a', a') : a X a'}; its block as S, {(b, b', b, b')
+    : b X b'}; X x X, the (x, y, z, w) with (x, y) and (z, w) in X; and
+    swap(X x X), that set with its middle coordinates swapped).  Pair bit
+    i, (a, a'), becomes bit (n + 1)*(a*n*n + a') of the first and bit
+    i*(n*n + 1) of the second."""
+    pairs = _indices(x)
+    square = sum(1 << i * n * n for i in pairs) * x
+    return (
+        sum(1 << (n + 1) * (i // n * n * n + i % n) for i in pairs),
+        sum(1 << i * (n * n + 1) for i in pairs),
+        square,
+        _image(square, (_swap_middle(n),)),
+    )
+
+
 def matrix_bound_bits(n: int, r: int, s: int) -> int:
     """U(R, S) = {(x, y, z, w) : x S y, z S w, x R z, y R w}, the 4-tuples
     whose rows lie in S and whose columns lie in R, as (S x S) & swap(R x R):
     X x X holds the (x, y, z, w) with (x, y) and (z, w) in X, and the swap
-    of the middle coordinates turns rows into columns."""
-
-    def square(x):
-        return sum(1 << i * n * n for i in _indices(x)) * x
-
-    return square(s) & _image(square(r), (_swap_middle(n),))
+    of the middle coordinates turns rows into columns.  Both factors come
+    from `_blocks`, so each is built once per relation."""
+    return _blocks(n, s)[2] & _blocks(n, r)[3]
 
 
 @memo(KERNEL_ENTRIES)
@@ -111,13 +130,14 @@ def m_set_bits(alg: FiniteAlgebra, r: int, s: int) -> int:
     The same check makes U(R, S) (`matrix_bound_bits`) a subuniverse
     holding both blocks, so it contains M(R, S) and is passed as
     `within=`: the closure stops once it reaches U(R, S), and raises if it
-    ever leaves it.  The call goes through this module's
-    `subuniverse_closure` name, which the benchmark's closure spans wrap."""
+    ever leaves it.  Both blocks and both factors of U(R, S) are read
+    from `_blocks`, built once per relation.  The call goes through this
+    module's `subuniverse_closure` name, which the benchmark's closure
+    spans wrap."""
     n = alg.size
     require_reflexive_admissible(alg, BinRel(n, r), "R")
     require_reflexive_admissible(alg, BinRel(n, s), "S")
-    rows = sum(1 << (n + 1) * (i // n * n * n + i % n) for i in _indices(r))
-    columns = sum(1 << i * (n * n + 1) for i in _indices(s))
+    rows, columns = _blocks(n, r)[0], _blocks(n, s)[1]
     by_s, by_r = _computed(alg, "R", r), _computed(alg, "S", s)
     # snapshots, so that another thread's insertion cannot break the loops
     seeds = [(rows, columns)]

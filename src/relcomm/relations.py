@@ -98,8 +98,8 @@ class BinRel:
     def __post_init__(self):
         if not is_whole(self.size):
             raise ValueError(f"relation size must be a positive integer, got {self.size!r}")
-        if not 0 <= self.bits < 1 << self.size * self.size:
-            raise ValueError(f"{self.bits} is not a relation on 0..{self.size - 1}")
+        if not (is_whole(self.bits, 0) and self.bits < 1 << self.size * self.size):
+            raise ValueError(f"{self.bits!r} is not a relation on 0..{self.size - 1}")
 
     def contains(self, a: int, b: int) -> bool:
         if not (0 <= a < self.size and 0 <= b < self.size):
@@ -148,8 +148,9 @@ class BinRel:
 
 
 def delta_bits(n: int) -> int:
-    """The bits of the diagonal {(a, a) : a < n}."""
-    return sum(1 << a * (n + 1) for a in range(n))
+    """The bits of the diagonal {(a, a) : a < n}: one bit every n + 1, the
+    geometric series sum(2**(a*(n+1)) for a < n) in closed form."""
+    return ((1 << (n + 1) * n) - 1) // ((1 << n + 1) - 1)
 
 
 def _check_sizes(*rels):

@@ -14,6 +14,7 @@ from oracles import naive_tuple_closure
 import relcomm
 from relcomm import BinRel, FiniteAlgebra, adm_close, eval_op, load_algebra, subuniverse_closure
 from relcomm.algebra import Operation, TupleSet, _decode, _image, _image_plans
+from relcomm import algebra
 from relcomm.relations import clear_caches
 
 Z2 = FiniteAlgebra(2, (("+", 2, (0, 1, 1, 0)),))
@@ -244,6 +245,64 @@ def test_closed_block_gives_the_plain_closure():
         assert got == subuniverse_closure(alg, k, gens | block), (ops, block, gens)
 
 
+def test_closed_block_on_wide_ops_matches_naive_oracle():
+    # wide ops (arity 3 and 4) are the only steps that decode the members
+    # of `closed`, as fixed arguments; with a bound as well, the closure of
+    # gens onto a closed block must be the oracle's closure of both
+    rng = random.Random(4242)
+    signatures = [(3,), (4,), (1, 3), (0, 3), (2, 3), (2, 4), (0, 1, 4), (3, 4)]
+    for trial in range(96):
+        arities = signatures[trial % len(signatures)]
+        cap = {4: 16, 3: 27}[max(arities)]
+        n, k = rng.choice([(n, k) for n in range(1, 5) for k in range(1, 5) if n**k <= cap])
+        ops = [(f"f{j}", a, tuple(rng.randrange(n) for _ in range(n**a))) for j, a in enumerate(arities)]
+        alg = FiniteAlgebra(n, tuple(ops))
+
+        def draw(count):
+            return {tuple(rng.randrange(n) for _ in range(k)) for _ in range(count)}
+
+        block = subuniverse_closure(alg, k, tuple_bits(n, draw(rng.randint(1, 2)))).bits
+        gens = draw(rng.randint(0, 3))
+        block_tuples = {_decode(n, k, e) for e in range(n**k) if block >> e & 1}
+        want = naive_tuple_closure(n, k, arities, [t for _, _, t in ops], gens | block_tuples)
+        exact = tuple_bits(n, want)
+        for within in (None, exact, exact | rng.getrandbits(n**k)):
+            got = subuniverse_closure(alg, k, tuple_bits(n, gens), closed=block, within=within)
+            assert set(got.members()) == want, (ops, block, gens, within)
+
+
+def test_closed_members_are_never_processed(monkeypatch):
+    # `closed` counts as processed from the start: with no generators
+    # outside it nothing is imaged, and each later member is processed
+    # once, so a closed block adds no image to a closure's work
+    calls = []
+
+    def counting(bits, descriptors):
+        calls.append(bits)
+        return _image(bits, descriptors)
+
+    monkeypatch.setattr(algebra, "_image", counting)
+    chain = FiniteAlgebra(3, (("meet", 2, tuple(min(a, b) for a in range(3) for b in range(3))),))
+    votes = itertools.product((0, 1), repeat=3)
+    majority = FiniteAlgebra(2, (("maj", 3, tuple(int(sum(t) >= 2) for t in votes)),))
+    for alg, k in ((chain, 2), (chain, 3), (majority, 2), (majority, 3)):
+        n = alg.size
+        top = (n - 1,) * k
+        block = subuniverse_closure(alg, k, tuple_bits(n, {top, (0,) + top[1:]})).bits
+        del calls[:]
+        assert subuniverse_closure(alg, k, 0, closed=block).bits == block
+        assert subuniverse_closure(alg, k, block & -block, closed=block).bits == block
+        assert calls == [], (alg, k)
+        # a generator outside the block is the only member processed, so
+        # the closure makes fewer images than one that closes the block anew
+        outside = tuple_bits(n, {(0,) * k}) & ~block
+        subuniverse_closure(alg, k, outside, closed=block)
+        seeded = len(calls)
+        del calls[:]
+        subuniverse_closure(alg, k, outside | block)
+        assert 0 < seeded < len(calls), (alg, k)
+
+
 def test_closure_arity_three_generic_path():
     # majority operation on {0,1}: closed sets are all subsets containing
     # the generators' coordinatewise majorities
@@ -362,6 +421,15 @@ def test_construction_rejects_bits_outside_the_universe():
             build()
     assert BinRel(2, (1 << 4) - 1) == BinRel.full(2)
     assert len(TupleSet(2, 3, (1 << 8) - 1)) == 8
+
+
+def test_construction_rejects_bits_that_are_not_integers():
+    # the same ValueError as bits out of range, at construction rather
+    # than a TypeError later in `pairs()`, `repr` or a kernel
+    for bad in (1.5, "x", None):
+        for build in (lambda: BinRel(2, bad), lambda: TupleSet(2, 2, bad)):
+            with pytest.raises(ValueError, match="is not a"):
+                build()
 
 
 def test_tupleset_inclusion_needs_same_size_and_power():

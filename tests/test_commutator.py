@@ -108,6 +108,55 @@ def test_matrix_bound_matches_oracle():
             assert commutator.matrix_bound_bits(n, r, s) == want, (n, r, s)
 
 
+def _relation_pieces(n, x):
+    """The four 4-tuple sets that `commutator._blocks` builds for relation
+    bits x, by their definitions: the block as R, the block as S, X x X and
+    X x X with its middle coordinates swapped."""
+    pairs = [divmod(i, n) for i in range(n * n) if x >> i & 1]
+    square = [(a, b, c, d) for a, b in pairs for c, d in pairs]
+    return tuple(
+        tuple_bits(n, tuples)
+        for tuples in (
+            [(a, a, a2, a2) for a, a2 in pairs],
+            [(b, b2, b, b2) for b, b2 in pairs],
+            square,
+            [(a, c, b, d) for a, b, c, d in square],
+        )
+    )
+
+
+def test_relation_blocks_match_their_definitions(algebras, ra_lists):
+    # each relation's blocks and bound factors are built once, by relation
+    # bits and universe size: on every reflexive admissible relation of the
+    # catalog and on random bits they must equal their definitions, and
+    # U(R, S) the oracle's
+    rng = random.Random(55)
+    bits = {n: {0, (1 << n * n) - 1} for n in range(1, 5)}
+    for name, alg in algebras.items():
+        bits[alg.size] |= {r.bits for r in ra_lists[name]}
+    relations.clear_caches()
+    for n, xs in bits.items():
+        xs = sorted(xs | {rng.getrandbits(n * n) for _ in range(30)})
+        for x in xs:
+            assert commutator._blocks(n, x) == _relation_pieces(n, x), (n, x)
+        for r, s in [(x, x) for x in xs] + [tuple(rng.sample(xs, 2)) for _ in range(60)]:
+            want = tuple_bits(n, naive_matrix_bound(n, r, s))
+            assert commutator.matrix_bound_bits(n, r, s) == want, (n, r, s)
+
+
+def test_relation_blocks_are_kept_per_universe_size():
+    # bits 0b1001 are the diagonal on 2 elements and {(0, 0), (1, 0)} on
+    # 3: a memo keyed by the bits alone would hand one size's blocks to
+    # the other, in either order
+    x = 0b1001
+    for sizes in ((2, 3), (3, 2)):
+        relations.clear_caches()
+        for n in sizes:
+            assert commutator._blocks(n, x) == _relation_pieces(n, x), (sizes, n)
+            want = tuple_bits(n, naive_matrix_bound(n, x, x))
+            assert commutator.matrix_bound_bits(n, x, x) == want, (sizes, n)
+
+
 def test_m_set_is_the_naive_closure_of_both_blocks_inside_its_bound(algebras, ra_lists):
     # m_set's closure stops once it reaches its bound; the naive closure
     # runs to its fixed point, so it checks that no tuple was left out

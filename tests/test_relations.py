@@ -43,6 +43,7 @@ from relcomm.relations import (
     _sample_relations,
     compose_bits,
     converse_bits,
+    delta_bits,
     family_closure,
     random_pairs,
     star_bits,
@@ -103,6 +104,12 @@ def test_star_example():
 def test_compose_example():
     got = compose(refl(3, (0, 1)), refl(3, (1, 2)))
     assert got.bits == refl(3, (0, 1), (1, 2), (0, 2)).bits
+
+
+def test_delta_bits_is_the_diagonal():
+    # the closed form of the geometric series, against the sum it replaces
+    for n in range(1, 17):
+        assert delta_bits(n) == sum(1 << a * (n + 1) for a in range(n)), n
 
 
 def test_size_mismatch():
