@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import itertools
 import operator
+import threading
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,16 +35,21 @@ MAX_ARITY = 4
 
 # Every memo of relcomm; `relations.clear_caches` empties them all.
 MEMOS = []
-# Kernel memos are keyed by relation bits: the largest measured holds 4,096
-# entries (`compose_bits`, `m_set_bits`, `comm1_bits` on RB3's L1A_III), but
-# `search` keys them by algebra too, so they grow with its budget.  The
-# index of `m_set_bits`' seeds (`commutator._computed`) takes one key per
-# relation and side: 392 on the 4-chain's 196 reflexive admissible
-# relations, which a 256-entry bound would thrash; `commutator._blocks`
-# takes one per relation and universe size (196 there).  Plan
-# memos hold one entry per (algebra, power), condition spec or universe
-# size: search-n4 fills 122 image plans and 5 condition plans.
-KERNEL_ENTRIES, PLAN_ENTRIES = 65536, 256
+# Kernel memos are keyed by relation bits, and one algebra's kernels share
+# one object (`PerAlgebra`): the largest measured memo holds 4,096 entries
+# (`compose`, `m_set`, `comm1` on RB3's L1A_III).  `search` drops each
+# algebra's object once its profile is done, so it keeps one at a time;
+# 16 objects cover a caller that alternates between a few algebras.  An
+# object's index of M(R, S) seeds takes one key per relation and side, 392
+# on the 4-chain's 196 reflexive admissible relations.
+# `commutator._blocks` takes one entry per relation and universe size (196
+# there), and `commutator.spread` one per relation V that K(R, S; V) reads.
+# Plan memos hold one entry per (algebra, power), condition spec or
+# universe size: search-n4 fills 122 image plans and 5 condition plans.
+KERNEL_ENTRIES, KERNEL_OBJECTS, PLAN_ENTRIES = 65536, 16, 256
+
+# The counters of a memo, with the fields of `functools.lru_cache`'s.
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 def memo(maxsize):
@@ -54,6 +61,100 @@ def memo(maxsize):
         return cached
 
     return register
+
+
+class PerAlgebra:
+    """A memo of one object per algebra, registered in `MEMOS`: `self(alg)`
+    is `build(alg, cached)`, built on the first call for alg or an equal
+    algebra and kept for the calls after it.
+
+    The object makes its memos with `cached(name, fn)`, a plain
+    `functools.lru_cache` of KERNEL_ENTRIES over `fn`, so that a hit is one
+    C-level call keyed by `fn`'s arguments alone.  `counts(name)` gives a
+    function the counters of every object's memo of that name: their sum
+    over the objects kept, plus the counts of every object dropped (`drop`,
+    or the oldest one past KERNEL_OBJECTS), so no counter goes backwards.
+    `clear` drops every object and zeroes those totals.  Building,
+    dropping and reading the totals hold one lock; a lookup that finds its
+    object takes none, and is not counted.
+    """
+
+    def __init__(self, build):
+        self.build = build
+        self.objects = {}  # by algebra: (object, its memos by name), oldest first
+        self.dropped = {}  # by memo name: (hits, misses) of the objects dropped
+        self.built = 0
+        self.lock = threading.Lock()
+        # the two names that `MEMOS` reads of every memo
+        self.cache_info, self.cache_clear = self.info, self.clear
+        MEMOS.append(self)
+
+    def __call__(self, alg):
+        entry = self.objects.get(alg)
+        if entry is None:
+            entry = self._build(alg)
+        return entry[0]
+
+    def _build(self, alg):
+        with self.lock:
+            entry = self.objects.get(alg)  # another thread may have built it
+            if entry is None:
+                memos = {}
+
+                def cached(name, fn):
+                    memos[name] = lru_cache(maxsize=KERNEL_ENTRIES)(fn)
+                    return memos[name]
+
+                entry = self.objects[alg] = (self.build(alg, cached), memos)
+                self.built += 1
+                if len(self.objects) > KERNEL_OBJECTS:
+                    self._retire(next(iter(self.objects)))
+            return entry
+
+    def drop(self, alg):
+        """Forget the object of alg, if any; its memos' counts stay in the
+        totals."""
+        with self.lock:
+            self._retire(alg)
+
+    def _retire(self, alg):
+        entry = self.objects.pop(alg, None)
+        if entry is not None:
+            for name, cached in entry[1].items():
+                info = cached.cache_info()
+                hits, misses = self.dropped.get(name, (0, 0))
+                self.dropped[name] = (hits + info.hits, misses + info.misses)
+
+    def counts(self, name):
+        """Give the decorated function `cache_info`, the summed counters of
+        the memos called `name`, and `cache_clear`, and register it."""
+
+        def info():
+            with self.lock:
+                hits, misses = self.dropped.get(name, (0, 0))
+                size = 0
+                for _, memos in self.objects.values():
+                    h, m, _, s = memos[name].cache_info()
+                    hits, misses, size = hits + h, misses + m, size + s
+            return CacheInfo(hits, misses, KERNEL_ENTRIES, size)
+
+        def attach(fn):
+            fn.cache_info, fn.cache_clear = info, self.clear
+            MEMOS.append(fn)
+            return fn
+
+        return attach
+
+    def info(self):
+        """The objects built, as misses, and the objects kept."""
+        return CacheInfo(0, self.built, KERNEL_OBJECTS, len(self.objects))
+
+    def clear(self):
+        """Drop every object, and zero every counter and total."""
+        with self.lock:
+            self.objects.clear()
+            self.dropped.clear()
+            self.built = 0
 
 
 @dataclass(frozen=True)

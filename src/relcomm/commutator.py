@@ -30,16 +30,21 @@ size, and a miss of M(R, S) spends no loop over pairs on them.
 M(R, S) stays in the bitset encoding of `TupleSet`: bit
 ((x*n + y)*n + z)*n + w, so the n*n bits at offset (x*n + y)*n*n form the
 slice at top row (x, y), the bottom rows (z, w) as `BinRel` bits.
-K(R, S; V) is the OR of the slices at the pairs of V, and [R, S | 1]_W
-has (x, w) iff bit (x, w) of the slice at (x, x) is set.  The blocks are
-spread from the relations' bits: pair bit i of S, (b, b'), becomes bit
-i*(n*n + 1), and pair (a, a') of R bit (n + 1)*(a*n*n + a').
+K(R, S; V) is the OR of the slices at the pairs of V: M(R, S) masked to
+those slices (`spread`), then folded onto the lowest slice by shifts.
+[R, S | 1]_W has (x, w) iff bit (x, w) of the slice at (x, x) is set.
+The blocks are spread from the relations' bits: pair bit i of S, (b, b'),
+becomes bit i*(n*n + 1), and pair (a, a') of R bit (n + 1)*(a*n*n + a').
 
-Each value is an int kernel of (algebra, R bits, S bits), which condition
-plans bind; the memoised ones are in `algebra.MEMOS`.  The `BinRel` forms
-check the sizes of R and S (`k_op` then V's), call the kernels and keep no
-cache; the memoised ones carry their kernel's `cache_info`.  All functions
-are pure, so concurrent calls with equal arguments return equal values.
+Each value is computed on the kernel object of the algebra
+(`relations.Kernels`) by a function `*_of(k, R bits, S bits)`: the object
+binds them as its `m_set`, `k_op`, `comm1`, `comm_weak` and `comm`, and
+memoises `m_set`, `comm1` and `comm` by the relation bits alone, so
+condition plans call them with bits only.  The module-level `*_bits(alg,
+...)` forward to the object.  The `BinRel` forms check the sizes of R and
+S (`k_op` then V's) and call the object; `m_set`, `comm1` and `comm` carry
+the summed counters of that memo on every object.  All functions are
+pure, so concurrent calls with equal arguments return equal values.
 """
 
 from __future__ import annotations
@@ -54,15 +59,7 @@ from .algebra import (
     memo,
     subuniverse_closure,
 )
-from .relations import (
-    BinRel,
-    _bits_on,
-    cached_by,
-    cg_bits,
-    delta_bits,
-    require_reflexive_admissible,
-    star_bits,
-)
+from .relations import BinRel, _bits_on, kernels, require_reflexive_admissible
 
 
 @memo(PLAN_ENTRIES)
@@ -106,39 +103,53 @@ def matrix_bound_bits(n: int, r: int, s: int) -> int:
 
 
 @memo(KERNEL_ENTRIES)
-def _computed(alg: FiniteAlgebra, side: str, bits: int) -> dict:
-    """The matrix sets computed on alg whose R (side "R") or S (side "S")
-    has these bits, by the other relation's bits: the seeds of
-    `m_set_bits`, which fills it."""
-    return {}
+def spread(n: int, v: int) -> int:
+    """The 4-tuple bits of the slices at the pairs of the relation bits v
+    on n elements: the n*n bits from (x*n + y)*n*n for each pair (x, y)
+    of v."""
+    nn = n * n
+    return sum(1 << i * nn for i in _indices(v)) * ((1 << nn) - 1)
 
 
-@memo(KERNEL_ENTRIES)
-def m_set_bits(alg: FiniteAlgebra, r: int, s: int) -> int:
-    """The bits of the matrix set M(R, S) of the relations with bits r
-    and s, in the `TupleSet` encoding of (x, y, z, w) tuples, where x and y
-    sit on the top row, z and w on the bottom.
+def _bottom_rows(n: int, m: int, v: int) -> int:
+    """The bits of the pairs (z, w) of the matrices in the 4-tuple bits m
+    whose top row (x, y) is a pair of the relation bits v: the OR of the
+    slices of m at them.  m is masked to those slices (`spread`), and the
+    n*n slices are folded onto the lowest, halving the span each time."""
+    nn = n * n
+    bits = m & spread(n, v)
+    for j in reversed(range((nn - 1).bit_length())):
+        bits |= bits >> (nn << j)
+    return bits & ((1 << nn) - 1)
+
+
+def m_set_of(k, r: int, s: int) -> int:
+    """The bits of the matrix set M(R, S) on the algebra of the kernel
+    object k (`relations.Kernels`), for relations with bits r and s: the
+    computation behind `k.m_set`, which memoises it.
 
     R and S are checked to be reflexive and admissible first, on every
     miss.  The closure starts from the largest closed set at hand, passed
     as `closed=`: a matrix set M(R, S') with S' <= S or M(R', S) with
-    R' <= R computed earlier on alg, else the R block, which that check
-    makes closed.  M is monotone in both arguments, so each lies in
-    M(R, S).  The generators are S's block beside the R block or an
-    M(R, S'), and R's block beside an M(R', S).  Every seed closes to the
-    same set, so the result does not depend on what was computed before.
-    The same check makes U(R, S) (`matrix_bound_bits`) a subuniverse
-    holding both blocks, so it contains M(R, S) and is passed as
-    `within=`: the closure stops once it reaches U(R, S), and raises if it
-    ever leaves it.  Both blocks and both factors of U(R, S) are read
-    from `_blocks`, built once per relation.  The call goes through this
-    module's `subuniverse_closure` name, which the benchmark's closure
-    spans wrap."""
-    n = alg.size
+    R' <= R computed earlier on the algebra, which `k.computed` holds by
+    side and relation bits, else the R block, which that check makes
+    closed.  M is monotone in both arguments, so each lies in M(R, S).
+    The generators are S's block beside the R block or an M(R, S'), and
+    R's block beside an M(R', S).  Every seed closes to the same set, so
+    the result does not depend on what was computed before.  The same
+    check makes U(R, S) (`matrix_bound_bits`) a subuniverse holding both
+    blocks, so it contains M(R, S) and is passed as `within=`: the closure
+    stops once it reaches U(R, S), and raises if it ever leaves it.  Both
+    blocks and both factors of U(R, S) are read from `_blocks`, built once
+    per relation.  The call goes through this module's
+    `subuniverse_closure` name, which the benchmark's closure spans
+    wrap."""
+    alg, n = k.alg, k.n
     require_reflexive_admissible(alg, BinRel(n, r), "R")
     require_reflexive_admissible(alg, BinRel(n, s), "S")
     rows, columns = _blocks(n, r)[0], _blocks(n, s)[1]
-    by_s, by_r = _computed(alg, "R", r), _computed(alg, "S", s)
+    by_s = k.computed.setdefault(("R", r), {})
+    by_r = k.computed.setdefault(("S", s), {})
     # snapshots, so that another thread's insertion cannot break the loops
     seeds = [(rows, columns)]
     seeds += [(m, columns) for s2, m in tuple(by_s.items()) if s2 & ~s == 0]
@@ -150,34 +161,20 @@ def m_set_bits(alg: FiniteAlgebra, r: int, s: int) -> int:
     return m
 
 
-def _bottom_rows(n: int, m: int, v: int) -> int:
-    """The bits of the pairs (z, w) of the matrices in the 4-tuple bits m
-    whose top row (x, y) is a pair of the relation bits v: the OR of the
-    slices of m at them."""
-    nn = n * n
-    mask = (1 << nn) - 1
-    bits = 0
-    for i in _indices(v):
-        bits |= (m >> (i * nn)) & mask
-    return bits
-
-
-def k_op_bits(alg: FiniteAlgebra, r: int, s: int, v: int) -> int:
+def k_op_of(k, r: int, s: int, v: int) -> int:
     """K(R, S; V): bottom rows of M(R, S) matrices with top row in V."""
-    return _bottom_rows(alg.size, m_set_bits(alg, r, s), v)
+    return _bottom_rows(k.n, k.m_set(r, s), v)
 
 
-@memo(KERNEL_ENTRIES)
-def comm1_bits(alg: FiniteAlgebra, r: int, s: int) -> int:
+def comm1_of(k, r: int, s: int) -> int:
     """[R, S | 1]: transitive closure of K(R, S; delta)."""
-    n = alg.size
-    return star_bits(n, k_op_bits(alg, r, s, delta_bits(n)))
+    return k.star(k.k_op(r, s, k.delta))
 
 
-def comm_weak_bits(alg: FiniteAlgebra, r: int, s: int) -> int:
+def comm_weak_of(k, r: int, s: int) -> int:
     """[R, S | 1]_W: pairs (x, w) with the matrix (x, x; x, w) in M(R, S)."""
-    m = m_set_bits(alg, r, s)
-    n = alg.size
+    m = k.m_set(r, s)
+    n = k.n
     row = (1 << n) - 1
     bits = 0
     for x in range(n):
@@ -186,22 +183,46 @@ def comm_weak_bits(alg: FiniteAlgebra, r: int, s: int) -> int:
     return bits
 
 
-@memo(KERNEL_ENTRIES)
-def comm_bits(alg: FiniteAlgebra, r: int, s: int) -> int:
+def comm_of(k, r: int, s: int) -> int:
     """[R, S]: least congruence d with K(R, S; d) <= d.
 
     Increasing fixpoint from delta; the family of congruences satisfying
     the closure condition is intersection-closed, so the iteration stops
     at the least one.
     """
-    m = m_set_bits(alg, r, s)
-    n = alg.size
-    d = delta_bits(n)
+    m = k.m_set(r, s)
+    n, cg = k.n, k.cg
+    d = k.delta
     while True:
-        nd = cg_bits(alg, d | _bottom_rows(n, m, d))
+        nd = cg(d | _bottom_rows(n, m, d))
         if nd == d:
             return d
         d = nd
+
+
+# The module-level kernels forward to the algebra's object.
+
+
+def m_set_bits(alg: FiniteAlgebra, r: int, s: int) -> int:
+    """The bits of M(R, S), in the `TupleSet` encoding of (x, y, z, w)
+    tuples, where x and y sit on the top row, z and w on the bottom."""
+    return kernels(alg).m_set(r, s)
+
+
+def k_op_bits(alg: FiniteAlgebra, r: int, s: int, v: int) -> int:
+    return kernels(alg).k_op(r, s, v)
+
+
+def comm1_bits(alg: FiniteAlgebra, r: int, s: int) -> int:
+    return kernels(alg).comm1(r, s)
+
+
+def comm_weak_bits(alg: FiniteAlgebra, r: int, s: int) -> int:
+    return kernels(alg).comm_weak(r, s)
+
+
+def comm_bits(alg: FiniteAlgebra, r: int, s: int) -> int:
+    return kernels(alg).comm(r, s)
 
 
 def _pair_bits(alg, r, s):
@@ -214,12 +235,12 @@ def _pair_bits(alg, r, s):
     return r.bits, s.bits
 
 
-@cached_by(m_set_bits)
+@kernels.counts("m_set")
 def m_set(alg: FiniteAlgebra, r: BinRel, s: BinRel) -> TupleSet:
     """The matrix set M(R, S) as a TupleSet of (x, y, z, w) tuples, where
     x and y sit on the top row, z and w on the bottom; R and S must be
     reflexive and admissible."""
-    return TupleSet(alg.size, 4, m_set_bits(alg, *_pair_bits(alg, r, s)))
+    return TupleSet(alg.size, 4, kernels(alg).m_set(*_pair_bits(alg, r, s)))
 
 
 def k_op(alg: FiniteAlgebra, r: BinRel, s: BinRel, v: BinRel) -> BinRel:
@@ -228,23 +249,23 @@ def k_op(alg: FiniteAlgebra, r: BinRel, s: BinRel, v: BinRel) -> BinRel:
     V may be any relation on the algebra's universe, checked after R and
     S; R and S must be reflexive and admissible.
     """
-    m = m_set_bits(alg, *_pair_bits(alg, r, s))  # checks R, then S, before V
+    k = kernels(alg)
+    m = k.m_set(*_pair_bits(alg, r, s))  # checks R, then S, before V
     return BinRel(alg.size, _bottom_rows(alg.size, m, _bits_on(alg, v)))
 
 
-@cached_by(comm1_bits)
+@kernels.counts("comm1")
 def comm1(alg: FiniteAlgebra, r: BinRel, s: BinRel) -> BinRel:
     """[R, S | 1]: transitive closure of K(R, S; delta)."""
-    return BinRel(alg.size, comm1_bits(alg, *_pair_bits(alg, r, s)))
+    return BinRel(alg.size, kernels(alg).comm1(*_pair_bits(alg, r, s)))
 
 
 def comm_weak(alg: FiniteAlgebra, r: BinRel, s: BinRel) -> BinRel:
     """[R, S | 1]_W: pairs (x, w) with the matrix (x, x; x, w) in M(R, S)."""
-    return BinRel(alg.size, comm_weak_bits(alg, *_pair_bits(alg, r, s)))
+    return BinRel(alg.size, kernels(alg).comm_weak(*_pair_bits(alg, r, s)))
 
 
-@cached_by(comm_bits)
+@kernels.counts("comm")
 def comm(alg: FiniteAlgebra, r: BinRel, s: BinRel) -> BinRel:
     """[R, S]: least congruence d with K(R, S; d) <= d."""
-    return BinRel(alg.size, comm_bits(alg, *_pair_bits(alg, r, s)))
-
+    return BinRel(alg.size, kernels(alg).comm(*_pair_bits(alg, r, s)))

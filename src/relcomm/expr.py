@@ -22,9 +22,9 @@ for all infix levels.  A node's fields are stated once, in its dataclass:
 `children` reads them, and a call takes one argument per field.
 
 The meaning of each node is given once, in `NODES`, as a function over the
-`bits` ints of relations on the algebra's universe: the int kernels of
-`relations` and `commutator`.  `BinRel` appears only at the boundary:
-`eval_expr` takes names bound to `BinRel`s and returns one.
+`bits` ints of relations on the algebra's universe: the int kernels of the
+algebra's kernel object (`relations.Kernels`).  `BinRel` appears only at
+the boundary: `eval_expr` takes names bound to `BinRel`s and returns one.
 """
 
 from __future__ import annotations
@@ -32,9 +32,7 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from dataclasses import dataclass, fields
-from functools import partial
-
-from . import commutator, relations
+from . import relations
 from .relations import BinRel, UsageError
 
 
@@ -350,37 +348,38 @@ def _pp(e, min_level):
     ) + ")"
 
 
-# The meaning of each node type, defined once, as a binder: `binder(alg, n)`
-# returns the node's function for one algebra of size n, from the values of
-# its fields, in order, to the node's value, all values being relation
-# `bits` ints.  `eval_expr` walks this table, and `properties` compiles
-# condition plans from it, binding each step once per check.  Every node
-# binds an int kernel of `relations` or `commutator` (or bare `&`/`|`),
-# with the algebra or its size, when the binder runs: no step wraps a
-# `BinRel` or looks a module attribute up per call.  The kernels keep the
-# checks of their `BinRel` forms: M(R, S) checks R and S on every cache
-# miss, `cg` its admissibility invariant, `join` that both arguments are
-# congruences.  A field that is not an expression (Literal's pair tuple)
-# is passed to the function as it is.  NameRef is not here: a name's value
-# comes from the binding.
+# The meaning of each node type, defined once, as a binder: `binder(k)`
+# returns the node's function on the algebra of the kernel object k
+# (`relations.kernels(alg)`), from the values of its fields, in order, to
+# the node's value, all values being relation `bits` ints.  `eval_expr`
+# walks this table, and `properties` compiles condition plans from it,
+# binding each step once per check.  Every kernel node binds an attribute
+# of k itself (or bare `&`/`|`), keyed by relation bits alone: no step
+# wraps a `BinRel`, adds a layer around the kernel or looks a module
+# attribute up per call.  The kernels keep the checks of their `BinRel`
+# forms: M(R, S) checks R and S on every cache miss, `cg` its
+# admissibility invariant, `join` that both arguments are congruences.  A
+# field that is not an expression (Literal's pair tuple) is passed to the
+# function as it is.  NameRef is not here: a name's value comes from the
+# binding.
 NODES = {
-    Delta: lambda alg, n: partial(relations.delta_bits, n),
-    All: lambda alg, n: lambda: BinRel.full(n).bits,
-    EmptyRel: lambda alg, n: lambda: 0,
-    Literal: lambda alg, n: lambda pairs: BinRel.from_pairs(n, pairs).bits,
-    Converse: lambda alg, n: partial(relations.converse_bits, n),
-    Star: lambda alg, n: partial(relations.star_bits, n),
-    Compose: lambda alg, n: partial(relations.compose_bits, n),
-    Intersect: lambda alg, n: operator.and_,
-    Union: lambda alg, n: operator.or_,
-    TolClose: lambda alg, n: partial(relations.tol_close_bits, alg),
-    AdmClose: lambda alg, n: partial(relations.adm_close_bits, alg),
-    Cg: lambda alg, n: partial(relations.cg_bits, alg),
-    Comm1: lambda alg, n: partial(commutator.comm1_bits, alg),
-    Comm: lambda alg, n: partial(commutator.comm_bits, alg),
-    CommW: lambda alg, n: partial(commutator.comm_weak_bits, alg),
-    K: lambda alg, n: partial(commutator.k_op_bits, alg),
-    Join: lambda alg, n: partial(relations.cong_join_bits, alg),
+    Delta: lambda k: lambda: k.delta,
+    All: lambda k: lambda: BinRel.full(k.n).bits,
+    EmptyRel: lambda k: lambda: 0,
+    Literal: lambda k: lambda pairs: BinRel.from_pairs(k.n, pairs).bits,
+    Converse: lambda k: k.converse,
+    Star: lambda k: k.star,
+    Compose: lambda k: k.compose,
+    Intersect: lambda k: operator.and_,
+    Union: lambda k: operator.or_,
+    TolClose: lambda k: k.tol_close,
+    AdmClose: lambda k: k.adm_close,
+    Cg: lambda k: k.cg,
+    Comm1: lambda k: k.comm1,
+    Comm: lambda k: k.comm,
+    CommW: lambda k: k.comm_weak,
+    K: lambda k: k.k_op,
+    Join: lambda k: k.cong_join,
 }
 
 # nodes whose first two children are commutator arguments (close_inputs)
@@ -421,6 +420,7 @@ def eval_expr(alg, env: dict, e: RelExpr, close_inputs: bool = False) -> BinRel:
     first replaced by their reflexive-admissible closure.
     """
     n = alg.size
+    k = relations.kernels(alg)
     close = relations.family_closure(alg, relations.REFLEXIVE_ADMISSIBLE)
 
     def ev(node):
@@ -437,6 +437,6 @@ def eval_expr(alg, env: dict, e: RelExpr, close_inputs: bool = False) -> BinRel:
         if close_inputs and type(node) in _COMMUTATORS:
             args[0] = close(args[0])
             args[1] = close(args[1])
-        return NODES[type(node)](alg, n)(*args)
+        return NODES[type(node)](k)(*args)
 
     return BinRel(n, ev(e))

@@ -13,11 +13,13 @@ walks the quantifiers as nested `for` loops, and after binding
 quantifier i runs the level-(i+1) steps as straight-line assignments, so
 a subterm is rebuilt only when a name it uses changes; it counts and
 tests each binding inline.  Its source names only slots and argument
-positions: the algebra enters as the tuple of step functions from
-`expr.NODES` bound to it, and the family mode as the `members` function
-that gives each quantifier's relations (`_members`).  So one plan per
-condition spec serves every algebra and both modes, cached by the spec's
-value (`_plan`).  A plan's values are the `bits` ints of relations, and
+positions: the algebra enters as the tuple of step functions that
+`expr.NODES` binds on its kernel object (`relations.kernels`, looked up
+once per check), which are the object's memos themselves, and the family
+mode as the `members` function that gives each quantifier's relations
+(`_members`).  Exhaustive families are listed once per algebra and kind,
+on the same object.  So one plan per condition spec serves every algebra
+and both modes, cached by the spec's value (`_plan`).  A plan's values are the `bits` ints of relations, and
 sampled draws too; `BinRel`s appear only at the boundary, in the
 families' listing and the witness.
 Bindings are visited in nested order, the first quantifier outermost and
@@ -65,7 +67,9 @@ from .relations import (
     delta_bits,
     enumerate_relations,
     family_closure,
+    kernels,
     random_pairs,
+    require_exhaustive,
 )
 
 VERDICT_HOLDS = "holds"
@@ -172,9 +176,10 @@ class _Plan:
     run once, and the level-(i+1) steps right after quantifier i is bound,
     so a subterm is recomputed only when a name it uses changes.
     Intersect and Union are spelled `&` and `|`; every other step calls
-    the function of its node in `expr.NODES`, bound to the algebra, which
-    `sweep` takes in `fns`, in the order of `kernels`.  The constant slots
-    (a literal's pairs) are read from `consts`.
+    the function of its node in `expr.NODES`, bound on the algebra's
+    kernel object, which `sweep` takes in `fns`, in the order of
+    `kernels`.  The constant slots (a literal's pairs) are read from
+    `consts`.
 
     `sweep(fns, consts, members)` binds quantifier i to each relation bits
     of `members(i, bound)`, where `bound` is its `above` bound (0 for
@@ -255,26 +260,34 @@ class _Plan:
         return "\n".join(lines) + "\n"
 
 
-def _family_lists(alg, quantifiers, family):
-    """Each quantifier's family as relation bits, listed once per kind."""
-    lists = {}
+def _family_lists(k, quantifiers, family):
+    """Each quantifier's family as relation bits, listed once per algebra
+    and kind into the kernel object k's `families`.  The cap on n is
+    checked on every call, before a listed family is read."""
+    listed = k.families
     for q in quantifiers:
         if q.kind == ANY:
             raise ValueError(
                 f"quantifier {q.name!r} ranges over arbitrary relations; "
                 "only sampled mode can sweep it"
             )
-        if q.kind not in lists:
-            lists[q.kind] = tuple(
-                rel.bits for rel in enumerate_relations(alg, family.with_kind(q.kind))
+        require_exhaustive(q.kind, k.n)
+        if q.kind not in listed:
+            listed[q.kind] = tuple(
+                rel.bits for rel in enumerate_relations(k.alg, family.with_kind(q.kind))
             )
-    return [lists[q.kind] for q in quantifiers]
+    return [listed[q.kind] for q in quantifiers]
 
 
-def _sample_one(alg, q, above, rng):
-    """One relation drawn for q, above the bits `above` (0 for no bound)."""
+def _drawer(alg, kind):
+    """`draw(above, rng)`: one relation of `kind` on alg drawn from rng,
+    above the bits `above` (0 for no bound) unless `kind` is ANY."""
     n = alg.size
-    if q.kind == ANY:
+    if kind != ANY:
+        close = family_closure(alg, kind)
+        return lambda above, rng: close(above | random_pairs(rng, n, rng.randint(0, 3)))
+
+    def draw(above, rng):
         roll = rng.random()
         if roll < 0.1:
             return 0
@@ -283,7 +296,8 @@ def _sample_one(alg, q, above, rng):
         if roll < 0.3:
             return (1 << n * n) - 1
         return rng.getrandbits(n * n)
-    return family_closure(alg, q.kind)(above | random_pairs(rng, n, rng.randint(0, 3)))
+
+    return draw
 
 
 def _members(alg, quantifiers, family):
@@ -300,14 +314,15 @@ def _members(alg, quantifiers, family):
     """
     if family.mode == "sampled":
         rng = random.Random(family.seed)
+        draws = [_drawer(alg, q.kind) for q in quantifiers]
 
         def members(i, bound):
-            q = quantifiers[i]
+            draw = draws[i]
             for _ in range(family.sample_count if i == 0 else 1):
-                yield _sample_one(alg, q, bound, rng)
+                yield draw(bound, rng)
 
         return members
-    lists = _family_lists(alg, quantifiers, family)
+    lists = _family_lists(kernels(alg), quantifiers, family)
     return lambda i, bound: [m for m in lists[i] if not bound & ~m] if bound else lists[i]
 
 
@@ -319,7 +334,8 @@ _plan = memo(PLAN_ENTRIES)(_Plan)
 
 def _sweep(alg, spec, members):
     """(bindings checked, the witness of the first violating binding or
-    None), by the plan of `spec` with its steps bound to `alg`.
+    None), by the plan of `spec` with its steps bound to alg's kernel
+    object, looked up once.
 
     Bindings are visited in nested quantifier order, the first quantifier
     outermost, each over `members` (`_members`), which gives only
@@ -331,8 +347,9 @@ def _sweep(alg, spec, members):
     which passes every bound, and every draw is above its bound.
     """
     plan = _plan(spec)
-    n = alg.size
-    fns = tuple(NODES[kernel](alg, n) for kernel in plan.kernels)
+    k = kernels(alg)
+    n = k.n
+    fns = tuple(NODES[kernel](k) for kernel in plan.kernels)
     checked, bits, bad = plan.sweep(fns, plan.consts, members)
     if bits is None:
         return checked, None

@@ -11,13 +11,19 @@ the closed sets with Ganter's NextClosure, which visits them in ascending
 order of `bits`.  The search for an operation that maps pairs of r outside
 r (`_admissibility_witness`) exists only to word error messages.
 
-The kernels take relation bits, with n (`converse_bits`, `compose_bits`,
-`star_bits`) or the algebra (the closures); their memos are in
-`algebra.MEMOS`, which `clear_caches` empties.  `cg_bits` checks its
-admissibility invariant on every miss.  Their `BinRel` forms check sizes
-(`SizeMismatch`), call them and keep no cache; `adm_close`, `tol_close`
-and `cg` carry their kernel's `cache_info`.  `cong_join_bits` is uncached
-and checks both arguments.
+The kernels take and return relation bits.  Those of n alone
+(`converse_bits`, `compose_bits`, `star_bits`) keep no memo.  An
+algebra's kernels live on its one kernel object, `kernels(alg)` (a
+`Kernels`), which memoises them and the commutators by relation bits
+alone and is shared by equal algebras; the objects are in one registered
+memo (`algebra.PerAlgebra`), which `clear_caches` empties, and the
+objects of one size share the memos of the kernels of n alone.  The object's
+`cg` checks its admissibility invariant on every miss, and its
+`cong_join` is not memoised and checks both arguments.  The module-level
+`adm_close_bits`, `tol_close_bits`, `cg_bits` and `cong_join_bits`
+forward to the object.  The `BinRel` forms check sizes (`SizeMismatch`)
+and call the object; `adm_close`, `tol_close` and `cg` carry the summed
+counters of that memo on every object.
 """
 
 from __future__ import annotations
@@ -28,12 +34,14 @@ import os
 import random
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 from .algebra import (
     KERNEL_ENTRIES,
     MEMOS,
+    PLAN_ENTRIES,
     FiniteAlgebra,
+    PerAlgebra,
     _indices,
     is_whole,
     memo,
@@ -183,7 +191,7 @@ def _bits_on(alg: FiniteAlgebra, r: BinRel) -> int:
 def is_admissible(alg: FiniteAlgebra, r: BinRel) -> bool:
     """Whether r is compatible with every operation: r is its own
     admissible closure, so each distinct r costs one memoised closure."""
-    return adm_close_bits(alg, _bits_on(alg, r)) == r.bits
+    return kernels(alg).adm_close(_bits_on(alg, r)) == r.bits
 
 
 def _admissibility_witness(alg, r):
@@ -211,7 +219,7 @@ def require_reflexive_admissible(alg, r, name="R"):
     if missing:
         raise NotReflexive(name, ((missing & -missing).bit_length() - 1) // (r.size + 1))
     # the kernel, so that a counter on `is_admissible` sees only its callers
-    if adm_close_bits(alg, _bits_on(alg, r)) != r.bits:
+    if kernels(alg).adm_close(_bits_on(alg, r)) != r.bits:
         w = _admissibility_witness(alg, r)
         if w is None:
             raise InvariantViolation(
@@ -220,12 +228,12 @@ def require_reflexive_admissible(alg, r, name="R"):
         raise NotAdmissible(name, *w)
 
 
-# The relation-algebra kernels work on the `bits` ints of relations on
-# {0..n-1}, so their caches are keyed by ints and hashed in C; `converse`,
-# `compose` and `star` are their `BinRel` forms.
+# The kernels of n alone work on the `bits` ints of relations on
+# {0..n-1} and keep no memo; the kernel objects of size n share their
+# memos (`_size_kernels`).  `converse`, `compose` and `star` are their
+# `BinRel` forms.
 
 
-@memo(KERNEL_ENTRIES)
 def converse_bits(n: int, a: int) -> int:
     bits = 0
     for i in _indices(a):
@@ -234,7 +242,6 @@ def converse_bits(n: int, a: int) -> int:
     return bits
 
 
-@memo(KERNEL_ENTRIES)
 def compose_bits(n: int, a: int, b: int) -> int:
     """(x, z) related iff x A y and y B z for some y."""
     mask = (1 << n) - 1
@@ -251,7 +258,6 @@ def compose_bits(n: int, a: int, b: int) -> int:
     return bits
 
 
-@memo(KERNEL_ENTRIES)
 def star_bits(n: int, a: int) -> int:
     """Transitive closure (not reflexive-transitive), by iterated squaring."""
     while True:
@@ -286,91 +292,140 @@ def star(r: BinRel) -> BinRel:
     return BinRel(r.size, star_bits(r.size, r.bits))
 
 
-def cached_by(kernel):
-    """Give the decorated `BinRel` form its kernel's `cache_info`, so that a
-    counter read on the public name reads the one cache every caller
-    shares."""
-
-    def attach(wrapper):
-        wrapper.cache_info = kernel.cache_info
-        return wrapper
-
-    return attach
+@memo(PLAN_ENTRIES)
+def _size_kernels(n: int):
+    """The memos of `converse_bits`, `compose_bits` and `star_bits` at n,
+    keyed by relation bits alone: they do not depend on the operations,
+    so every kernel object of that size shares them."""
+    fns = (converse_bits, compose_bits, star_bits)
+    return tuple(lru_cache(maxsize=KERNEL_ENTRIES)(partial(f, n)) for f in fns)
 
 
-@memo(KERNEL_ENTRIES)
-def adm_close_bits(alg: FiniteAlgebra, r: int) -> int:
-    """Smallest compatible relation containing r (closure in the square)."""
+def _adm_close(alg, r):
+    """Smallest compatible relation containing r (closure in the square),
+    through this module's `subuniverse_closure` name, which the
+    benchmark's closure spans wrap."""
     return subuniverse_closure(alg, 2, r).bits
 
 
-@memo(KERNEL_ENTRIES)
-def tol_close_bits(alg: FiniteAlgebra, r: int) -> int:
-    """Smallest tolerance containing r."""
-    n = alg.size
-    return adm_close_bits(alg, delta_bits(n) | r | converse_bits(n, r))
+class Kernels:
+    """The int kernels of one algebra, `kernels(alg)`: each attribute maps
+    relation bits to relation bits (M(R, S) to 4-tuple bits), with the
+    algebra and its size n bound.
+
+    `converse`, `compose`, `star`, `adm_close`, `tol_close`, `cg`, `m_set`,
+    `comm1` and `comm` are memos keyed by the relation bits alone, so a hit
+    is one C-level call; the first three depend on n alone and are shared
+    by the objects of that size (`_size_kernels`).  `k_op`, `comm_weak`
+    and `cong_join` are not memoised.  Kernels that call each other go
+    through this object (`cg` through `tol_close` and `star`, `comm1`
+    through `k_op` and `m_set`), and so do the `BinRel` forms and
+    condition plans.  The object also
+    keeps the matrix sets that seed M(R, S) (`computed`, see
+    `commutator.m_set_of`) and the exhaustive families listed on the
+    algebra by kind (`families`, see `properties`).
+    """
+
+    def __init__(self, alg: FiniteAlgebra, cached):
+        n = self.n = alg.size
+        self.alg = alg
+        self.delta = delta_bits(n)
+        self.converse, self.compose, self.star = _size_kernels(n)
+        self.adm_close = cached("adm_close", partial(_adm_close, alg))
+        self.tol_close = cached("tol_close", self._tol_close)
+        self.cg = cached("cg", self._cg)
+        self.m_set = cached("m_set", partial(commutator.m_set_of, self))
+        self.comm1 = cached("comm1", partial(commutator.comm1_of, self))
+        self.comm = cached("comm", partial(commutator.comm_of, self))
+        self.k_op = partial(commutator.k_op_of, self)
+        self.comm_weak = partial(commutator.comm_weak_of, self)
+        self.computed = {}
+        self.families = {}
+
+    def _tol_close(self, r):
+        """Smallest tolerance containing r."""
+        return self.adm_close(self.delta | r | self.converse(r))
+
+    def _cg(self, r):
+        """Smallest congruence containing r."""
+        out = self.star(self.tol_close(r))
+        # transitive closure of an admissible relation stays admissible
+        if self.adm_close(out) != out:
+            n = self.n
+            witness = _admissibility_witness(self.alg, BinRel(n, out))
+            raise InvariantViolation(
+                f"cg({BinRel(n, r)!r}) = {BinRel(n, out)!r} is not admissible: {witness}"
+            )
+        return out
+
+    def cong_join(self, a, b):
+        """Join in the congruence lattice: star(a ; b), each argument checked
+        to be a congruence first."""
+        _join_argument(self, a, "first")
+        _join_argument(self, b, "second")
+        return self.star(self.compose(a, b))
 
 
-@memo(KERNEL_ENTRIES)
-def cg_bits(alg: FiniteAlgebra, r: int) -> int:
-    """Smallest congruence containing r."""
-    n = alg.size
-    out = star_bits(n, tol_close_bits(alg, r))
-    # transitive closure of an admissible relation stays admissible
-    if adm_close_bits(alg, out) != out:
-        witness = _admissibility_witness(alg, BinRel(n, out))
-        raise InvariantViolation(
-            f"cg({BinRel(n, r)!r}) = {BinRel(n, out)!r} is not admissible: {witness}"
-        )
-    return out
+kernels = PerAlgebra(Kernels)
 
 
-def _join_argument(alg, bits, position):
-    if cg_bits(alg, bits) != bits:
+def _join_argument(k, bits, position):
+    if k.cg(bits) != bits:
         raise UsageError(f"the {position} argument of cong_join is not a congruence")
     return bits
 
 
+# The module-level kernels of an algebra forward to its object.
+
+
+def adm_close_bits(alg: FiniteAlgebra, r: int) -> int:
+    return kernels(alg).adm_close(r)
+
+
+def tol_close_bits(alg: FiniteAlgebra, r: int) -> int:
+    return kernels(alg).tol_close(r)
+
+
+def cg_bits(alg: FiniteAlgebra, r: int) -> int:
+    return kernels(alg).cg(r)
+
+
 def cong_join_bits(alg: FiniteAlgebra, a: int, b: int) -> int:
-    """Join in the congruence lattice: star(a ; b), each argument checked
-    to be a congruence first."""
-    a = _join_argument(alg, a, "first")
-    b = _join_argument(alg, b, "second")
-    n = alg.size
-    return star_bits(n, compose_bits(n, a, b))
+    return kernels(alg).cong_join(a, b)
 
 
-@cached_by(adm_close_bits)
+@kernels.counts("adm_close")
 def adm_close(alg: FiniteAlgebra, r: BinRel) -> BinRel:
     """Smallest compatible relation containing r (closure in the square)."""
-    return BinRel(r.size, adm_close_bits(alg, _bits_on(alg, r)))
+    return BinRel(r.size, kernels(alg).adm_close(_bits_on(alg, r)))
 
 
-@cached_by(tol_close_bits)
+@kernels.counts("tol_close")
 def tol_close(alg: FiniteAlgebra, r: BinRel) -> BinRel:
     """Smallest tolerance containing r."""
-    return BinRel(r.size, tol_close_bits(alg, _bits_on(alg, r)))
+    return BinRel(r.size, kernels(alg).tol_close(_bits_on(alg, r)))
 
 
-@cached_by(cg_bits)
+@kernels.counts("cg")
 def cg(alg: FiniteAlgebra, r: BinRel) -> BinRel:
     """Smallest congruence containing r."""
-    return BinRel(r.size, cg_bits(alg, _bits_on(alg, r)))
+    return BinRel(r.size, kernels(alg).cg(_bits_on(alg, r)))
 
 
 def is_tolerance(alg, r) -> bool:
-    return tol_close_bits(alg, _bits_on(alg, r)) == r.bits
+    return kernels(alg).tol_close(_bits_on(alg, r)) == r.bits
 
 
 def is_congruence(alg, r) -> bool:
-    return cg_bits(alg, _bits_on(alg, r)) == r.bits
+    return kernels(alg).cg(_bits_on(alg, r)) == r.bits
 
 
 def cong_join(alg: FiniteAlgebra, gamma: BinRel, delta: BinRel) -> BinRel:
     """Join in the congruence lattice: star(gamma ; delta)."""
     # gamma is checked whole, size and congruence, before delta's size
-    a = _join_argument(alg, _bits_on(alg, gamma), "first")
-    return BinRel(alg.size, cong_join_bits(alg, a, _bits_on(alg, delta)))
+    k = kernels(alg)
+    a = _join_argument(k, _bits_on(alg, gamma), "first")
+    return BinRel(alg.size, k.cong_join(a, _bits_on(alg, delta)))
 
 
 @dataclass(frozen=True)
@@ -419,16 +474,26 @@ def _family_max_n(kind: str) -> int:
     return bound
 
 
+def require_exhaustive(kind: str, n: int):
+    """Raise FamilyBoundError if the cap refuses exhaustive `kind` at n."""
+    if n > (bound := _family_max_n(kind)):
+        raise FamilyBoundError(
+            f"exhaustive {kind} enumeration is capped at n={bound} "
+            f"(algebra has n={n}); use sampled mode or {_ENV_OVERRIDE}"
+        )
+
+
 def family_closure(alg: FiniteAlgebra, kind: str):
     """The closure operator, from relation bits to relation bits, whose
-    closed sets are the family `kind`: one of the cached kernels."""
+    closed sets are the family `kind`: one of alg's memoised kernels."""
+    k = kernels(alg)
     if kind == REFLEXIVE_ADMISSIBLE:
-        delta = delta_bits(alg.size)
-        return lambda r: adm_close_bits(alg, delta | r)
+        delta, adm_close = k.delta, k.adm_close
+        return lambda r: adm_close(delta | r)
     if kind == TOLERANCE:
-        return partial(tol_close_bits, alg)
+        return k.tol_close
     if kind == CONGRUENCE:
-        return partial(cg_bits, alg)
+        return k.cg
     raise ValueError(f"unknown family kind {kind!r}")
 
 
@@ -499,12 +564,8 @@ def enumerate_relations(alg: FiniteAlgebra, family: RelFamily):
     close = family_closure(alg, kind)
     if family.mode == "sampled":
         members = _sample_relations(n, close, family.sample_count, family.seed)
-    elif n > (bound := _family_max_n(kind)):
-        raise FamilyBoundError(
-            f"exhaustive {kind} enumeration is capped at n={bound} "
-            f"(algebra has n={n}); use sampled mode or {_ENV_OVERRIDE}"
-        )
     else:
+        require_exhaustive(kind, n)
         members = _closed_sets(n, close)
     for bits in members:
         yield BinRel(n, bits)
@@ -513,3 +574,9 @@ def enumerate_relations(alg: FiniteAlgebra, family: RelFamily):
 def clear_caches():
     for cached in MEMOS:
         cached.cache_clear()
+
+
+# The commutator kernels of each object.  That module builds on the names
+# above, so it is imported last: whichever of the two is imported first,
+# each finds what it needs of the other.
+from . import commutator  # noqa: E402

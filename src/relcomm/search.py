@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 from . import conditions, properties
 from .algebra import FiniteAlgebra, is_whole
-from .relations import UsageError
+from .relations import UsageError, kernels
 
 PROFILE_DIVERSITY = "profile-diversity"
 
@@ -189,6 +189,15 @@ def _random_candidates(task: SearchTask):
         yield f"rand-{size}-{i}", random_algebra(Signature(size=size), f"{task.seed}:{i}")
 
 
+def _profile(alg: FiniteAlgebra, ids):
+    """alg's problem profile over `ids`, after which its kernel object is
+    dropped: candidates of up to 4 elements are pairwise non-isomorphic,
+    and larger ones random tables, so no later candidate reuses it."""
+    profile = properties.evaluate_problem_profile(alg, ids)
+    kernels.drop(alg)
+    return profile
+
+
 def run_search(task: SearchTask) -> SearchReport:
     """Profile the catalog plus `budget` random algebras and group them.
 
@@ -209,7 +218,7 @@ def run_search(task: SearchTask) -> SearchReport:
         candidates.append((name, alg))
 
     algs = [alg for _, alg in candidates]
-    work = (properties.evaluate_problem_profile, algs, itertools.repeat(ids))
+    work = (_profile, algs, itertools.repeat(ids))
     if task.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # off every other import path
 

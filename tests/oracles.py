@@ -220,3 +220,16 @@ class TermTableOracle:
             (e // n**3, (e // n**2) % n, (e // n) % n, e % n)
             for e in np.flatnonzero(found).tolist()
         }
+
+
+def naive_bottom_rows(size, m, v):
+    """The pairs (z, w) of the 4-tuples (x, y, z, w) in the bits m (tuple
+    ((x*n + y)*n + z)*n + w) whose (x, y) is a pair of the relation bits v,
+    as relation bits: the slices of m at the pairs of v, ORed one pair at a
+    time."""
+    nn = size * size
+    out = 0
+    for i in range(nn):
+        if v >> i & 1:
+            out |= (m >> (i * nn)) & ((1 << nn) - 1)
+    return out

@@ -590,16 +590,18 @@ def test_main_builds_its_parser_once(capsys):
     assert (info.hits, info.misses) == (3, 1)
 
 
-def test_sampled_enumeration_stops_once_every_draw_was_tried(capsys, monkeypatch):
+def test_sampled_enumeration_stops_once_every_draw_was_tried(capsys):
     # Z2 has 14 distinct draws of 1-3 pairs and 2 congruences; the sampler
-    # used to close draws until 20 attempts per sample had run out
-    calls = []
-    kernel = relations.cg_bits
-    monkeypatch.setattr(relations, "cg_bits", lambda *a: calls.append(a) or kernel(*a))
+    # used to close draws until 20 attempts per sample had run out.  Each
+    # draw is one lookup of the congruence closure, counted by `cg`
+    def lookups():
+        info = relations.cg.cache_info()
+        return info.hits + info.misses
+
     outputs = []
     for samples in ("20", "100000"):
-        del calls[:]
+        before = lookups()
         argv = ("enumerate", *Z2, "--family", "congruence", "--mode", "sampled")
         outputs.append(run(capsys, *argv, "--samples", samples))
-        assert len(calls) < 100, samples
+        assert 0 < lookups() - before < 100, samples
     assert outputs[0] == outputs[1] == (0, "{(0,0),(0,1),(1,0),(1,1)}\n{(0,0),(1,1)}\n", "")

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import refl, tuple_bits
-from oracles import naive_matrix_bound, naive_tuple_closure
+from oracles import naive_bottom_rows, naive_matrix_bound, naive_tuple_closure
 from relcomm import (
     REFLEXIVE_ADMISSIBLE,
     BinRel,
@@ -95,6 +95,28 @@ def test_m_set_equals_plain_closure_of_both_blocks(algebras, ra_lists):
     cases += [(CHAIN4, rng.choice(rels), rng.choice(rels)) for _ in range(150)]
     for alg, r, s in cases:
         assert m_set(alg, r, s) == plain(alg, r, s), (alg, r, s)
+
+
+def test_bottom_rows_match_the_per_pair_or():
+    # K(R, S; V) masks the matrix bits to V's slices (`spread`) and folds
+    # the n*n slices onto the lowest; n*n = 9 and 25 are no powers of two,
+    # so the fold's top step covers fewer slices than its span
+    rng = random.Random(31)
+    for n in range(1, 6):
+        nn = n * n
+        vs = [0, (1 << nn) - 1, BinRel.delta(n).bits] + [1 << i for i in range(nn)]
+        vs += [rng.getrandbits(nn) for _ in range(12)]
+        # dense bits, and each slice alone, so that a missing step shows
+        ms = [(1 << nn * nn) - 1] + [rng.getrandbits(nn * nn) for _ in range(6)]
+        ms += [(rng.getrandbits(nn) | 1) << i * nn for i in range(nn)]
+        for m in ms:
+            for v in vs:
+                want = naive_bottom_rows(n, m, v)
+                assert commutator._bottom_rows(n, m, v) == want, (n, m, v)
+        for v in vs:
+            assert commutator.spread(n, v) == sum(
+                ((1 << nn) - 1) << i * nn for i in range(nn) if v >> i & 1
+            ), (n, v)
 
 
 def test_matrix_bound_matches_oracle():

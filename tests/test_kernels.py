@@ -1,16 +1,29 @@
-"""The int kernels of `relations` and `commutator` against their `BinRel`
-forms and against the brute-force oracles, and the cache contract that the
-benchmark's hit rates read."""
+"""The int kernels of `relations` and `commutator`, and the kernel object
+of an algebra that holds them, against their `BinRel` forms and against
+the brute-force oracles, and the cache contract that the benchmark's hit
+rates read."""
 
 import random
+import sys
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
-from conftest import refl
-from oracles import naive_family, naive_transitive_closure, naive_tuple_closure
+from conftest import refl, tuple_bits
+from oracles import (
+    naive_bottom_rows,
+    naive_compose,
+    naive_family,
+    naive_transitive_closure,
+    naive_tuple_closure,
+)
 from relcomm import (
     CONGRUENCE,
     REFLEXIVE_ADMISSIBLE,
+    TOLERANCE,
     BinRel,
     FiniteAlgebra,
     RelFamily,
@@ -23,13 +36,22 @@ from relcomm import (
     cong_join,
     enumerate_relations,
     k_op,
+    load_algebra,
     m_set,
+    properties,
     relations,
     tol_close,
 )
+from relcomm.algebra import KERNEL_OBJECTS
 from relcomm.properties import check_condition
-from relcomm.relations import NotAdmissible, NotReflexive, SizeMismatch, UsageError
-from relcomm.search import Signature, catalog, random_algebra
+from relcomm.relations import (
+    FamilyBoundError,
+    NotAdmissible,
+    NotReflexive,
+    SizeMismatch,
+    UsageError,
+)
+from relcomm.search import SearchTask, Signature, catalog, random_algebra, run_search
 
 Z2 = FiniteAlgebra(2, (("+", 2, (0, 1, 1, 0)),))
 
@@ -62,9 +84,13 @@ def _closure(alg, k, tuples):
     )
 
 
-def _congruences(alg):
+def _family(alg, kind):
     ops = alg.operations
-    return naive_family(alg.size, [op.arity for op in ops], [op.table for op in ops], CONGRUENCE)
+    return naive_family(alg.size, [op.arity for op in ops], [op.table for op in ops], kind)
+
+
+def _congruences(alg):
+    return _family(alg, CONGRUENCE)
 
 
 def _least(candidates, n):
@@ -232,9 +258,13 @@ def test_benchmark_cache_names_read_the_kernel_caches(algebras):
         hits, misses = first[key]
         assert misses > 0, key
         # the second sweeps find every value cached; M(R, S) is reached
-        # only through comm1's misses, so it sees no lookup at all
+        # only through comm1's misses, and adm_close only through
+        # tol_close's misses and the listing of the family, which the
+        # algebra's kernel object keeps, so those two see no lookup at all
         assert second[key][1] == misses, key
-        if key != ("relcomm.commutator", "m_set"):
+        if key in (("relcomm.commutator", "m_set"), ("relcomm.relations", "adm_close")):
+            assert second[key][0] == hits, key
+        else:
             assert second[key][0] > hits, key
 
 
@@ -249,6 +279,189 @@ def test_clear_caches_empties_every_kernel_cache(algebras):
     assert any(fn.cache_info().currsize for fn in cached)
     relations.clear_caches()
     assert all(fn.cache_info().currsize == 0 for fn in cached)
-    # a public name shares its kernel's cache rather than keeping its own
+    # a public name reads the counters of the memo of that name on every
+    # kernel object, and its `_bits` forwarder keeps no cache of its own
+    check_condition(algebras["C3"], "T2_ID", RelFamily(REFLEXIVE_ADMISSIBLE))
+    kernels = relations.kernels(algebras["C3"])
     for module, name in BENCHMARK_CACHES:
-        assert getattr(module, name).cache_info == getattr(module, name + "_bits").cache_info
+        assert getattr(module, name).cache_info() == getattr(kernels, name).cache_info()
+        assert not hasattr(getattr(module, name + "_bits"), "cache_info")
+
+
+# every attribute of a kernel object, memoised or not
+KERNEL_ATTRIBUTES = (
+    "converse", "compose", "star", "adm_close", "tol_close", "cg", "cong_join",
+    "m_set", "k_op", "comm1", "comm_weak", "comm",
+)
+
+
+def _check_kernel_object(alg, k, rng):
+    """Every attribute of the kernel object k against the oracles, on
+    relation bits drawn from rng, with alg's own families."""
+    n = alg.size
+    full, delta = (1 << n * n) - 1, BinRel.delta(n).bits
+    congruences, tolerances = _congruences(alg), _family(alg, TOLERANCE)
+    rels = [0, delta, full] + [rng.getrandbits(n * n) for _ in range(24)]
+    for a in rels:
+        pairs = _pairs(n, a)
+        assert k.converse(a) == _bits(n, {(y, x) for x, y in pairs}), (alg, a)
+        assert k.star(a) == _bits(n, naive_transitive_closure(pairs)), (alg, a)
+        assert k.adm_close(a) == _bits(n, _closure(alg, 2, pairs)), (alg, a)
+        assert k.tol_close(a) == _least((t for t in tolerances if a & ~t == 0), n), (alg, a)
+        assert k.cg(a) == _least((d for d in congruences if a & ~d == 0), n), (alg, a)
+        for b in rels[:8]:
+            want = _bits(n, naive_compose(pairs, _pairs(n, b)))
+            assert k.compose(a, b) == want, (alg, a, b)
+    for x in congruences:
+        for y in congruences:
+            want = _least((d for d in congruences if (x | y) & ~d == 0), n)
+            assert k.cong_join(x, y) == want, (alg, x, y)
+    ra = _family(alg, REFLEXIVE_ADMISSIBLE)
+    pairs = [(r, s) for r in ra for s in ra]
+    for r, s in rng.sample(pairs, min(len(pairs), 8)):
+        m, _, c1, weak, least = _oracle_commutators(alg, BinRel(n, r), BinRel(n, s), congruences)
+        assert k.m_set(r, s) == tuple_bits(n, m), (alg, r, s)
+        matrices = k.m_set(r, s)
+        for v in (0, delta, full, r, s, rng.getrandbits(n * n)):
+            assert k.k_op(r, s, v) == naive_bottom_rows(n, matrices, v), (alg, r, s, v)
+        assert k.comm1(r, s) == c1, (alg, r, s)
+        assert k.comm_weak(r, s) == weak, (alg, r, s)
+        assert k.comm(r, s) == least, (alg, r, s)
+
+
+@pytest.mark.parametrize("name, alg", SMALL, ids=[name for name, _ in SMALL])
+def test_kernel_object_attributes_match_the_oracles(name, alg):
+    k = relations.kernels(alg)
+    assert [a for a in KERNEL_ATTRIBUTES if not callable(getattr(k, a, None))] == []
+    _check_kernel_object(alg, k, random.Random(name))
+
+
+def test_kernel_objects_are_kept_per_algebra_not_per_size(algebras):
+    # equal sizes, different operations: each algebra has its own object,
+    # and each agrees with its own oracle on the same bits, in either order
+    groupoids = [random_algebra(Signature(3), f"objects:{i}") for i in range(2)]
+    trios = [
+        (algebras["C3"], algebras["Z3"], algebras["RB3"]),
+        (*groupoids, algebras["Set3"]),
+    ]
+    for trio in trios:
+        for order in (trio, trio[::-1]):
+            relations.clear_caches()
+            objects = [relations.kernels(alg) for alg in order]
+            assert len({id(k) for k in objects}) == len(order)
+            for alg, k in zip(order, objects):
+                assert k.alg == alg and relations.kernels(alg) is k
+                _check_kernel_object(alg, k, random.Random(repr(alg)))
+        # and the three differ on some relation bits
+        closures = [relations.kernels(alg).adm_close for alg in trio]
+        assert any(len({close(bits) for close in closures}) > 1 for bits in range(1 << 9))
+
+
+def test_equal_algebras_share_one_kernel_object():
+    # each CLI command loads its algebra afresh
+    path = Path(__file__).resolve().parent.parent / "algebras" / "rb3.alg"
+    first, second = (load_algebra(str(path)) for _ in range(2))
+    assert first is not second and first == second
+    relations.clear_caches()
+    k = relations.kernels(first)
+    assert relations.kernels(second) is k
+    info = relations.kernels.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
+def test_listed_family_is_refused_once_the_cap_refuses_it(monkeypatch):
+    # a family is listed once per algebra, but the cap on n is read on
+    # every check, before the listed family: Z5 exceeds the default cap
+    # of 4 for reflexive admissible relations, Z2 an override of 1
+    z5 = FiniteAlgebra(5, (("+", 2, tuple((a + b) % 5 for a in range(5) for b in range(5))),))
+
+    def check(alg, override):
+        if override is None:
+            monkeypatch.delenv("RELCOMM_MAX_N", raising=False)
+        else:
+            monkeypatch.setenv("RELCOMM_MAX_N", override)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the override's warning
+            return check_condition(alg, "T2_I", RelFamily())
+
+    for alg, listed_under, refused_under in ((z5, "5", None), (Z2, None, "1")):
+        relations.clear_caches()
+        assert check(alg, listed_under).relations_checked == 2
+        assert REFLEXIVE_ADMISSIBLE in relations.kernels(alg).families
+        with pytest.raises(FamilyBoundError, match="capped at n="):
+            check(alg, refused_under)
+
+
+def test_summed_counters_never_go_back_when_search_drops_objects(monkeypatch):
+    # search drops each candidate's kernel object after its profile; the
+    # counters the benchmark reads keep what the dropped objects counted
+    relations.clear_caches()
+    seen = []
+    real = properties.evaluate_problem_profile
+
+    def profile(alg, ids):
+        seen.append(_counts())
+        return real(alg, ids)
+
+    monkeypatch.setattr(properties, "evaluate_problem_profile", profile)
+    report = run_search(SearchTask(sizes=(3,), budget=6, seed=2))
+    seen.append(_counts())
+    assert len(seen) == len(report.entries) + 1
+    for key in seen[0]:
+        series = [counts[key] for counts in seen]
+        for before, after in zip(series, series[1:]):
+            assert after[0] >= before[0] and after[1] >= before[1], (key, series)
+        assert series[-1][1] > 0, key
+    # and no candidate's object is kept
+    assert relations.kernels.cache_info().currsize == 0
+
+
+def test_threads_build_evict_and_drop_kernel_objects():
+    # more algebras than objects kept, shared by more threads than cores:
+    # every value must equal its one-thread reference, and the summed
+    # counters, which a lost update of the dropped totals would lower,
+    # must never go back
+    algs = [random_algebra(Signature(3), f"threads:{i}") for i in range(KERNEL_OBJECTS + 8)]
+    full = (1 << 9) - 1
+    relations.clear_caches()
+    want = {
+        alg: (relations.cg_bits(alg, 0b10), commutator.comm1_bits(alg, full, full))
+        for alg in algs
+    }
+    relations.clear_caches()
+    stop = threading.Event()
+    seen = []
+
+    def watch():
+        while not stop.is_set():
+            seen.append(_counts())
+
+    def work(seed):
+        rng = random.Random(seed)
+        got = []
+        for alg in rng.sample(algs, len(algs)) * 3:
+            k = relations.kernels(alg)
+            got.append((alg, (k.cg(0b10), k.comm1(full, full))))
+            if rng.random() < 0.2:
+                relations.kernels.drop(alg)
+        return got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        watcher = threading.Thread(target=watch)
+        watcher.start()
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(work, seed) for seed in range(6)]
+            results = [pair for future in futures for pair in future.result(timeout=120)]
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    watcher.join(timeout=60)
+    assert not watcher.is_alive()
+    assert [alg for alg, got in results if got != want[alg]] == []
+    seen.append(_counts())
+    for key in seen[0]:
+        series = [counts[key] for counts in seen]
+        assert all(a[0] <= b[0] and a[1] <= b[1] for a, b in zip(series, series[1:])), key
+    assert len(relations.kernels.objects) <= KERNEL_OBJECTS

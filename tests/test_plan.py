@@ -36,10 +36,10 @@ from relcomm.expr import (
 from relcomm.properties import (
     PropertyReport,
     Witness,
+    _drawer,
     _members,
     _Plan,
     _plan,
-    _sample_one,
     _sweep,
 )
 from relcomm.relations import REFLEXIVE_ADMISSIBLE, BinRel
@@ -236,7 +236,7 @@ def _reference_sampled_check(alg, cond_id, family):
         env = {}
         for q in spec.quantifiers:
             above = 0 if q.above is None else eval_expr(alg, env, q.above).bits
-            env[q.name] = BinRel(alg.size, _sample_one(alg, q, above, rng))
+            env[q.name] = BinRel(alg.size, _drawer(alg, q.kind)(above, rng))
         witness = _reference_witness(alg, spec, env)
         if witness is not None:
             break

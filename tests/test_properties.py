@@ -22,8 +22,8 @@ from relcomm.properties import (
     VERDICT_SAMPLED_OK,
     PropertyReport,
     Witness,
+    _drawer,
     _members,
-    _sample_one,
     _sweep,
 )
 from relcomm.relations import UsageError, family_closure
@@ -42,7 +42,7 @@ def test_sampled_draw_lies_above_its_bound(algebras):
         close = family_closure(alg, q.kind)
         for _ in range(20):
             above = rng.getrandbits(alg.size**2)
-            bits = _sample_one(alg, q, above, rng)
+            bits = _drawer(alg, q.kind)(above, rng)
             assert bits & above == above and close(bits) == bits, (alg, above)
 
 
@@ -351,19 +351,20 @@ def test_plan_hoists_subterms_and_lists_families_once(algebras, monkeypatch):
     from relcomm import properties, relations
 
     calls = {"converse": 0, "enumerate": 0}
-    real_converse = relations.converse_bits
+    kernels = relations.kernels(algebras["C3"])
+    real_converse = kernels.converse
     real_enumerate = properties.enumerate_relations
 
-    def converse(n, a):
+    def converse(a):
         calls["converse"] += 1
-        return real_converse(n, a)
+        return real_converse(a)
 
     def enumerate_relations(alg, family):
         calls["enumerate"] += 1
         return real_enumerate(alg, family)
 
-    # plans run the int kernel, bound when the check builds its plan
-    monkeypatch.setattr(relations, "converse_bits", converse)
+    # plans run the algebra's kernel, bound when the check builds its plan
+    monkeypatch.setattr(kernels, "converse", converse)
     monkeypatch.setattr(properties, "enumerate_relations", enumerate_relations)
     rep = check_condition(algebras["C3"], "L1A_I", RelFamily())
     assert rep.holds and rep.relations_checked == 15_625

@@ -41,8 +41,9 @@ def _modules():
 
 def test_every_cache_is_a_registered_memo():
     # a memo kept outside `algebra.MEMOS` is missed by `clear_caches` and by
-    # anything that reads the memo table; a public form that carries a
-    # kernel's counters (`relations.cached_by`) must share a registered one
+    # anything that reads the memo table; a public form that carries the
+    # counters of the kernel objects' memos (`PerAlgebra.counts`) must be
+    # registered itself
     shared = [cached.cache_info for cached in MEMOS]
     stray = [
         f"{module.__name__}.{name}"
@@ -72,6 +73,26 @@ def test_cli_import_loads_no_process_pool():
         "import sys, relcomm.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in "
         "('concurrent', 'multiprocessing')))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(relcomm.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, check=True, timeout=60
+    ).stdout
+    assert out == b"[]\n"
+
+
+def test_kernel_imports_load_no_checker_search_or_cli():
+    # the package resolves its exports on first use, so a caller of the
+    # kernels alone (the benchmark's commutator jobs) skips the parse of the
+    # condition table and the modules that build on it
+    probe = (
+        "import sys, relcomm.commutator; "
+        "from relcomm import algfile, commutator, relations; "
+        "alg = relcomm.FiniteAlgebra(2, (('+', 2, (0, 1, 1, 0)),)); "
+        "full = relations.BinRel.full(2); commutator.comm(alg, full, full); "
+        "print(sorted(m for m in sys.modules if m in "
+        "('relcomm.expr', 'relcomm.conditions', 'relcomm.properties', 'relcomm.search', "
+        "'relcomm.cli')))"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(relcomm.__file__)))
     out = subprocess.run(
