@@ -41,9 +41,10 @@ MEMOS = []
 # algebra's object once its profile is done, so it keeps one at a time;
 # 16 objects cover a caller that alternates between a few algebras.  An
 # object's index of M(R, S) seeds takes one key per relation and side, 392
-# on the 4-chain's 196 reflexive admissible relations.
-# `commutator._blocks` takes one entry per relation and universe size (196
-# there), and `commutator.spread` one per relation V that K(R, S; V) reads.
+# on the 4-chain's 196 reflexive admissible relations.  The memos that the
+# objects of one size share take one entry per relation: `blocks` one per
+# R or S of an M(R, S) miss (196 there), `spread` one per V that
+# K(R, S; V) reads.
 # Plan memos hold one entry per (algebra, power), condition spec or
 # universe size: search-n4 fills 122 image plans and 5 condition plans.
 KERNEL_ENTRIES, KERNEL_OBJECTS, PLAN_ENTRIES = 65536, 16, 256
@@ -65,23 +66,22 @@ def memo(maxsize):
 
 class PerAlgebra:
     """A memo of one object per algebra, registered in `MEMOS`: `self(alg)`
-    is `build(alg, cached)`, built on the first call for alg or an equal
-    algebra and kept for the calls after it.
+    is `build(alg)`, built on the first call for alg or an equal algebra
+    and kept for the calls after it.
 
-    The object makes its memos with `cached(name, fn)`, a plain
-    `functools.lru_cache` of KERNEL_ENTRIES over `fn`, so that a hit is one
-    C-level call keyed by `fn`'s arguments alone.  `counts(name)` gives a
-    function the counters of every object's memo of that name: their sum
-    over the objects kept, plus the counts of every object dropped (`drop`,
-    or the oldest one past KERNEL_OBJECTS), so no counter goes backwards.
-    `clear` drops every object and zeroes those totals.  Building,
-    dropping and reading the totals hold one lock; a lookup that finds its
-    object takes none, and is not counted.
+    `counts(name)` gives a function the counters of the memo that every
+    object holds as its attribute `name` (a `functools.lru_cache`): their
+    sum over the objects kept, plus the counts of every object dropped
+    (`drop`, or the oldest one past KERNEL_OBJECTS), so no counter goes
+    backwards.  `clear` drops every object and zeroes those totals.
+    Building, dropping and reading the totals hold one lock; a lookup that
+    finds its object takes none, and is not counted.
     """
 
     def __init__(self, build):
         self.build = build
-        self.objects = {}  # by algebra: (object, its memos by name), oldest first
+        self.objects = {}  # by algebra, oldest first
+        self.names = []  # the memo attributes that `counts` sums
         self.dropped = {}  # by memo name: (hits, misses) of the objects dropped
         self.built = 0
         self.lock = threading.Lock()
@@ -90,26 +90,20 @@ class PerAlgebra:
         MEMOS.append(self)
 
     def __call__(self, alg):
-        entry = self.objects.get(alg)
-        if entry is None:
-            entry = self._build(alg)
-        return entry[0]
+        obj = self.objects.get(alg)
+        if obj is None:
+            obj = self._build(alg)
+        return obj
 
     def _build(self, alg):
         with self.lock:
-            entry = self.objects.get(alg)  # another thread may have built it
-            if entry is None:
-                memos = {}
-
-                def cached(name, fn):
-                    memos[name] = lru_cache(maxsize=KERNEL_ENTRIES)(fn)
-                    return memos[name]
-
-                entry = self.objects[alg] = (self.build(alg, cached), memos)
+            obj = self.objects.get(alg)  # another thread may have built it
+            if obj is None:
+                obj = self.objects[alg] = self.build(alg)
                 self.built += 1
                 if len(self.objects) > KERNEL_OBJECTS:
                     self._retire(next(iter(self.objects)))
-            return entry
+            return obj
 
     def drop(self, alg):
         """Forget the object of alg, if any; its memos' counts stay in the
@@ -118,23 +112,24 @@ class PerAlgebra:
             self._retire(alg)
 
     def _retire(self, alg):
-        entry = self.objects.pop(alg, None)
-        if entry is not None:
-            for name, cached in entry[1].items():
-                info = cached.cache_info()
+        obj = self.objects.pop(alg, None)
+        if obj is not None:
+            for name in self.names:
                 hits, misses = self.dropped.get(name, (0, 0))
+                info = getattr(obj, name).cache_info()
                 self.dropped[name] = (hits + info.hits, misses + info.misses)
 
     def counts(self, name):
         """Give the decorated function `cache_info`, the summed counters of
         the memos called `name`, and `cache_clear`, and register it."""
+        self.names.append(name)
 
         def info():
             with self.lock:
                 hits, misses = self.dropped.get(name, (0, 0))
                 size = 0
-                for _, memos in self.objects.values():
-                    h, m, _, s = memos[name].cache_info()
+                for obj in self.objects.values():
+                    h, m, _, s = getattr(obj, name).cache_info()
                     hits, misses, size = hits + h, misses + m, size + s
             return CacheInfo(hits, misses, KERNEL_ENTRIES, size)
 

@@ -24,14 +24,16 @@ A^4, so it is a subuniverse, and it holds both blocks because R and S are
 reflexive.  The closure takes it as `within=` and stops as soon as it has
 every tuple of U(R, S), which is where most closures of large R and S end.
 The blocks and the factors S x S and swap(R x R) of U(R, S) depend on one
-relation each, so `_blocks` builds them once per relation and universe
-size, and a miss of M(R, S) spends no loop over pairs on them.
+relation each, so the kernel objects of one size share one memo of them
+(`relation_blocks`, the object's `blocks`), and a miss of M(R, S) spends
+no loop over pairs on them.
 
 M(R, S) stays in the bitset encoding of `TupleSet`: bit
 ((x*n + y)*n + z)*n + w, so the n*n bits at offset (x*n + y)*n*n form the
 slice at top row (x, y), the bottom rows (z, w) as `BinRel` bits.
 K(R, S; V) is the OR of the slices at the pairs of V: M(R, S) masked to
-those slices (`spread`), then folded onto the lowest slice by shifts.
+those slices (`spread_bits`, the object's `spread`), then folded onto the
+lowest slice by shifts.
 [R, S | 1]_W has (x, w) iff bit (x, w) of the slice at (x, x) is set.
 The blocks are spread from the relations' bits: pair bit i of S, (b, b'),
 becomes bit i*(n*n + 1), and pair (a, a') of R bit (n + 1)*(a*n*n + a').
@@ -40,84 +42,81 @@ Each value is computed on the kernel object of the algebra
 (`relations.Kernels`) by a function `*_of(k, R bits, S bits)`: the object
 binds them as its `m_set`, `k_op`, `comm1`, `comm_weak` and `comm`, and
 memoises `m_set`, `comm1` and `comm` by the relation bits alone, so
-condition plans call them with bits only.  The module-level `*_bits(alg,
-...)` forward to the object.  The `BinRel` forms check the sizes of R and
-S (`k_op` then V's) and call the object; `m_set`, `comm1` and `comm` carry
+condition plans call them with bits only.  The object is the only
+bits-level interface.  The `BinRel` forms check the sizes of R and S
+(`k_op` then V's) and call the object; `m_set`, `comm1` and `comm` carry
 the summed counters of that memo on every object.  All functions are
 pure, so concurrent calls with equal arguments return equal values.
 """
 
 from __future__ import annotations
 
-from .algebra import (
-    KERNEL_ENTRIES,
-    PLAN_ENTRIES,
-    FiniteAlgebra,
-    TupleSet,
-    _image,
-    _indices,
-    memo,
-    subuniverse_closure,
-)
+from .algebra import FiniteAlgebra, TupleSet, _image, _indices, subuniverse_closure
 from .relations import BinRel, _bits_on, kernels, require_reflexive_admissible
 
 
-@memo(PLAN_ENTRIES)
-def _swap_middle(n: int):
+def swap_middle(n: int):
     """The move descriptor of `algebra._image` that swaps the middle
     coordinates of 4-tuples over n elements, (x, y, z, w) -> (x, z, y, w):
-    the tuples with z - y = d move d*(n*n - n) bits, one mask per d."""
+    the tuples with z - y = d move d*(n*n - n) bits, one mask per d.  The
+    tuples of one (y, z) are n runs of n bits, one run per x, so each mask
+    is built for x = 0 and then repeated every n**3 bits."""
     moves = {}
-    for e in range(n**4):
-        d = (e // n % n - e // (n * n) % n) * (n * n - n)
-        moves[d] = moves.get(d, 0) | 1 << e
-    return moves.pop(0), tuple((m, max(d, 0), max(-d, 0)) for d, m in moves.items())
+    for y in range(n):
+        for z in range(n):
+            d = (z - y) * (n * n - n)
+            moves[d] = moves.get(d, 0) | ((1 << n) - 1) << (y * n + z) * n
+    every_x = sum(1 << x * n**3 for x in range(n))
+    kept = moves.pop(0) * every_x
+    return kept, tuple((m * every_x, max(d, 0), max(-d, 0)) for d, m in moves.items())
 
 
-@memo(KERNEL_ENTRIES)
-def _blocks(n: int, x: int):
-    """What M(R, S) reads off a relation X with bits x on n elements, built
-    once per relation, as 4-tuple bits in the `TupleSet` encoding: (X's
-    block as R, {(a, a, a', a') : a X a'}; its block as S, {(b, b', b, b')
-    : b X b'}; X x X, the (x, y, z, w) with (x, y) and (z, w) in X; and
-    swap(X x X), that set with its middle coordinates swapped).  Pair bit
-    i, (a, a'), becomes bit (n + 1)*(a*n*n + a') of the first and bit
-    i*(n*n + 1) of the second."""
+def relation_blocks(n: int, swap, x: int):
+    """What M(R, S) reads off a relation X with bits x on n elements, as
+    4-tuple bits in the `TupleSet` encoding: (X's block as R, {(a, a, a',
+    a') : a X a'}; its block as S, {(b, b', b, b') : b X b'}; X x X, the
+    (x, y, z, w) with (x, y) and (z, w) in X; and swap(X x X), that set
+    with its middle coordinates swapped by `swap`, the `swap_middle(n)`
+    that each size builds once).  Pair bit i, (a, a'), becomes bit
+    (n + 1)*(a*n*n + a') of the first and bit i*(n*n + 1) of the second.
+    The kernel objects of size n share one memo of it, `k.blocks(x)`."""
     pairs = _indices(x)
     square = sum(1 << i * n * n for i in pairs) * x
     return (
         sum(1 << (n + 1) * (i // n * n * n + i % n) for i in pairs),
         sum(1 << i * (n * n + 1) for i in pairs),
         square,
-        _image(square, (_swap_middle(n),)),
+        _image(square, (swap,)),
     )
 
 
-def matrix_bound_bits(n: int, r: int, s: int) -> int:
+def matrix_bound_bits(k, r: int, s: int) -> int:
     """U(R, S) = {(x, y, z, w) : x S y, z S w, x R z, y R w}, the 4-tuples
     whose rows lie in S and whose columns lie in R, as (S x S) & swap(R x R):
     X x X holds the (x, y, z, w) with (x, y) and (z, w) in X, and the swap
     of the middle coordinates turns rows into columns.  Both factors come
-    from `_blocks`, so each is built once per relation."""
-    return _blocks(n, s)[2] & _blocks(n, r)[3]
+    from the kernel object k's `blocks`, so each is built once per
+    relation."""
+    return k.blocks(s)[2] & k.blocks(r)[3]
 
 
-@memo(KERNEL_ENTRIES)
-def spread(n: int, v: int) -> int:
+def spread_bits(n: int, v: int) -> int:
     """The 4-tuple bits of the slices at the pairs of the relation bits v
     on n elements: the n*n bits from (x*n + y)*n*n for each pair (x, y)
-    of v."""
+    of v.  The kernel objects of size n share one memo of it,
+    `k.spread(v)`."""
     nn = n * n
     return sum(1 << i * nn for i in _indices(v)) * ((1 << nn) - 1)
 
 
-def _bottom_rows(n: int, m: int, v: int) -> int:
+def _bottom_rows(k, m: int, v: int) -> int:
     """The bits of the pairs (z, w) of the matrices in the 4-tuple bits m
-    whose top row (x, y) is a pair of the relation bits v: the OR of the
-    slices of m at them.  m is masked to those slices (`spread`), and the
-    n*n slices are folded onto the lowest, halving the span each time."""
-    nn = n * n
-    bits = m & spread(n, v)
+    whose top row (x, y) is a pair of the relation bits v, on the universe
+    of the kernel object k: the OR of the slices of m at them.  m is
+    masked to those slices (`k.spread`), and the n*n slices are folded
+    onto the lowest, halving the span each time."""
+    nn = k.n * k.n
+    bits = m & k.spread(v)
     for j in reversed(range((nn - 1).bit_length())):
         bits |= bits >> (nn << j)
     return bits & ((1 << nn) - 1)
@@ -140,14 +139,13 @@ def m_set_of(k, r: int, s: int) -> int:
     check makes U(R, S) (`matrix_bound_bits`) a subuniverse holding both
     blocks, so it contains M(R, S) and is passed as `within=`: the closure
     stops once it reaches U(R, S), and raises if it ever leaves it.  Both
-    blocks and both factors of U(R, S) are read from `_blocks`, built once
-    per relation.  The call goes through this module's
+    blocks and both factors of U(R, S) are read from `k.blocks`, built
+    once per relation.  The call goes through this module's
     `subuniverse_closure` name, which the benchmark's closure spans
     wrap."""
-    alg, n = k.alg, k.n
-    require_reflexive_admissible(alg, BinRel(n, r), "R")
-    require_reflexive_admissible(alg, BinRel(n, s), "S")
-    rows, columns = _blocks(n, r)[0], _blocks(n, s)[1]
+    require_reflexive_admissible(k, BinRel(k.n, r), "R")
+    require_reflexive_admissible(k, BinRel(k.n, s), "S")
+    rows, columns = k.blocks(r)[0], k.blocks(s)[1]
     by_s = k.computed.setdefault(("R", r), {})
     by_r = k.computed.setdefault(("S", s), {})
     # snapshots, so that another thread's insertion cannot break the loops
@@ -155,15 +153,15 @@ def m_set_of(k, r: int, s: int) -> int:
     seeds += [(m, columns) for s2, m in tuple(by_s.items()) if s2 & ~s == 0]
     seeds += [(m, rows) for r2, m in tuple(by_r.items()) if r2 & ~r == 0]
     closed, generators = max(seeds, key=lambda seed: seed[0].bit_count())
-    bound = matrix_bound_bits(n, r, s)
-    m = subuniverse_closure(alg, 4, generators, closed=closed, within=bound).bits
+    bound = matrix_bound_bits(k, r, s)
+    m = subuniverse_closure(k.alg, 4, generators, closed=closed, within=bound).bits
     by_s[s] = by_r[r] = m
     return m
 
 
 def k_op_of(k, r: int, s: int, v: int) -> int:
     """K(R, S; V): bottom rows of M(R, S) matrices with top row in V."""
-    return _bottom_rows(k.n, k.m_set(r, s), v)
+    return _bottom_rows(k, k.m_set(r, s), v)
 
 
 def comm1_of(k, r: int, s: int) -> int:
@@ -191,47 +189,23 @@ def comm_of(k, r: int, s: int) -> int:
     at the least one.
     """
     m = k.m_set(r, s)
-    n, cg = k.n, k.cg
+    cg = k.cg
     d = k.delta
     while True:
-        nd = cg(d | _bottom_rows(n, m, d))
+        nd = cg(d | _bottom_rows(k, m, d))
         if nd == d:
             return d
         d = nd
 
 
-# The module-level kernels forward to the algebra's object.
-
-
-def m_set_bits(alg: FiniteAlgebra, r: int, s: int) -> int:
-    """The bits of M(R, S), in the `TupleSet` encoding of (x, y, z, w)
-    tuples, where x and y sit on the top row, z and w on the bottom."""
-    return kernels(alg).m_set(r, s)
-
-
-def k_op_bits(alg: FiniteAlgebra, r: int, s: int, v: int) -> int:
-    return kernels(alg).k_op(r, s, v)
-
-
-def comm1_bits(alg: FiniteAlgebra, r: int, s: int) -> int:
-    return kernels(alg).comm1(r, s)
-
-
-def comm_weak_bits(alg: FiniteAlgebra, r: int, s: int) -> int:
-    return kernels(alg).comm_weak(r, s)
-
-
-def comm_bits(alg: FiniteAlgebra, r: int, s: int) -> int:
-    return kernels(alg).comm(r, s)
-
-
-def _pair_bits(alg, r, s):
-    """R's and S's bits.  When either lies on another universe than alg's,
-    M(R, S)'s input check runs on the `BinRel`s and raises: R before S, and
-    for each, reflexivity at its own size before the size mismatch."""
-    if r.size != alg.size or s.size != alg.size:
-        require_reflexive_admissible(alg, r, "R")
-        require_reflexive_admissible(alg, s, "S")
+def _pair_bits(k, r, s):
+    """R's and S's bits.  When either lies on another universe than that of
+    the kernel object k, M(R, S)'s input check runs on the `BinRel`s and
+    raises: R before S, and for each, reflexivity at its own size before
+    the size mismatch."""
+    if r.size != k.n or s.size != k.n:
+        require_reflexive_admissible(k, r, "R")
+        require_reflexive_admissible(k, s, "S")
     return r.bits, s.bits
 
 
@@ -240,7 +214,8 @@ def m_set(alg: FiniteAlgebra, r: BinRel, s: BinRel) -> TupleSet:
     """The matrix set M(R, S) as a TupleSet of (x, y, z, w) tuples, where
     x and y sit on the top row, z and w on the bottom; R and S must be
     reflexive and admissible."""
-    return TupleSet(alg.size, 4, kernels(alg).m_set(*_pair_bits(alg, r, s)))
+    k = kernels(alg)
+    return TupleSet(alg.size, 4, k.m_set(*_pair_bits(k, r, s)))
 
 
 def k_op(alg: FiniteAlgebra, r: BinRel, s: BinRel, v: BinRel) -> BinRel:
@@ -250,22 +225,25 @@ def k_op(alg: FiniteAlgebra, r: BinRel, s: BinRel, v: BinRel) -> BinRel:
     S; R and S must be reflexive and admissible.
     """
     k = kernels(alg)
-    m = k.m_set(*_pair_bits(alg, r, s))  # checks R, then S, before V
-    return BinRel(alg.size, _bottom_rows(alg.size, m, _bits_on(alg, v)))
+    m = k.m_set(*_pair_bits(k, r, s))  # checks R, then S, before V
+    return BinRel(alg.size, _bottom_rows(k, m, _bits_on(alg, v)))
 
 
 @kernels.counts("comm1")
 def comm1(alg: FiniteAlgebra, r: BinRel, s: BinRel) -> BinRel:
     """[R, S | 1]: transitive closure of K(R, S; delta)."""
-    return BinRel(alg.size, kernels(alg).comm1(*_pair_bits(alg, r, s)))
+    k = kernels(alg)
+    return BinRel(alg.size, k.comm1(*_pair_bits(k, r, s)))
 
 
 def comm_weak(alg: FiniteAlgebra, r: BinRel, s: BinRel) -> BinRel:
     """[R, S | 1]_W: pairs (x, w) with the matrix (x, x; x, w) in M(R, S)."""
-    return BinRel(alg.size, kernels(alg).comm_weak(*_pair_bits(alg, r, s)))
+    k = kernels(alg)
+    return BinRel(alg.size, k.comm_weak(*_pair_bits(k, r, s)))
 
 
 @kernels.counts("comm")
 def comm(alg: FiniteAlgebra, r: BinRel, s: BinRel) -> BinRel:
     """[R, S]: least congruence d with K(R, S; d) <= d."""
-    return BinRel(alg.size, kernels(alg).comm(*_pair_bits(alg, r, s)))
+    k = kernels(alg)
+    return BinRel(alg.size, k.comm(*_pair_bits(k, r, s)))

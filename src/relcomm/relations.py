@@ -14,16 +14,15 @@ r (`_admissibility_witness`) exists only to word error messages.
 The kernels take and return relation bits.  Those of n alone
 (`converse_bits`, `compose_bits`, `star_bits`) keep no memo.  An
 algebra's kernels live on its one kernel object, `kernels(alg)` (a
-`Kernels`), which memoises them and the commutators by relation bits
-alone and is shared by equal algebras; the objects are in one registered
-memo (`algebra.PerAlgebra`), which `clear_caches` empties, and the
-objects of one size share the memos of the kernels of n alone.  The object's
-`cg` checks its admissibility invariant on every miss, and its
-`cong_join` is not memoised and checks both arguments.  The module-level
-`adm_close_bits`, `tol_close_bits`, `cg_bits` and `cong_join_bits`
-forward to the object.  The `BinRel` forms check sizes (`SizeMismatch`)
-and call the object; `adm_close`, `tol_close` and `cg` carry the summed
-counters of that memo on every object.
+`Kernels`), the only bits-level interface: it memoises them and the
+commutators by relation bits alone and is shared by equal algebras.  The
+objects are in one registered memo (`algebra.PerAlgebra`), which
+`clear_caches` empties, and the objects of one size share the memos of
+the kernels of n alone (`_size_kernels`).  The object's `cg` checks its
+admissibility invariant on every miss, and its `cong_join` is not
+memoised and checks both arguments.  The `BinRel` forms check sizes
+(`SizeMismatch`) and call the object; `adm_close`, `tol_close` and `cg`
+carry the summed counters of that memo on every object.
 """
 
 from __future__ import annotations
@@ -213,14 +212,15 @@ def _admissibility_witness(alg, r):
     return None
 
 
-def require_reflexive_admissible(alg, r, name="R"):
-    """Raise NotReflexive/NotAdmissible with a witness if `r` fails."""
+def require_reflexive_admissible(k, r, name="R"):
+    """Raise NotReflexive/NotAdmissible with a witness if `r` fails to be a
+    reflexive admissible relation on the algebra of the kernel object k."""
     missing = delta_bits(r.size) & ~r.bits
     if missing:
         raise NotReflexive(name, ((missing & -missing).bit_length() - 1) // (r.size + 1))
     # the kernel, so that a counter on `is_admissible` sees only its callers
-    if kernels(alg).adm_close(_bits_on(alg, r)) != r.bits:
-        w = _admissibility_witness(alg, r)
+    if k.adm_close(_bits_on(k.alg, r)) != r.bits:
+        w = _admissibility_witness(k.alg, r)
         if w is None:
             raise InvariantViolation(
                 f"adm_close grows {name} = {r!r}, but no operation maps its pairs outside it"
@@ -294,11 +294,21 @@ def star(r: BinRel) -> BinRel:
 
 @memo(PLAN_ENTRIES)
 def _size_kernels(n: int):
-    """The memos of `converse_bits`, `compose_bits` and `star_bits` at n,
-    keyed by relation bits alone: they do not depend on the operations,
-    so every kernel object of that size shares them."""
-    fns = (converse_bits, compose_bits, star_bits)
-    return tuple(lru_cache(maxsize=KERNEL_ENTRIES)(partial(f, n)) for f in fns)
+    """The memos of the kernels of n alone, keyed by relation bits alone:
+    `converse_bits`, `compose_bits` and `star_bits` at n, and the slices
+    (`commutator.spread_bits`) and blocks (`commutator.relation_blocks`)
+    that K(R, S; V) and M(R, S) read off one relation, the blocks with the
+    swap of the middle coordinates of 4-tuples built once per size.  They
+    do not depend on the operations, so every kernel object of that size
+    shares them."""
+    fns = (
+        partial(converse_bits, n),
+        partial(compose_bits, n),
+        partial(star_bits, n),
+        partial(commutator.spread_bits, n),
+        partial(commutator.relation_blocks, n, commutator.swap_middle(n)),
+    )
+    return tuple(lru_cache(maxsize=KERNEL_ENTRIES)(f) for f in fns)
 
 
 def _adm_close(alg, r):
@@ -316,27 +326,31 @@ class Kernels:
     `converse`, `compose`, `star`, `adm_close`, `tol_close`, `cg`, `m_set`,
     `comm1` and `comm` are memos keyed by the relation bits alone, so a hit
     is one C-level call; the first three depend on n alone and are shared
-    by the objects of that size (`_size_kernels`).  `k_op`, `comm_weak`
-    and `cong_join` are not memoised.  Kernels that call each other go
-    through this object (`cg` through `tol_close` and `star`, `comm1`
-    through `k_op` and `m_set`), and so do the `BinRel` forms and
-    condition plans.  The object also
-    keeps the matrix sets that seed M(R, S) (`computed`, see
-    `commutator.m_set_of`) and the exhaustive families listed on the
-    algebra by kind (`families`, see `properties`).
+    by the objects of that size (`_size_kernels`), as are `spread` and
+    `blocks`, which K(R, S; V) and M(R, S) read off one relation.  The
+    object makes its other memos itself, each a `functools.lru_cache` of
+    KERNEL_ENTRIES, and `PerAlgebra.counts` sums their counters over the
+    objects.  `k_op`, `comm_weak` and `cong_join` are not memoised.
+    Kernels that call each other go through this object (`cg` through
+    `tol_close` and `star`, `comm1` through `k_op` and `m_set`), and so do
+    the `BinRel` forms and condition plans.  The object also keeps the
+    matrix sets that seed M(R, S) (`computed`, see `commutator.m_set_of`)
+    and the exhaustive families listed on the algebra by kind (`families`,
+    see `properties`).
     """
 
-    def __init__(self, alg: FiniteAlgebra, cached):
+    def __init__(self, alg: FiniteAlgebra):
         n = self.n = alg.size
         self.alg = alg
         self.delta = delta_bits(n)
-        self.converse, self.compose, self.star = _size_kernels(n)
-        self.adm_close = cached("adm_close", partial(_adm_close, alg))
-        self.tol_close = cached("tol_close", self._tol_close)
-        self.cg = cached("cg", self._cg)
-        self.m_set = cached("m_set", partial(commutator.m_set_of, self))
-        self.comm1 = cached("comm1", partial(commutator.comm1_of, self))
-        self.comm = cached("comm", partial(commutator.comm_of, self))
+        self.converse, self.compose, self.star, self.spread, self.blocks = _size_kernels(n)
+        cached = lru_cache(maxsize=KERNEL_ENTRIES)
+        self.adm_close = cached(partial(_adm_close, alg))
+        self.tol_close = cached(self._tol_close)
+        self.cg = cached(self._cg)
+        self.m_set = cached(partial(commutator.m_set_of, self))
+        self.comm1 = cached(partial(commutator.comm1_of, self))
+        self.comm = cached(partial(commutator.comm_of, self))
         self.k_op = partial(commutator.k_op_of, self)
         self.comm_weak = partial(commutator.comm_weak_of, self)
         self.computed = {}
@@ -373,25 +387,6 @@ def _join_argument(k, bits, position):
     if k.cg(bits) != bits:
         raise UsageError(f"the {position} argument of cong_join is not a congruence")
     return bits
-
-
-# The module-level kernels of an algebra forward to its object.
-
-
-def adm_close_bits(alg: FiniteAlgebra, r: int) -> int:
-    return kernels(alg).adm_close(r)
-
-
-def tol_close_bits(alg: FiniteAlgebra, r: int) -> int:
-    return kernels(alg).tol_close(r)
-
-
-def cg_bits(alg: FiniteAlgebra, r: int) -> int:
-    return kernels(alg).cg(r)
-
-
-def cong_join_bits(alg: FiniteAlgebra, a: int, b: int) -> int:
-    return kernels(alg).cong_join(a, b)
 
 
 @kernels.counts("adm_close")

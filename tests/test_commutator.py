@@ -97,12 +97,19 @@ def test_m_set_equals_plain_closure_of_both_blocks(algebras, ra_lists):
         assert m_set(alg, r, s) == plain(alg, r, s), (alg, r, s)
 
 
+def _kernels_of_size(n):
+    """The kernel object of the n-element set: its `blocks` and `spread`
+    are the memos that every kernel object of size n shares."""
+    return relations.kernels(FiniteAlgebra(n))
+
+
 def test_bottom_rows_match_the_per_pair_or():
     # K(R, S; V) masks the matrix bits to V's slices (`spread`) and folds
     # the n*n slices onto the lowest; n*n = 9 and 25 are no powers of two,
     # so the fold's top step covers fewer slices than its span
     rng = random.Random(31)
     for n in range(1, 6):
+        k = _kernels_of_size(n)
         nn = n * n
         vs = [0, (1 << nn) - 1, BinRel.delta(n).bits] + [1 << i for i in range(nn)]
         vs += [rng.getrandbits(nn) for _ in range(12)]
@@ -112,9 +119,9 @@ def test_bottom_rows_match_the_per_pair_or():
         for m in ms:
             for v in vs:
                 want = naive_bottom_rows(n, m, v)
-                assert commutator._bottom_rows(n, m, v) == want, (n, m, v)
+                assert commutator._bottom_rows(k, m, v) == want, (n, m, v)
         for v in vs:
-            assert commutator.spread(n, v) == sum(
+            assert k.spread(v) == sum(
                 ((1 << nn) - 1) << i * nn for i in range(nn) if v >> i & 1
             ), (n, v)
 
@@ -122,17 +129,18 @@ def test_bottom_rows_match_the_per_pair_or():
 def test_matrix_bound_matches_oracle():
     rng = random.Random(31)
     for n in range(1, 5):
+        k = _kernels_of_size(n)
         full = (1 << n * n) - 1
         for r, s in [(0, 0), (full, full), (full, 0)] + [
             (rng.getrandbits(n * n), rng.getrandbits(n * n)) for _ in range(40)
         ]:
             want = tuple_bits(n, naive_matrix_bound(n, r, s))
-            assert commutator.matrix_bound_bits(n, r, s) == want, (n, r, s)
+            assert commutator.matrix_bound_bits(k, r, s) == want, (n, r, s)
 
 
 def _relation_pieces(n, x):
-    """The four 4-tuple sets that `commutator._blocks` builds for relation
-    bits x, by their definitions: the block as R, the block as S, X x X and
+    """The four 4-tuple sets that a kernel object's `blocks` builds for
+    relation bits x, by their definitions: the block as R, the block as S, X x X and
     X x X with its middle coordinates swapped."""
     pairs = [divmod(i, n) for i in range(n * n) if x >> i & 1]
     square = [(a, b, c, d) for a, b in pairs for c, d in pairs]
@@ -148,35 +156,48 @@ def _relation_pieces(n, x):
 
 
 def test_relation_blocks_match_their_definitions(algebras, ra_lists):
-    # each relation's blocks and bound factors are built once, by relation
-    # bits and universe size: on every reflexive admissible relation of the
-    # catalog and on random bits they must equal their definitions, and
-    # U(R, S) the oracle's
+    # each relation's blocks and bound factors are built once per relation
+    # bits, in a memo of its universe size: on every reflexive admissible
+    # relation of the catalog and on random bits they must equal their
+    # definitions, and U(R, S) the oracle's
     rng = random.Random(55)
     bits = {n: {0, (1 << n * n) - 1} for n in range(1, 5)}
     for name, alg in algebras.items():
         bits[alg.size] |= {r.bits for r in ra_lists[name]}
     relations.clear_caches()
     for n, xs in bits.items():
+        k = _kernels_of_size(n)
         xs = sorted(xs | {rng.getrandbits(n * n) for _ in range(30)})
         for x in xs:
-            assert commutator._blocks(n, x) == _relation_pieces(n, x), (n, x)
+            assert k.blocks(x) == _relation_pieces(n, x), (n, x)
         for r, s in [(x, x) for x in xs] + [tuple(rng.sample(xs, 2)) for _ in range(60)]:
             want = tuple_bits(n, naive_matrix_bound(n, r, s))
-            assert commutator.matrix_bound_bits(n, r, s) == want, (n, r, s)
+            assert commutator.matrix_bound_bits(k, r, s) == want, (n, r, s)
 
 
-def test_relation_blocks_are_kept_per_universe_size():
-    # bits 0b1001 are the diagonal on 2 elements and {(0, 0), (1, 0)} on
-    # 3: a memo keyed by the bits alone would hand one size's blocks to
-    # the other, in either order
+def test_relation_blocks_are_kept_per_universe_size(algebras):
+    # the blocks and slices of a relation depend on its bits and n alone,
+    # so two algebras of one size share their memos; bits 0b1001 are the
+    # diagonal on 2 elements and {(0, 0), (1, 0)} on 3, so a memo shared
+    # across sizes would hand one size's blocks to the other, in either
+    # order
     x = 0b1001
     for sizes in ((2, 3), (3, 2)):
         relations.clear_caches()
+        objects = {}
         for n in sizes:
-            assert commutator._blocks(n, x) == _relation_pieces(n, x), (sizes, n)
+            same_size = [alg for alg in algebras.values() if alg.size == n]
+            assert len(same_size) >= 2, n
+            first, second = (relations.kernels(alg) for alg in same_size[:2])
+            assert first is not second
+            assert first.blocks is second.blocks and first.spread is second.spread, n
+            assert first.blocks(x) == _relation_pieces(n, x), (sizes, n)
             want = tuple_bits(n, naive_matrix_bound(n, x, x))
-            assert commutator.matrix_bound_bits(n, x, x) == want, (sizes, n)
+            assert commutator.matrix_bound_bits(second, x, x) == want, (sizes, n)
+            objects[n] = first
+        small, large = objects[2], objects[3]
+        assert small.blocks is not large.blocks and small.spread is not large.spread
+        assert small.spread(x) != large.spread(x)
 
 
 def test_m_set_is_the_naive_closure_of_both_blocks_inside_its_bound(algebras, ra_lists):
@@ -212,7 +233,7 @@ def _unseeded_m_set_bits(alg, r, s):
     """M(R, S) closed from R's block alone, S's block the generators."""
     n = alg.size
     columns = tuple_bits(n, [(b, b2, b, b2) for b, b2 in s.pairs()])
-    bound = commutator.matrix_bound_bits(n, r.bits, s.bits)
+    bound = commutator.matrix_bound_bits(relations.kernels(alg), r.bits, s.bits)
     return subuniverse_closure(alg, 4, columns, closed=_r_block(n, r), within=bound).bits
 
 
@@ -224,7 +245,7 @@ def _random_groupoids(rng, count):
 
 
 def test_seeded_m_set_equals_the_unseeded_closure(monkeypatch, algebras, ra_lists):
-    # m_set_bits starts each closure from a matrix set computed earlier on
+    # m_set starts each closure from a matrix set computed earlier on
     # the same algebra; visiting the relations by size gives nearly every
     # miss a seed, a shuffled visit puts larger sets first, and each result
     # must equal the closure from R's block
@@ -248,7 +269,7 @@ def test_seeded_m_set_equals_the_unseeded_closure(monkeypatch, algebras, ra_list
             relations.clear_caches()
             got = {}
             for r, s in order:
-                got[r, s] = commutator.m_set_bits(alg, r.bits, s.bits)
+                got[r, s] = relations.kernels(alg).m_set(r.bits, s.bits)
                 seeded += closed[-1] != _r_block(alg.size, r)
             relations.clear_caches()
             for (r, s), m in got.items():
@@ -272,12 +293,13 @@ def test_seeds_never_cross_algebras(algebras):
         rels = list(enumerate_relations(first, fam))
         for r in rels:
             for s in rels:
-                earlier[r.bits, s.bits] = commutator.m_set_bits(first, r.bits, s.bits)
+                earlier[r.bits, s.bits] = relations.kernels(first).m_set(r.bits, s.bits)
         rels = list(enumerate_relations(second, fam))
         for r in rels:
             for s in rels:
                 want = _unseeded_m_set_bits(second, r, s)
-                assert commutator.m_set_bits(second, r.bits, s.bits) == want, (first, second, r, s)
+                got = relations.kernels(second).m_set(r.bits, s.bits)
+                assert got == want, (first, second, r, s)
                 # an M(R, S') or M(R', S) of the first algebra, S' <= S or
                 # R' <= R, that is not in this M(R, S): a wrong seed
                 crossing += any(
@@ -301,7 +323,7 @@ def test_m_set_closes_within_its_bound(monkeypatch):
     relations.clear_caches()
     r, s = refl(2, (0, 1)), FULL2
     m_set(L2, r, s)
-    assert bounds == [commutator.matrix_bound_bits(2, r.bits, s.bits)]
+    assert bounds == [commutator.matrix_bound_bits(relations.kernels(L2), r.bits, s.bits)]
 
 
 def test_closures_go_through_the_module_attributes(monkeypatch):
@@ -383,7 +405,7 @@ def test_missing_witness_is_an_invariant_violation(monkeypatch):
 
     monkeypatch.setattr(relations, "_admissibility_witness", lambda alg, r: None)
     with pytest.raises(InvariantViolation):
-        require_reflexive_admissible(Z2, refl(2, (0, 1)))
+        require_reflexive_admissible(relations.kernels(Z2), refl(2, (0, 1)))
 
 
 def test_m_set_symmetry(algebras, ra_lists):

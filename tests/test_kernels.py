@@ -28,6 +28,7 @@ from relcomm import (
     FiniteAlgebra,
     RelFamily,
     adm_close,
+    algebra,
     cg,
     comm,
     comm1,
@@ -124,23 +125,24 @@ def test_commutator_kernels_match_their_forms_and_the_oracle(name, alg):
     congruences = _congruences(alg)
     delta, full = BinRel.delta(n), BinRel.full(n)
     pairs = [(r, s) for r in rels for s in rels]
+    k = relations.kernels(alg)
     for r, s in pairs:
         a, b = r.bits, s.bits
-        assert commutator.m_set_bits(alg, a, b) == m_set(alg, r, s).bits
+        assert k.m_set(a, b) == m_set(alg, r, s).bits
         for v in (delta, full, r, s):
-            assert commutator.k_op_bits(alg, a, b, v.bits) == k_op(alg, r, s, v).bits
-        assert commutator.comm1_bits(alg, a, b) == comm1(alg, r, s).bits
-        assert commutator.comm_weak_bits(alg, a, b) == comm_weak(alg, r, s).bits
-        assert commutator.comm_bits(alg, a, b) == comm(alg, r, s).bits
+            assert k.k_op(a, b, v.bits) == k_op(alg, r, s, v).bits
+        assert k.comm1(a, b) == comm1(alg, r, s).bits
+        assert k.comm_weak(a, b) == comm_weak(alg, r, s).bits
+        assert k.comm(a, b) == comm(alg, r, s).bits
     # the oracle's closure in A^4 is slow, so it sees a fixed sample
     for r, s in random.Random(name).sample(pairs, min(len(pairs), 12)):
         m, k_delta, c1, weak, least = _oracle_commutators(alg, r, s, congruences)
         a, b = r.bits, s.bits
         assert set(m_set(alg, r, s).members()) == m
-        assert commutator.k_op_bits(alg, a, b, delta.bits) == k_delta
-        assert commutator.comm1_bits(alg, a, b) == c1
-        assert commutator.comm_weak_bits(alg, a, b) == weak
-        assert commutator.comm_bits(alg, a, b) == least
+        assert k.k_op(a, b, delta.bits) == k_delta
+        assert k.comm1(a, b) == c1
+        assert k.comm_weak(a, b) == weak
+        assert k.comm(a, b) == least
 
 
 @pytest.mark.parametrize("name, alg", SMALL, ids=[name for name, _ in SMALL])
@@ -148,23 +150,24 @@ def test_closure_kernels_match_their_forms_and_the_oracle(name, alg):
     n = alg.size
     congruences = _congruences(alg)
     diagonal = _pairs(n, BinRel.delta(n).bits)
+    k = relations.kernels(alg)
     for bits in range(1 << n * n):
         r = BinRel(n, bits)
         pairs = _pairs(n, bits)
-        adm = relations.adm_close_bits(alg, bits)
+        adm = k.adm_close(bits)
         assert adm == adm_close(alg, r).bits == _bits(n, _closure(alg, 2, pairs))
-        tol = relations.tol_close_bits(alg, bits)
+        tol = k.tol_close(bits)
         symmetric = diagonal | pairs | {(b, a) for a, b in pairs}
         assert tol == tol_close(alg, r).bits == _bits(n, _closure(alg, 2, symmetric))
         least = _least((d for d in congruences if bits & ~d == 0), n)
-        assert relations.cg_bits(alg, bits) == cg(alg, r).bits == least
+        assert k.cg(bits) == cg(alg, r).bits == least
         assert relations.is_admissible(alg, r) == (adm == bits)
         assert relations.is_tolerance(alg, r) == (tol == bits)
         assert relations.is_congruence(alg, r) == (least == bits)
     for x in congruences:
         for y in congruences:
             join = _least((d for d in congruences if (x | y) & ~d == 0), n)
-            got = relations.cong_join_bits(alg, x, y)
+            got = k.cong_join(x, y)
             assert got == cong_join(alg, BinRel(n, x), BinRel(n, y)).bits == join
             # and it is star(x ; y), by the oracle's composition and closure
             chained = naive_transitive_closure(
@@ -201,8 +204,9 @@ def test_bad_inputs_raise_the_same_errors_through_the_forms():
         assert _raised(fn, Z2, full, wrong_size)[0] is SizeMismatch
         # and the kernels themselves raise the same on a miss
         relations.clear_caches()
-    assert _raised(commutator.m_set_bits, Z2, not_refl.bits, full.bits)[::2] == (NotReflexive, "R")
-    assert _raised(commutator.comm1_bits, Z2, full.bits, not_adm.bits)[::2] == (NotAdmissible, "S")
+    k = relations.kernels(Z2)
+    assert _raised(k.m_set, not_refl.bits, full.bits)[::2] == (NotReflexive, "R")
+    assert _raised(k.comm1, full.bits, not_adm.bits)[::2] == (NotAdmissible, "S")
     for fn in (adm_close, tol_close, cg, relations.is_admissible, relations.is_congruence):
         assert _raised(fn, Z2, wrong_size)[:2] == (SizeMismatch, "algebra size 2 vs relation size 3")
     assert _raised(cong_join, Z2, not_adm, full)[:2] == (
@@ -214,7 +218,7 @@ def test_bad_inputs_raise_the_same_errors_through_the_forms():
     # the first argument is checked whole before the second's size
     assert _raised(cong_join, Z2, not_adm, wrong_size)[0] is UsageError
     assert _raised(cong_join, Z2, full, wrong_size)[0] is SizeMismatch
-    assert _raised(relations.cong_join_bits, Z2, full.bits, not_adm.bits)[:2] == (
+    assert _raised(k.cong_join, full.bits, not_adm.bits)[:2] == (
         UsageError, "the second argument of cong_join is not a congruence"
     )
     # K's V is checked to lie on the algebra's universe, after R and S
@@ -280,12 +284,11 @@ def test_clear_caches_empties_every_kernel_cache(algebras):
     relations.clear_caches()
     assert all(fn.cache_info().currsize == 0 for fn in cached)
     # a public name reads the counters of the memo of that name on every
-    # kernel object, and its `_bits` forwarder keeps no cache of its own
+    # kernel object
     check_condition(algebras["C3"], "T2_ID", RelFamily(REFLEXIVE_ADMISSIBLE))
     kernels = relations.kernels(algebras["C3"])
     for module, name in BENCHMARK_CACHES:
         assert getattr(module, name).cache_info() == getattr(kernels, name).cache_info()
-        assert not hasattr(getattr(module, name + "_bits"), "cache_info")
 
 
 # every attribute of a kernel object, memoised or not
@@ -423,11 +426,12 @@ def test_threads_build_evict_and_drop_kernel_objects():
     # must never go back
     algs = [random_algebra(Signature(3), f"threads:{i}") for i in range(KERNEL_OBJECTS + 8)]
     full = (1 << 9) - 1
+
+    def values(k):
+        return k.cg(0b10), k.comm1(full, full)
+
     relations.clear_caches()
-    want = {
-        alg: (relations.cg_bits(alg, 0b10), commutator.comm1_bits(alg, full, full))
-        for alg in algs
-    }
+    want = {alg: values(relations.kernels(alg)) for alg in algs}
     relations.clear_caches()
     stop = threading.Event()
     seen = []
@@ -440,8 +444,7 @@ def test_threads_build_evict_and_drop_kernel_objects():
         rng = random.Random(seed)
         got = []
         for alg in rng.sample(algs, len(algs)) * 3:
-            k = relations.kernels(alg)
-            got.append((alg, (k.cg(0b10), k.comm1(full, full))))
+            got.append((alg, values(relations.kernels(alg))))
             if rng.random() < 0.2:
                 relations.kernels.drop(alg)
         return got
@@ -465,3 +468,65 @@ def test_threads_build_evict_and_drop_kernel_objects():
         series = [counts[key] for counts in seen]
         assert all(a[0] <= b[0] and a[1] <= b[1] for a, b in zip(series, series[1:])), key
     assert len(relations.kernels.objects) <= KERNEL_OBJECTS
+
+
+def test_drops_from_two_threads_lose_no_count(monkeypatch):
+    # a drop reads a memo's total of dropped counts, then adds the counts
+    # of the object's memo; one lock makes the two steps one.  Each
+    # object's `cache_info` lets the other's go, then waits for its own to
+    # be let go: under the lock the second drop cannot start, so the first
+    # wait times out and the drops run one after the other, but without it
+    # the second drop reads the total that the first read, and one drop's
+    # counts are lost
+    monkeypatch.setattr(algebra, "MEMOS", [])  # registers nothing for good
+    go = {key: threading.Event() for key in "ab"}
+
+    class Memo:
+        def __init__(self, key):
+            self.key = key
+
+        def cache_info(self):
+            go["b" if self.key == "a" else "a"].set()
+            go[self.key].wait(timeout=1)
+            return algebra.CacheInfo("ab".index(self.key) + 1, 1, 1, 1)
+
+    class Object:
+        def __init__(self, key):
+            self.memo = Memo(key)
+
+    objects = algebra.PerAlgebra(Object)
+    counted = objects.counts("memo")(lambda: None)
+    for key in "ab":
+        objects(key)
+    drops = [threading.Thread(target=objects.drop, args=(key,)) for key in "ab"]
+    for thread in drops:
+        thread.start()
+    for thread in drops:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert counted.cache_info()[:2] == (1 + 2, 2)
+    assert objects.cache_info().currsize == 0
+
+
+def test_m_set_miss_looks_up_no_kernel_object(monkeypatch, algebras):
+    # an M(R, S) miss checks R and S on the kernel object that it runs on;
+    # only the `BinRel` forms look the object up, once per call
+    c3 = algebras["C3"]
+    relations.clear_caches()
+    k = relations.kernels(c3)
+    rels = [r.bits for r in enumerate_relations(c3, RelFamily(REFLEXIVE_ADMISSIBLE))]
+    lookups = []
+    lookup = algebra.PerAlgebra.__call__
+
+    def counting(self, alg):
+        lookups.append(alg)
+        return lookup(self, alg)
+
+    monkeypatch.setattr(algebra.PerAlgebra, "__call__", counting)
+    for r in rels:
+        k.m_set(r, rels[-1])
+    assert k.m_set.cache_info().misses == len(rels)
+    assert _raised(k.m_set, rels[0], 0)[::2] == (NotReflexive, "S")
+    assert lookups == []
+    m_set(c3, BinRel(3, rels[0]), BinRel(3, rels[1]))
+    assert lookups == [c3]
