@@ -17,7 +17,8 @@ the closure from above: saturation ends once it holds every tuple of that
 bound, which by default is the whole power.
 
 All values are immutable after construction and safe to share across
-threads; closure itself runs single-threaded.
+threads; closure itself runs single-threaded.  Every value class of the
+package, here and in the modules above, is a `Value`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import itertools
 import operator
 import threading
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 
 # Operations with arity above this are rejected at construction time:
@@ -152,13 +152,84 @@ class PerAlgebra:
             self.built = 0
 
 
-@dataclass(frozen=True)
-class Operation:
-    """A named finitary operation given by its flat row-major table."""
+def _field_reader(fields):
+    """The `_values` method of a `Value` class with these fields: it reads
+    them all, as a tuple, in one C-level call (`operator.attrgetter`),
+    since `==`, `hash` and every walk over an expression go through it."""
+    if not fields:
+        return lambda self: ()
+    get = operator.attrgetter(*fields)
+    if len(fields) == 1:
+        return lambda self: (get(self),)
+    return lambda self: get(self)
 
-    name: str
-    arity: int
-    table: tuple[int, ...]
+
+class Value:
+    """An immutable value with `__slots__`.  A subclass names its fields in
+    `_fields`, in argument order, and lists the same names in `__slots__`.
+    It gets an `__init__` taking them by position or keyword, an `__eq__`
+    that holds only between instances of one class with equal fields, a
+    `__hash__` to match, the `repr` `Name(field=value, ...)`, `_values()`
+    (the fields' values, in order), `_replace(**changes)`, and pickling
+    through the constructor.  Assigning or deleting an attribute raises
+    `AttributeError`.
+
+    A subclass that checks its arguments or has defaults writes its own
+    `__init__`, which sets each field with `object.__setattr__`.  It takes
+    the fields in `_fields` order, since `_replace` and unpickling pass
+    them by position.
+    """
+
+    __slots__ = ()
+    _fields = ()
+    _values = _field_reader(_fields)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._values = _field_reader(cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs:
+            args += tuple(kwargs.pop(f) for f in fields[len(args) :] if f in kwargs)
+        if kwargs or len(args) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields ({', '.join(fields)})")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self), *self._values()))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _replace(self, **changes):
+        """A copy with the fields named in `changes` set to their values."""
+        values = tuple(changes.pop(f, getattr(self, f)) for f in self._fields)
+        if changes:
+            raise TypeError(f"{type(self).__name__} has no field {', '.join(changes)}")
+        return type(self)(*values)
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Operation(Value):
+    """A named finitary operation given by its flat row-major table: a
+    `str` name, an int arity and a tuple of ints."""
+
+    __slots__ = _fields = ("name", "arity", "table")
 
 
 def is_whole(v, least: int = 1) -> bool:
@@ -187,34 +258,31 @@ def _operation(op, n: int) -> Operation:
     return Operation(name, operator.index(arity), tuple(map(operator.index, table)))
 
 
-@dataclass(frozen=True)
-class FiniteAlgebra:
+class FiniteAlgebra(Value):
     """An algebra on the universe {0..size-1}.
 
     `operations` accepts (name, arity, table) triples or Operation values;
     tables are flat row-major with size**arity entries.
     """
 
-    size: int
-    operations: tuple[Operation, ...] = ()
+    __slots__ = ("size", "operations", "_hash")
+    _fields = ("size", "operations")
 
-    def __post_init__(self):
-        if not is_whole(self.size):
-            raise ValueError(f"algebra size must be a positive integer, got {self.size!r}")
-        ops = tuple(_operation(op, self.size) for op in self.operations)
-        object.__setattr__(self, "operations", ops)
+    def __init__(self, size, operations=()):
+        if not is_whole(size):
+            raise ValueError(f"algebra size must be a positive integer, got {size!r}")
+        ops = tuple(_operation(op, size) for op in operations)
         names = set()
-        for op in self.operations:
+        for op in ops:
             if op.name in names:
                 raise ValueError(f"duplicate operation name {op.name!r}")
             names.add(op.name)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "operations", ops)
         # hashed once, from ints only, so that every cache keyed by the
-        # algebra hashes it in O(1) and a pickled copy keeps a hash that is
-        # valid under any string hash seed
+        # algebra hashes it in O(1)
         object.__setattr__(
-            self,
-            "_hash",
-            hash((self.size, tuple((op.arity, op.table) for op in self.operations))),
+            self, "_hash", hash((size, tuple((op.arity, op.table) for op in ops)))
         )
 
     def __hash__(self):
@@ -225,25 +293,23 @@ class FiniteAlgebra:
         return f"FiniteAlgebra(size={self.size}, ops=[{ops}])"
 
 
-@dataclass(frozen=True)
-class TupleSet:
+class TupleSet(Value):
     """A set of k-tuples (k = `power`) over {0..size-1}, as a bitset: tuple
     (t_1, ..., t_k) is bit t_1*n**(k-1) + ... + t_k, the row-major order of
     the operation tables and, at k = 2, of `BinRel.bits`."""
 
-    size: int
-    power: int
-    bits: int
+    __slots__ = _fields = ("size", "power", "bits")
 
-    def __post_init__(self):
-        if not (is_whole(self.size) and is_whole(self.power)):
+    def __init__(self, size, power, bits):
+        if not (is_whole(size) and is_whole(power)):
             raise ValueError(
-                f"size and power must be positive integers, got {self.size!r} and {self.power!r}"
+                f"size and power must be positive integers, got {size!r} and {power!r}"
             )
-        if not (is_whole(self.bits, 0) and self.bits < 1 << self.size**self.power):
-            raise ValueError(
-                f"{self.bits!r} is not a set of {self.power}-tuples over 0..{self.size - 1}"
-            )
+        if not (is_whole(bits, 0) and bits < 1 << size**power):
+            raise ValueError(f"{bits!r} is not a set of {power}-tuples over 0..{size - 1}")
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "bits", bits)
 
     def contains(self, *t: int) -> bool:
         if len(t) != self.power or not all(0 <= v < self.size for v in t):

@@ -78,5 +78,13 @@ def format_algebra(alg: FiniteAlgebra, comment: str | None = None) -> str:
 
 
 def load_algebra(path) -> FiniteAlgebra:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_algebra(handle.read())
+    """The algebra of the .alg file at `path`, which must be UTF-8 text."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise AlgebraFormatError(
+            f"{path}: not UTF-8 text: byte offset {exc.start} ({exc.reason})"
+        ) from None
+    return parse_algebra(text)

@@ -15,9 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 
-from . import conditions, properties, search
+from . import conditions, properties
 from .algebra import memo
 from .algfile import load_algebra
 from .expr import Literal, NameRef, ParseError, eval_expr, parse_expr, pretty
@@ -187,6 +186,8 @@ def _cmd_enumerate(args, out):
 
 
 def _cmd_search(args, out):
+    from . import search  # only `search` and `catalog` load it
+
     target = None
     if args.target and args.target != search.PROFILE_DIVERSITY:
         parts = tuple(p.strip() for p in args.target.split(","))
@@ -225,6 +226,8 @@ def _cmd_search(args, out):
 
 
 def _cmd_catalog(args, out):
+    from . import search
+
     records = []
     for name, alg in search.catalog():
         ops = ", ".join(f"{op.name}/{op.arity}" for op in alg.operations)
@@ -257,6 +260,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # an internal failure, InvariantViolation included
+        import traceback  # only this path prints one
+
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()
         return 1

@@ -19,28 +19,31 @@ is one named string, so each formula still has a single source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-from .expr import RelExpr, parse_expr
+from .algebra import Value
+from .expr import parse_expr
 from .relations import CONGRUENCE, REFLEXIVE_ADMISSIBLE, TOLERANCE
 
 ANY = "any"  # unrestricted relation quantifier (K's filter argument)
 
 
-@dataclass(frozen=True)
-class Quantifier:
-    name: str
-    kind: str
-    above: RelExpr | None = None  # congruences containing this, when set
+class Quantifier(Value):
+    """A quantified relation name, its family kind and, in `above` (a
+    `RelExpr`, or None), a bound: the congruences containing it."""
+
+    __slots__ = _fields = ("name", "kind", "above")
+
+    def __init__(self, name, kind, above=None):
+        Value.__init__(self, name, kind, above)
 
 
-@dataclass(frozen=True)
-class ConditionSpec:
-    id: str
-    quantifiers: tuple[Quantifier, ...]
-    lhs: RelExpr
-    rhs: RelExpr
-    relation: str = "subset"  # or "equal"
+class ConditionSpec(Value):
+    """One condition: lhs is a subset of rhs (`relation` "subset"), or
+    equal to it ("equal"), at every binding of `quantifiers`."""
+
+    __slots__ = _fields = ("id", "quantifiers", "lhs", "rhs", "relation")
+
+    def __init__(self, id, quantifiers, lhs, rhs, relation="subset"):
+        Value.__init__(self, id, quantifiers, lhs, rhs, relation)
 
 
 def _ra(*names):
@@ -184,7 +187,7 @@ ALIASES = {
     "T4_II_HYP": "T3_I",
 }
 for alias, original in ALIASES.items():
-    CONDITIONS[alias] = replace(CONDITIONS[original], id=alias)
+    CONDITIONS[alias] = CONDITIONS[original]._replace(id=alias)
 
 CONDITION_IDS = tuple(CONDITIONS)
 

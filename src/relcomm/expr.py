@@ -18,8 +18,9 @@ All infix operators are left-associative.
 
 Every spelling above is stated once in code, in `SYNTAX`, the one source
 that the tokenizer, the parser and `pretty` read; the parser has one loop
-for all infix levels.  A node's fields are stated once, in its dataclass:
-`children` reads them, and a call takes one argument per field.
+for all infix levels.  A node's fields are stated once, in its class's
+`_fields` (`algebra.Value`): `children` reads them, and a call takes one
+argument per field.
 
 The meaning of each node is given once, in `NODES`, as a function over the
 `bits` ints of relations on the algebra's universe: the int kernels of the
@@ -31,8 +32,8 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from dataclasses import dataclass, fields
 from . import relations
+from .algebra import Value
 from .relations import BinRel, UsageError
 
 
@@ -51,107 +52,97 @@ class EvalError(UsageError):
     pass
 
 
-class RelExpr:
+class RelExpr(Value):
+    """An expression node.  Its hash is computed once, at construction,
+    from its class and its fields (which must be hashable: a literal's
+    pairs are tuples), whose own hashes are cached the same way, so
+    hashing a whole tree (as the plan memo and `_Plan`'s slot sharing do)
+    costs O(1).  `depth` is the number of nodes on its longest path to a
+    leaf: every walk over a tree recurses that deep."""
+
+    __slots__ = ("_hash", "depth")
+
+    def __init__(self, *args, **kwargs):
+        Value.__init__(self, *args, **kwargs)
+        values = self._values()
+        object.__setattr__(self, "_hash", hash((type(self), *values)))
+        depth = max((v.depth for v in values if isinstance(v, RelExpr)), default=0)
+        object.__setattr__(self, "depth", depth + 1)
+
+    def __hash__(self):
+        return self._hash
+
+
+class NameRef(RelExpr):
+    __slots__ = _fields = ("name",)
+
+
+class Delta(RelExpr):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NameRef(RelExpr):
-    name: str
-
-
-@dataclass(frozen=True)
-class Delta(RelExpr):
-    pass
-
-
-@dataclass(frozen=True)
 class All(RelExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class EmptyRel(RelExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Literal(RelExpr):
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("pairs",)
 
 
-@dataclass(frozen=True)
 class Converse(RelExpr):
-    arg: RelExpr
+    __slots__ = _fields = ("arg",)
 
 
-@dataclass(frozen=True)
 class Star(RelExpr):
-    arg: RelExpr
+    __slots__ = _fields = ("arg",)
 
 
-@dataclass(frozen=True)
 class TolClose(RelExpr):
-    arg: RelExpr
+    __slots__ = _fields = ("arg",)
 
 
-@dataclass(frozen=True)
 class AdmClose(RelExpr):
-    arg: RelExpr
+    __slots__ = _fields = ("arg",)
 
 
-@dataclass(frozen=True)
 class Cg(RelExpr):
-    arg: RelExpr
+    __slots__ = _fields = ("arg",)
 
 
-@dataclass(frozen=True)
 class Compose(RelExpr):
-    left: RelExpr
-    right: RelExpr
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Intersect(RelExpr):
-    left: RelExpr
-    right: RelExpr
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Union(RelExpr):
-    left: RelExpr
-    right: RelExpr
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Comm1(RelExpr):
-    left: RelExpr
-    right: RelExpr
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Comm(RelExpr):
-    left: RelExpr
-    right: RelExpr
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class CommW(RelExpr):
-    left: RelExpr
-    right: RelExpr
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Join(RelExpr):
-    left: RelExpr
-    right: RelExpr
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class K(RelExpr):
-    left: RelExpr
-    right: RelExpr
-    filter: RelExpr
+    __slots__ = _fields = ("left", "right", "filter")
 
 
 # The surface syntax: every spelling of a node, once.  The tokenizer, the
@@ -169,8 +160,8 @@ SYNTAX = {
 
 _SPELLING = {t: s for s, t in SYNTAX.items()}
 _SYMBOLS = [s for s in SYNTAX if not s.isidentifier()]
-_POSTFIX = [s for s in _SYMBOLS if len(fields(SYNTAX[s])) == 1]
-_INFIX = [s for s in _SYMBOLS if len(fields(SYNTAX[s])) == 2]  # index = level
+_POSTFIX = [s for s in _SYMBOLS if len(SYNTAX[s]._fields) == 1]
+_INFIX = [s for s in _SYMBOLS if len(SYNTAX[s]._fields) == 2]  # index = level
 _TOKENS = _SYMBOLS + list("(){},")
 
 
@@ -179,7 +170,7 @@ def _call_syntax(node):
     argument that may not use the tightest infix operator (';') at top level,
     where `pretty` parenthesizes every infix operator.  Only K has one: ';'
     separates its middle argument from its filter."""
-    seps = ["("] + [","] * (len(_FIELDS[node]) - 1)
+    seps = ["("] + [","] * (len(node._fields) - 1)
     if node is not K:
         return seps, None
     seps[2] = _INFIX[-1]
@@ -187,6 +178,16 @@ def _call_syntax(node):
 
 
 _Token = namedtuple("_Token", "kind text line col")
+
+# The deepest input the parser accepts: at most this many nodes on a path
+# from the root to a leaf (`RelExpr.depth`), and at most this many
+# parentheses and calls open at once.  The parser recurses 7 frames per
+# call open and 6 per parenthesis, and each walk over a tree (`eval_expr`,
+# `pretty`, `free_names`, `_Plan._visit`, `==`) up to 3 per node, `repr`
+# 4; so the deepest walk that a bounded input makes, parsing 100 nested
+# calls, takes about 705 frames, inside Python's default recursion limit
+# of 1,000.  The deepest side of the condition table has 11 levels.
+MAX_DEPTH = 100
 
 
 def _tokenize(text):
@@ -227,6 +228,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.open = 0  # parentheses and calls open
 
     def peek(self):
         return self.tokens[self.pos]
@@ -246,6 +248,18 @@ class _Parser:
             self.fail((f"'{kind}'",))
         return self.advance()
 
+    def bound(self, depth, tok):
+        """Refuse, at tok, a depth past MAX_DEPTH."""
+        if depth > MAX_DEPTH:
+            message = f"expression nested deeper than {MAX_DEPTH} levels"
+            raise ParseError(message, tok.line, tok.col)
+
+    def build(self, tok, node, *args):
+        """node(*args), for the operator or call at tok."""
+        e = node(*args)
+        self.bound(e.depth, tok)
+        return e
+
     def parse(self):
         e = self.infix()
         tok = self.peek()
@@ -261,22 +275,26 @@ class _Parser:
             return self.postfix()
         e = self.infix(level + 1, top)
         while self.peek().kind == _INFIX[level]:
-            self.advance()
-            e = SYNTAX[_INFIX[level]](e, self.infix(level + 1, top))
+            op = self.advance()
+            e = self.build(op, SYNTAX[op.kind], e, self.infix(level + 1, top))
         return e
 
     def postfix(self):
         e = self.atom()
         while self.peek().kind in _POSTFIX:
-            e = SYNTAX[self.advance().kind](e)
+            op = self.advance()
+            e = self.build(op, SYNTAX[op.kind], e)
         return e
 
     def atom(self):
         tok = self.peek()
         if tok.kind == "(":
             self.advance()
+            self.open += 1
+            self.bound(self.open, tok)
             e = self.infix()
             self.expect(")")
+            self.open -= 1
             return e
         if tok.kind == "{":
             return self.literal()
@@ -286,16 +304,19 @@ class _Parser:
         node = SYNTAX.get(tok.text)
         if node is None:
             return NameRef(tok.text)
-        return self.call(node) if _FIELDS[node] else node()
+        return self.call(tok, node) if node._fields else node()
 
-    def call(self, node):
+    def call(self, tok, node):
+        self.open += 1
+        self.bound(self.open, tok)
         seps, no_tightest = _call_syntax(node)
         args = []
         for i, sep in enumerate(seps):
             self.expect(sep)
             args.append(self.infix(top=len(_INFIX) - (i == no_tightest)))
         self.expect(")")
-        return node(*args)
+        self.open -= 1
+        return self.build(tok, node, *args)
 
     def literal(self):
         self.expect("{")
@@ -386,17 +407,11 @@ NODES = {
 _COMMUTATORS = (Comm1, Comm, CommW, K)
 
 
-# each node type's field names, in argument order, read once from its dataclass
-_FIELDS = {t: tuple(f.name for f in fields(t)) for t in NODES}
-
-
 def children(e: RelExpr) -> tuple:
     """The values of `e`'s fields, in argument order."""
-    try:
-        names = _FIELDS[type(e)]
-    except KeyError:
-        raise EvalError(f"unknown expression node {e!r}") from None
-    return tuple(getattr(e, f) for f in names)
+    if type(e) not in NODES:
+        raise EvalError(f"unknown expression node {e!r}")
+    return e._values()
 
 
 def free_names(e: RelExpr) -> set[str]:

@@ -42,10 +42,9 @@ a "holds" verdict counts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
 
 from . import conditions
-from .algebra import PLAN_ENTRIES, memo
+from .algebra import PLAN_ENTRIES, Value, memo
 from .conditions import ANY, CONDITIONS, ConditionSpec
 from .expr import (
     NODES,
@@ -77,13 +76,11 @@ VERDICT_FAILS = "fails"
 VERDICT_SAMPLED_OK = "no counterexample found (sampled)"
 
 
-@dataclass
-class Witness:
-    """A concrete violating binding: relations by name plus the bad pair."""
+class Witness(Value):
+    """A concrete violating binding: the condition id, the relations by
+    name (each a list of pairs) and the bad pair (or None)."""
 
-    condition: str
-    relations: dict[str, list[tuple[int, int]]]
-    pair: tuple[int, int] | None
+    __slots__ = _fields = ("condition", "relations", "pair")
 
     def to_record(self):
         return {
@@ -96,18 +93,22 @@ class Witness:
         }
 
 
-@dataclass
-class PropertyReport:
-    condition: str
-    holds: bool
-    witness: Witness | None
-    relations_checked: int
-    family_mode: str
-    detail: dict = field(default_factory=dict)
+class PropertyReport(Value):
+    """One condition's verdict.  Unlike other values a report stays
+    mutable, so it is unhashable."""
 
-    def __post_init__(self):
-        if not self.holds and self.witness is None and not self.detail:
+    __slots__ = _fields = (
+        "condition", "holds", "witness", "relations_checked", "family_mode", "detail"
+    )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, condition, holds, witness, relations_checked, family_mode, detail=None):
+        detail = {} if detail is None else detail
+        if not holds and witness is None and not detail:
             raise InvariantViolation("failed report requires a witness")
+        Value.__init__(self, condition, holds, witness, relations_checked, family_mode, detail)
 
     @property
     def verdict(self) -> str:
@@ -131,7 +132,7 @@ class PropertyReport:
         lines = [f"{self.condition}: {self.verdict} ({self.relations_checked} bindings, {self.family_mode})"]
         if self.witness:
             for name, pairs in sorted(self.witness.relations.items()):
-                lines.append(f"  {name} = {pretty(Literal(tuple(pairs)))}")
+                lines.append(f"  {name} = {pretty(Literal(tuple(map(tuple, pairs))))}")
             if self.witness.pair is not None:
                 lines.append(f"  violating pair: {self.witness.pair}")
         for key, value in self.detail.items():
@@ -214,8 +215,9 @@ class _Plan:
         return slot
 
     def _visit(self, node):
-        if node in self.slot_of:
-            return self.slot_of[node]
+        slot = self.slot_of.get(node)
+        if slot is not None:
+            return slot
         if not isinstance(node, RelExpr):
             slot = self._new_slot(node, 0)
             self.steps[0].append(f"s{slot} = consts[{len(self.consts)}]")
@@ -490,10 +492,10 @@ def check_ids(alg, ids, family: RelFamily) -> dict[str, PropertyReport]:
             original = conditions.ALIASES.get(cid)
             if original is not None:
                 rep = report(original)
-                witness = None if rep.witness is None else replace(rep.witness, condition=cid)
-                swept[cid] = replace(rep, condition=cid, witness=witness)
+                witness = None if rep.witness is None else rep.witness._replace(condition=cid)
+                swept[cid] = rep._replace(condition=cid, witness=witness)
             else:
-                fam = replace(family, mode="sampled") if cid in conditions.SAMPLED_ONLY else family
+                fam = family._replace(mode="sampled") if cid in conditions.SAMPLED_ONLY else family
                 swept[cid] = check_condition(alg, cid, fam)
         return swept[cid]
 

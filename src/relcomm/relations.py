@@ -32,7 +32,6 @@ import math
 import os
 import random
 import warnings
-from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 from .algebra import (
@@ -41,6 +40,7 @@ from .algebra import (
     PLAN_ENTRIES,
     FiniteAlgebra,
     PerAlgebra,
+    Value,
     _indices,
     is_whole,
     memo,
@@ -95,18 +95,18 @@ class FamilyBoundError(UsageError):
     pass
 
 
-@dataclass(frozen=True)
-class BinRel:
+class BinRel(Value):
     """A binary relation on {0..size-1}; (a, b) is related iff bit a*n+b."""
 
-    size: int
-    bits: int
+    __slots__ = _fields = ("size", "bits")
 
-    def __post_init__(self):
-        if not is_whole(self.size):
-            raise ValueError(f"relation size must be a positive integer, got {self.size!r}")
-        if not (is_whole(self.bits, 0) and self.bits < 1 << self.size * self.size):
-            raise ValueError(f"{self.bits!r} is not a relation on 0..{self.size - 1}")
+    def __init__(self, size, bits):
+        if not is_whole(size):
+            raise ValueError(f"relation size must be a positive integer, got {size!r}")
+        if not (is_whole(bits, 0) and bits < 1 << size * size):
+            raise ValueError(f"{bits!r} is not a relation on 0..{size - 1}")
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "bits", bits)
 
     def contains(self, a: int, b: int) -> bool:
         if not (0 <= a < self.size and 0 <= b < self.size):
@@ -423,8 +423,7 @@ def cong_join(alg: FiniteAlgebra, gamma: BinRel, delta: BinRel) -> BinRel:
     return BinRel(alg.size, k.cong_join(a, _bits_on(alg, delta)))
 
 
-@dataclass(frozen=True)
-class RelFamily:
+class RelFamily(Value):
     """A quantifier range: which relations, and how they are produced.
 
     kind is one of the family constants (may be None for templates that
@@ -433,22 +432,18 @@ class RelFamily:
     relations from `seed`.
     """
 
-    kind: str | None = None
-    mode: str = "exhaustive"
-    sample_count: int = 200
-    seed: int = 0
+    __slots__ = _fields = ("kind", "mode", "sample_count", "seed")
 
-    def __post_init__(self):
-        if self.mode not in ("exhaustive", "sampled"):
-            raise UsageError(
-                f"family mode must be 'exhaustive' or 'sampled', got {self.mode!r}"
-            )
+    def __init__(self, kind=None, mode="exhaustive", sample_count=200, seed=0):
+        if mode not in ("exhaustive", "sampled"):
+            raise UsageError(f"family mode must be 'exhaustive' or 'sampled', got {mode!r}")
         # a sampled sweep over no bindings would report "no counterexample"
-        if not is_whole(self.sample_count):
-            raise UsageError(f"sample_count must be an integer >= 1, got {self.sample_count!r}")
+        if not is_whole(sample_count):
+            raise UsageError(f"sample_count must be an integer >= 1, got {sample_count!r}")
+        Value.__init__(self, kind, mode, sample_count, seed)
 
     def with_kind(self, kind: str) -> "RelFamily":
-        return replace(self, kind=kind)
+        return self._replace(kind=kind)
 
 
 def _family_max_n(kind: str) -> int:

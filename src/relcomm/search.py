@@ -11,47 +11,46 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import asdict, dataclass
 
 from . import conditions, properties
-from .algebra import FiniteAlgebra, is_whole
+from .algebra import FiniteAlgebra, Value, is_whole
 from .relations import UsageError, kernels
 
 PROFILE_DIVERSITY = "profile-diversity"
 
 
-@dataclass(frozen=True)
-class Signature:
-    size: int
-    ops: tuple[tuple[str, int], ...] = (("f", 2),)
+class Signature(Value):
+    """A universe size and the (name, arity) of each operation."""
+
+    __slots__ = _fields = ("size", "ops")
+
+    def __init__(self, size, ops=(("f", 2),)):
+        Value.__init__(self, size, ops)
 
 
-@dataclass(frozen=True)
-class SearchTask:
-    sizes: tuple[int, ...] = (3, 4)
-    budget: int = 100
-    seed: int = 0
-    target: tuple[str, str] | None = None  # None means profile-diversity
-    start_index: int = 0
-    jobs: int = 1
+class SearchTask(Value):
+    """What `run_search` profiles; `target` None means profile-diversity."""
 
-    def __post_init__(self):
-        if not is_whole(self.budget, 0):
-            raise UsageError(f"budget must be an integer >= 0, got {self.budget!r}")
-        if not self.sizes or not all(map(is_whole, self.sizes)):
-            raise UsageError(f"sizes must be non-empty and each an integer >= 1, got {self.sizes}")
-        if not is_whole(self.start_index, 0):
-            raise UsageError(f"start_index must be an integer >= 0, got {self.start_index!r}")
-        if not is_whole(self.jobs):
-            raise UsageError(f"jobs must be an integer >= 1, got {self.jobs!r}")
-        if self.target is not None:
-            if len(set(self.target)) != len(self.target):
-                raise UsageError(f"target names one condition twice: {','.join(self.target)}")
-            for cid in self.target:
+    __slots__ = _fields = ("sizes", "budget", "seed", "target", "start_index", "jobs")
+
+    def __init__(self, sizes=(3, 4), budget=100, seed=0, target=None, start_index=0, jobs=1):
+        if not is_whole(budget, 0):
+            raise UsageError(f"budget must be an integer >= 0, got {budget!r}")
+        if not sizes or not all(map(is_whole, sizes)):
+            raise UsageError(f"sizes must be non-empty and each an integer >= 1, got {sizes}")
+        if not is_whole(start_index, 0):
+            raise UsageError(f"start_index must be an integer >= 0, got {start_index!r}")
+        if not is_whole(jobs):
+            raise UsageError(f"jobs must be an integer >= 1, got {jobs!r}")
+        if target is not None:
+            if len(set(target)) != len(target):
+                raise UsageError(f"target names one condition twice: {','.join(target)}")
+            for cid in target:
                 if cid not in conditions.CONDITIONS:
                     raise UsageError(f"unknown condition id {cid!r}")
                 if cid in conditions.SAMPLED_ONLY:  # a sampled miss is no profile bit
                     raise UsageError(f"{cid} can only be sampled; search profiles exhaustively")
+        Value.__init__(self, sizes, budget, seed, target, start_index, jobs)
 
 
 def catalog() -> list[tuple[str, FiniteAlgebra]]:
@@ -123,21 +122,27 @@ def canonical_form(alg: FiniteAlgebra):
     return (n, min(_relabelled(alg, perm) for perm in itertools.permutations(range(n))))
 
 
-@dataclass
-class SearchEntry:
-    name: str
-    size: int
-    ops: list
-    profile: dict[str, bool]
+class SearchEntry(Value):
+    """One profiled algebra: its name, size, operation tables as
+    [name, arity, table] lists, and profile by condition id."""
+
+    __slots__ = _fields = ("name", "size", "ops", "profile")
+
+    def to_record(self):
+        return {
+            "kind": "algebra",
+            "name": self.name,
+            "size": self.size,
+            "ops": self.ops,
+            "profile": self.profile,
+        }
 
 
-@dataclass
-class SearchReport:
-    task: SearchTask
-    entries: list[SearchEntry]
-    groups: dict[tuple, list[str]]
-    separations: list[dict]
-    duplicates_skipped: int
+class SearchReport(Value):
+    """The entries of a search, grouped by profile (`groups`, profile ->
+    names), and the separations between groups."""
+
+    __slots__ = _fields = ("task", "entries", "groups", "separations", "duplicates_skipped")
 
     @property
     def candidates_generated(self):
@@ -171,7 +176,7 @@ class SearchReport:
                 "algebras": self.groups[profile_key],
             }
         for entry in self.entries:
-            yield {"kind": "algebra", **asdict(entry)}
+            yield entry.to_record()
         for sep in self.separations:
             yield {"kind": "separation", **sep}
 

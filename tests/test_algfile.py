@@ -57,6 +57,18 @@ def test_parse_errors(text):
         parse_algebra(text)
 
 
+def test_load_refuses_a_file_that_is_not_utf8(tmp_path):
+    # the byte offset counts from the start of the file, past any buffer
+    path = tmp_path / "latin1.alg"
+    path.write_bytes(b"size 2\n" + b"# padding\n" * 1000 + b"op + 2 : 0 1 1 0 # caf\xe9\n")
+    with pytest.raises(AlgebraFormatError) as exc:
+        load_algebra(path)
+    offset = len("size 2\n" + "# padding\n" * 1000 + "op + 2 : 0 1 1 0 # caf")
+    assert str(exc.value) == (
+        f"{path}: not UTF-8 text: byte offset {offset} (invalid continuation byte)"
+    )
+
+
 def test_format_is_parseable_with_multiline_comment():
     alg = FiniteAlgebra(2, (("f", 1, (1, 0)),))
     text = format_algebra(alg, comment="line one\nline two")

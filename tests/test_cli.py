@@ -264,6 +264,28 @@ def test_bad_expression(capsys):
     assert "expected" in err
 
 
+def test_former_crash_inputs_exit_two_with_one_line(capsys, tmp_path):
+    # each of these once ended in a traceback and exit code 1
+    latin1 = tmp_path / "latin1.alg"
+    latin1.write_bytes(b"size 2\n# caf\xe9\nop + 2 : 0 1 1 0\n")
+    for argv, message in [
+        (
+            ["eval", "-a", "algebras/z2.alg", "-e", "(" * 200 + "delta" + ")" * 200],
+            "error: 1:101: expression nested deeper than 100 levels",
+        ),
+        (
+            ["eval", "-a", "algebras/z2.alg", "-e", "delta" + "^-" * 500],
+            "error: 1:204: expression nested deeper than 100 levels",
+        ),
+        (
+            ["check", "-a", str(latin1), "--condition", "T3_I"],
+            f"error: {latin1}: not UTF-8 text: byte offset 12 (invalid continuation byte)",
+        ),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", message + "\n"), argv[:2]
+
+
 def test_check_all_structured_byte_identical(capsys):
     args = ("check-all", "-a", "algebras/z2.alg", "--format", "structured", "--seed", "3")
     code, out1, _ = run(capsys, *args)

@@ -26,8 +26,9 @@ from relcomm import (
     tol_close,
     union_,
 )
-from relcomm.conditions import CONDITIONS
+from relcomm.conditions import CONDITIONS, ConditionSpec, Quantifier
 from relcomm.expr import (
+    MAX_DEPTH,
     NODES,
     AdmClose,
     All,
@@ -51,7 +52,9 @@ from relcomm.expr import (
     TolClose,
     Union,
     children,
+    free_names,
 )
+from relcomm.properties import _Plan
 
 Z2 = FiniteAlgebra(2, (("+", 2, (0, 1, 1, 0)),))
 PURE2 = FiniteAlgebra(2, ())
@@ -225,6 +228,48 @@ def test_parse_error_positions():
             parse_expr(text)
         assert (exc.value.line, exc.value.col, exc.value.expected) == (line, col, expected), text
         assert str(exc.value) == message, text
+
+
+# Inputs nested one level past MAX_DEPTH, each with the position of the
+# token refused: the opening parenthesis or call past the bound, or the
+# operator or call whose node is one level too deep.  The first two
+# crashed the CLI with a RecursionError: 200 parentheses in the parser,
+# and 500 postfix operators in `eval_expr`.
+TOO_DEEP = [
+    ("(" * 200 + "delta" + ")" * 200, MAX_DEPTH + 1),
+    ("delta" + "^-" * 500, 6 + 2 * (MAX_DEPTH - 1)),
+    ("(" * (MAX_DEPTH + 1) + "delta" + ")" * (MAX_DEPTH + 1), MAX_DEPTH + 1),
+    (";".join(["delta"] * (MAX_DEPTH + 1)), 6 + 6 * (MAX_DEPTH - 1)),
+    ("cg(" * MAX_DEPTH + "delta" + ")" * MAX_DEPTH, 1),
+    ("K(R,R;" * (MAX_DEPTH + 1) + "R" + ")" * (MAX_DEPTH + 1), 1 + 6 * MAX_DEPTH),
+]
+
+
+def test_parse_refuses_input_nested_past_the_bound():
+    for text, col in TOO_DEEP:
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text)
+        assert (exc.value.line, exc.value.col) == (1, col), text[:12]
+        assert str(exc.value) == f"1:{col}: expression nested deeper than {MAX_DEPTH} levels"
+
+
+def test_every_walk_takes_input_nested_to_the_bound():
+    # at the bound itself, parsing and each recursive walk over the tree
+    # stay inside the default recursion limit
+    alg, env = Z2, {"R": BinRel.full(2)}
+    for text in [
+        "(" * MAX_DEPTH + "R" + ")" * MAX_DEPTH,
+        "R" + "^-" * (MAX_DEPTH - 1),
+        ";".join(["R"] * MAX_DEPTH),
+        "cg(" * (MAX_DEPTH - 1) + "R" + ")" * (MAX_DEPTH - 1),
+        "K(R,R;" * (MAX_DEPTH - 1) + "R" + ")" * (MAX_DEPTH - 1),
+    ]:
+        e, again = parse_expr(text), parse_expr(text)
+        assert e.depth <= MAX_DEPTH and e == again and e is not again
+        assert parse_expr(pretty(e)) == e and repr(e) == repr(again)
+        assert free_names(e) == {"R"}
+        assert eval_expr(alg, env, e).size == 2
+        _Plan(ConditionSpec("DEEP", (Quantifier("R", "reflexive-admissible"),), e, again))
 
 
 def test_eval_nodes_agree_with_module_calls():

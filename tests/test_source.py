@@ -66,36 +66,39 @@ def test_clear_caches_empties_every_memo(capsys):
     assert [cached for cached in MEMOS if cached.cache_info().currsize] == []
 
 
+def _loaded(statement, modules):
+    """Which of `modules` a fresh interpreter has loaded after `statement`."""
+    probe = f"import sys; {statement}; print(sorted(m for m in sys.modules if m in {modules!r}))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(relcomm.__file__)))
+    return subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, check=True, timeout=60
+    ).stdout
+
+
 def test_cli_import_loads_no_process_pool():
     # only `search --jobs N` with N > 1 uses a process pool; every other
     # command, and every import of the package, skips its import cost
-    probe = (
-        "import sys, relcomm.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-        "('concurrent', 'multiprocessing')))"
-    )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(relcomm.__file__)))
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, check=True, timeout=60
-    ).stdout
-    assert out == b"[]\n"
+    assert _loaded("import relcomm.cli", ("concurrent", "multiprocessing")) == b"[]\n"
+
+
+def test_cli_import_loads_no_dataclasses_traceback_or_search():
+    # value classes are `algebra.Value`s, so nothing needs `dataclasses`
+    # (which imports `inspect`); only the internal-failure path prints a
+    # traceback, and only `search` and `catalog` use the search module
+    heavy = ("dataclasses", "inspect", "traceback", "relcomm.search")
+    assert _loaded("import relcomm.cli", heavy) == b"[]\n"
+    assert _loaded("import relcomm.commutator", heavy) == b"[]\n"
 
 
 def test_kernel_imports_load_no_checker_search_or_cli():
     # the package resolves its exports on first use, so a caller of the
     # kernels alone (the benchmark's commutator jobs) skips the parse of the
     # condition table and the modules that build on it
-    probe = (
-        "import sys, relcomm.commutator; "
+    statement = (
+        "import relcomm.commutator; "
         "from relcomm import algfile, commutator, relations; "
         "alg = relcomm.FiniteAlgebra(2, (('+', 2, (0, 1, 1, 0)),)); "
-        "full = relations.BinRel.full(2); commutator.comm(alg, full, full); "
-        "print(sorted(m for m in sys.modules if m in "
-        "('relcomm.expr', 'relcomm.conditions', 'relcomm.properties', 'relcomm.search', "
-        "'relcomm.cli')))"
+        "full = relations.BinRel.full(2); commutator.comm(alg, full, full)"
     )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(relcomm.__file__)))
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, check=True, timeout=60
-    ).stdout
-    assert out == b"[]\n"
+    above = ("relcomm.expr", "relcomm.conditions", "relcomm.properties", "relcomm.search")
+    assert _loaded(statement, (*above, "relcomm.cli")) == b"[]\n"
