@@ -51,16 +51,27 @@ pure, so concurrent calls with equal arguments return equal values.
 
 from __future__ import annotations
 
-from .algebra import FiniteAlgebra, TupleSet, _image, _indices, subuniverse_closure
+from .algebra import (
+    PLAN_ENTRIES,
+    FiniteAlgebra,
+    TupleSet,
+    _image,
+    _indices,
+    memo,
+    subuniverse_closure,
+)
 from .relations import BinRel, _bits_on, kernels, require_reflexive_admissible
 
 
+@memo(PLAN_ENTRIES)
 def swap_middle(n: int):
     """The move descriptor of `algebra._image` that swaps the middle
     coordinates of 4-tuples over n elements, (x, y, z, w) -> (x, z, y, w):
     the tuples with z - y = d move d*(n*n - n) bits, one mask per d.  The
     tuples of one (y, z) are n runs of n bits, one run per x, so each mask
-    is built for x = 0 and then repeated every n**3 bits."""
+    is built for x = 0 and then repeated every n**3 bits.  Its 2n - 1
+    masks of n**4 bits are built once per size, on the first M(R, S) miss
+    there."""
     moves = {}
     for y in range(n):
         for z in range(n):
@@ -71,22 +82,22 @@ def swap_middle(n: int):
     return kept, tuple((m * every_x, max(d, 0), max(-d, 0)) for d, m in moves.items())
 
 
-def relation_blocks(n: int, swap, x: int):
+def relation_blocks(n: int, x: int):
     """What M(R, S) reads off a relation X with bits x on n elements, as
     4-tuple bits in the `TupleSet` encoding: (X's block as R, {(a, a, a',
     a') : a X a'}; its block as S, {(b, b', b, b') : b X b'}; X x X, the
     (x, y, z, w) with (x, y) and (z, w) in X; and swap(X x X), that set
-    with its middle coordinates swapped by `swap`, the `swap_middle(n)`
-    that each size builds once).  Pair bit i, (a, a'), becomes bit
-    (n + 1)*(a*n*n + a') of the first and bit i*(n*n + 1) of the second.
-    The kernel objects of size n share one memo of it, `k.blocks(x)`."""
+    with its middle coordinates swapped by `swap_middle(n)`).  Pair bit i,
+    (a, a'), becomes bit (n + 1)*(a*n*n + a') of the first and bit
+    i*(n*n + 1) of the second.  The kernel objects of size n share one
+    memo of it, `k.blocks(x)`."""
     pairs = _indices(x)
     square = sum(1 << i * n * n for i in pairs) * x
     return (
         sum(1 << (n + 1) * (i // n * n * n + i % n) for i in pairs),
         sum(1 << i * (n * n + 1) for i in pairs),
         square,
-        _image(square, (swap,)),
+        _image(square, (swap_middle(n),)),
     )
 
 

@@ -183,10 +183,10 @@ _Token = namedtuple("_Token", "kind text line col")
 # from the root to a leaf (`RelExpr.depth`), and at most this many
 # parentheses and calls open at once.  The parser recurses 7 frames per
 # call open and 6 per parenthesis, and each walk over a tree (`eval_expr`,
-# `pretty`, `free_names`, `_Plan._visit`, `==`) up to 3 per node, `repr`
-# 4; so the deepest walk that a bounded input makes, parsing 100 nested
-# calls, takes about 705 frames, inside Python's default recursion limit
-# of 1,000.  The deepest side of the condition table has 11 levels.
+# `pretty`, `_Plan._visit`, `==`) up to 3 per node, `repr` 4; so the
+# deepest walk that a bounded input makes, parsing 100 nested calls, takes
+# about 705 frames, inside Python's default recursion limit of 1,000.
+# The deepest side of the condition table has 11 levels.
 MAX_DEPTH = 100
 
 
@@ -412,16 +412,6 @@ def children(e: RelExpr) -> tuple:
     if type(e) not in NODES:
         raise EvalError(f"unknown expression node {e!r}")
     return e._values()
-
-
-def free_names(e: RelExpr) -> set[str]:
-    if type(e) is NameRef:
-        return {e.name}
-    out = set()
-    for c in children(e):
-        if isinstance(c, RelExpr):
-            out |= free_names(c)
-    return out
 
 
 def eval_expr(alg, env: dict, e: RelExpr, close_inputs: bool = False) -> BinRel:

@@ -94,15 +94,11 @@ class Witness(Value):
 
 
 class PropertyReport(Value):
-    """One condition's verdict.  Unlike other values a report stays
-    mutable, so it is unhashable."""
+    """One condition's verdict."""
 
     __slots__ = _fields = (
         "condition", "holds", "witness", "relations_checked", "family_mode", "detail"
     )
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, condition, holds, witness, relations_checked, family_mode, detail=None):
         detail = {} if detail is None else detail
@@ -262,21 +258,23 @@ class _Plan:
         return "\n".join(lines) + "\n"
 
 
-def _family_lists(k, quantifiers, family):
+def _family_lists(alg, quantifiers, family):
     """Each quantifier's family as relation bits, listed once per algebra
-    and kind into the kernel object k's `families`.  The cap on n is
-    checked on every call, before a listed family is read."""
-    listed = k.families
+    and kind into its kernel object's `families`.  The caps on n are
+    checked on every call, before the kernel object is looked up."""
     for q in quantifiers:
         if q.kind == ANY:
             raise ValueError(
                 f"quantifier {q.name!r} ranges over arbitrary relations; "
                 "only sampled mode can sweep it"
             )
-        require_exhaustive(q.kind, k.n)
+        require_exhaustive(q.kind, alg.size)
+    k = kernels(alg)
+    listed = k.families
+    for q in quantifiers:
         if q.kind not in listed:
             listed[q.kind] = tuple(
-                rel.bits for rel in enumerate_relations(k.alg, family.with_kind(q.kind))
+                rel.bits for rel in enumerate_relations(alg, family.with_kind(q.kind))
             )
     return [listed[q.kind] for q in quantifiers]
 
@@ -324,7 +322,7 @@ def _members(alg, quantifiers, family):
                 yield draw(bound, rng)
 
         return members
-    lists = _family_lists(kernels(alg), quantifiers, family)
+    lists = _family_lists(alg, quantifiers, family)
     return lambda i, bound: [m for m in lists[i] if not bound & ~m] if bound else lists[i]
 
 

@@ -297,16 +297,16 @@ def _size_kernels(n: int):
     """The memos of the kernels of n alone, keyed by relation bits alone:
     `converse_bits`, `compose_bits` and `star_bits` at n, and the slices
     (`commutator.spread_bits`) and blocks (`commutator.relation_blocks`)
-    that K(R, S; V) and M(R, S) read off one relation, the blocks with the
-    swap of the middle coordinates of 4-tuples built once per size.  They
-    do not depend on the operations, so every kernel object of that size
-    shares them."""
+    that K(R, S; V) and M(R, S) read off one relation.  They do not depend
+    on the operations, so every kernel object of that size shares them.
+    Making them builds nothing that grows with n (`relation_blocks` builds
+    its swap of n**4 bits on its first call)."""
     fns = (
         partial(converse_bits, n),
         partial(compose_bits, n),
         partial(star_bits, n),
         partial(commutator.spread_bits, n),
-        partial(commutator.relation_blocks, n, commutator.swap_middle(n)),
+        partial(commutator.relation_blocks, n),
     )
     return tuple(lru_cache(maxsize=KERNEL_ENTRIES)(f) for f in fns)
 
@@ -448,6 +448,8 @@ class RelFamily(Value):
 
 def _family_max_n(kind: str) -> int:
     """The cap on n for `kind`; an override warns from this one place."""
+    if kind not in _DEFAULT_MAX_N:
+        raise ValueError(f"unknown family kind {kind!r}")
     override = os.environ.get(_ENV_OVERRIDE)
     if not override:
         return _DEFAULT_MAX_N[kind]
@@ -551,12 +553,12 @@ def enumerate_relations(alg: FiniteAlgebra, family: RelFamily):
     """
     kind = family.kind
     n = alg.size
-    close = family_closure(alg, kind)
     if family.mode == "sampled":
+        close = family_closure(alg, kind)
         members = _sample_relations(n, close, family.sample_count, family.seed)
     else:
-        require_exhaustive(kind, n)
-        members = _closed_sets(n, close)
+        require_exhaustive(kind, n)  # before the kernel object exists
+        members = _closed_sets(n, family_closure(alg, kind))
     for bits in members:
         yield BinRel(n, bits)
 

@@ -1,5 +1,6 @@
-"""Named small algebras, seeded random algebra generation, and a budgeted
-hunt for algebras whose condition profiles differ.
+"""The catalog of named small algebras (the package's `algebras/*.alg`
+files), seeded random algebra generation, and a budgeted hunt for algebras
+whose condition profiles differ.
 
 Random tables come from Python's Mersenne Twister (`random.Random`), each
 candidate seeded with the string "<seed>:<index>", so a (seed, index) pair
@@ -10,10 +11,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
 
 from . import conditions, properties
 from .algebra import FiniteAlgebra, Value, is_whole
+from .algfile import load_algebra
 from .relations import UsageError, kernels
 
 PROFILE_DIVERSITY = "profile-diversity"
@@ -53,38 +56,16 @@ class SearchTask(Value):
         Value.__init__(self, sizes, budget, seed, target, start_index, jobs)
 
 
+# The built-in desk-scale algebras, in catalog order: each name's
+# lower-cased form names its file in the package's `algebras/` directory.
+CATALOG_NAMES = ("Trivial1", "Set2", "Set3", "Z2", "Z3", "Z4", "Z2xZ2", "L2", "C3", "S2", "RB3")
+
+
 def catalog() -> list[tuple[str, FiniteAlgebra]]:
-    """The built-in desk-scale algebras."""
-
-    def cyclic(n):
-        return tuple((a + b) % n for a in range(n) for b in range(n))
-
-    z2xz2 = tuple(a ^ b for a in range(4) for b in range(4))
+    """The built-in algebras by name, loaded from the shipped .alg files."""
+    here = os.path.join(os.path.dirname(__file__), "algebras")
     return [
-        ("Trivial1", FiniteAlgebra(1, ())),
-        ("Set2", FiniteAlgebra(2, ())),
-        ("Set3", FiniteAlgebra(3, ())),
-        ("Z2", FiniteAlgebra(2, (("+", 2, cyclic(2)),))),
-        ("Z3", FiniteAlgebra(3, (("+", 2, cyclic(3)),))),
-        ("Z4", FiniteAlgebra(4, (("+", 2, cyclic(4)),))),
-        ("Z2xZ2", FiniteAlgebra(4, (("+", 2, z2xz2),))),
-        (
-            "L2",
-            FiniteAlgebra(2, (("meet", 2, (0, 0, 0, 1)), ("join", 2, (0, 1, 1, 1)))),
-        ),
-        (
-            "C3",
-            FiniteAlgebra(
-                3,
-                (
-                    ("meet", 2, tuple(min(a, b) for a in range(3) for b in range(3))),
-                    ("join", 2, tuple(max(a, b) for a in range(3) for b in range(3))),
-                ),
-            ),
-        ),
-        ("S2", FiniteAlgebra(2, (("meet", 2, (0, 0, 0, 1)),))),
-        # left-zero band: x*y = x, a (degenerate) rectangular band
-        ("RB3", FiniteAlgebra(3, (("*", 2, (0, 0, 0, 1, 1, 1, 2, 2, 2)),))),
+        (name, load_algebra(os.path.join(here, name.lower() + ".alg"))) for name in CATALOG_NAMES
     ]
 
 

@@ -1,8 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from relcomm import BinRel, REFLEXIVE_ADMISSIBLE, RelFamily, enumerate_relations
 from relcomm.algebra import _encode
 from relcomm.search import catalog
+
+# `pytest --hypothesis-profile fuzz` selects it; the tests of test_fuzz.py
+# take their example counts from the loaded profile (every other
+# property test sets its own)
+settings.register_profile("fuzz", max_examples=5000)
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,13 @@
 import hashlib
 import importlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import relcomm
 from relcomm import commutator, relations
 from relcomm.algebra import _indices
 from relcomm.cli import build_parser, main
@@ -286,6 +290,40 @@ def test_former_crash_inputs_exit_two_with_one_line(capsys, tmp_path):
         assert (code, out, err) == (2, "", message + "\n"), argv[:2]
 
 
+# `python -c` runs the CLI under an address-space limit, so that a
+# universe refused too late ends in a MemoryError or the timeout, not in
+# the machine running out of memory
+_LIMITED_CLI = """\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from relcomm.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("size", (160, 99999999))
+@pytest.mark.parametrize(
+    "argv",
+    (["check", "--condition", "T3_I"], ["check-all"], ["enumerate", "--family", "congruence"]),
+    ids=("check", "check-all", "enumerate"),
+)
+def test_oversized_universe_is_refused_before_any_kernel_work(tmp_path, size, argv):
+    # the caps on n are checked before the kernel object is built, whose
+    # diagonal alone takes n**2 bits; and building the object of a size
+    # makes nothing of n**4 bits, such as the swap that M(R, S) reads
+    path = tmp_path / f"size{size}.alg"
+    path.write_text(f"size {size}\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(relcomm.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CLI, *argv, "-a", str(path)],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    kind = argv[-1] if argv[0] == "enumerate" else "reflexive-admissible"
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr[-300:]
+    assert proc.stderr.startswith(f"error: exhaustive {kind} enumeration is capped at n=")
+    assert f"(algebra has n={size})" in proc.stderr and proc.stderr.count("\n") == 1
+
+
 def test_check_all_structured_byte_identical(capsys):
     args = ("check-all", "-a", "algebras/z2.alg", "--format", "structured", "--seed", "3")
     code, out1, _ = run(capsys, *args)
@@ -305,8 +343,8 @@ def test_implementation_failure_exits_one(capsys, monkeypatch):
     def broken(alg, cond_id, family):
         rep = real(alg, cond_id, family)
         if cond_id == "L1A_I":
-            rep.holds = False
-            rep.witness = properties.Witness("L1A_I", {"R1": [(0, 0)]}, (0, 1))
+            witness = properties.Witness("L1A_I", {"R1": [(0, 0)]}, (0, 1))
+            return rep._replace(holds=False, witness=witness)
         return rep
 
     monkeypatch.setattr(properties, "check_condition", broken)

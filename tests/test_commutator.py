@@ -200,6 +200,21 @@ def test_relation_blocks_are_kept_per_universe_size(algebras):
         assert small.spread(x) != large.spread(x)
 
 
+def test_swap_is_built_once_per_size_on_the_first_block():
+    # the swap of the middle coordinates is 2n - 1 masks of n**4 bits, so a
+    # kernel object, which any loaded file may ask for, does not build it;
+    # the first relation's blocks do, once for every object of that size
+    relations.clear_caches()
+    _kernels_of_size(40)
+    assert commutator.swap_middle.cache_info().currsize == 0
+    first, second = _kernels_of_size(3), relations.kernels(FiniteAlgebra(3, (("c", 0, (1,)),)))
+    assert commutator.swap_middle.cache_info().currsize == 0
+    first.blocks(0b100010001)
+    second.blocks(0b111111111)
+    info = commutator.swap_middle.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
 def test_m_set_is_the_naive_closure_of_both_blocks_inside_its_bound(algebras, ra_lists):
     # m_set's closure stops once it reaches its bound; the naive closure
     # runs to its fixed point, so it checks that no tuple was left out

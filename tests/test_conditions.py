@@ -13,6 +13,7 @@ import pytest
 from oracles import naive_compose, naive_transitive_closure
 from relcomm import FiniteAlgebra, BinRel, eval_expr
 from relcomm.conditions import CONDITIONS, META_CHECKS
+from relcomm.expr import NameRef, RelExpr, children
 from relcomm.properties import _RULES
 
 SET3 = FiniteAlgebra(3, ())
@@ -263,21 +264,26 @@ def test_transcription_matches_naive(cond_id):
     assert set(rhs.pairs()) == set(naive_rhs()), f"{cond_id} rhs"
 
 
-def test_condition_quantifier_names_cover_formulas():
-    from relcomm.expr import free_names
+def _free_names(e):
+    """The relation names that the expression e reads."""
+    if type(e) is NameRef:
+        return {e.name}
+    return set().union(*(_free_names(c) for c in children(e) if isinstance(c, RelExpr)))
 
+
+def test_condition_quantifier_names_cover_formulas():
     for cond_id, spec in CONDITIONS.items():
         # the sweep walks at least one quantifier
         assert spec.quantifiers, cond_id
         bound = {q.name for q in spec.quantifiers}
-        used = free_names(spec.lhs) | free_names(spec.rhs)
+        used = _free_names(spec.lhs) | _free_names(spec.rhs)
         assert used <= bound, cond_id
         assert bound <= used, cond_id  # no vacuous quantifiers
         for i, q in enumerate(spec.quantifiers):
             # a bound is evaluated before its own quantifier is bound
             if q.above is not None:
                 earlier = {p.name for p in spec.quantifiers[:i]}
-                assert free_names(q.above) <= earlier, (cond_id, q.name)
+                assert _free_names(q.above) <= earlier, (cond_id, q.name)
 
 
 def test_meta_check_rows_name_known_rules_and_conditions():

@@ -219,8 +219,8 @@ def test_search_checks_the_problem_implications(monkeypatch):
     def broken(alg, cond_id, family):
         rep = real(alg, cond_id, family)
         if cond_id == "T2_I":
-            rep.holds = False
-            rep.witness = properties.Witness("T2_I", {"R": [(0, 0)]}, (0, 1))
+            witness = properties.Witness("T2_I", {"R": [(0, 0)]}, (0, 1))
+            return rep._replace(holds=False, witness=witness)
         return rep
 
     monkeypatch.setattr(properties, "check_condition", broken)

@@ -125,15 +125,20 @@ def test_replace_builds_a_checked_copy():
     assert alias == original._replace(id="PROB_I") and alias.lhs is original.lhs
 
 
-def test_property_report_stays_mutable_and_unhashable():
+def test_property_report_is_frozen_and_unhashable():
+    # a report is a value like every other, so a changed verdict is a new
+    # report; its `detail` is a dict, so it cannot be hashed
     rep, other = (PropertyReport("T2_I", True, None, 3, "exhaustive") for _ in range(2))
     assert rep.detail == {} and rep.detail is not other.detail
-    rep.holds = False
-    rep.witness = Witness("T2_I", {"R": [(0, 0)]}, (0, 1))
-    assert rep.verdict == "fails" and rep.witness.pair == (0, 1)
+    with pytest.raises(AttributeError):
+        rep.holds = False
+    with pytest.raises(AttributeError):
+        del rep.witness
     with pytest.raises(TypeError):
         hash(rep)
-    assert rep._replace(condition="PROB_I").witness is rep.witness
+    failed = rep._replace(holds=False, witness=Witness("T2_I", {"R": [(0, 0)]}, (0, 1)))
+    assert failed.verdict == "fails" and failed.witness.pair == (0, 1) and rep.holds
+    assert failed._replace(condition="PROB_I").witness is failed.witness
     assert isinstance(rep, Value)
 
 
