@@ -45,8 +45,11 @@ MEMOS = []
 # objects of one size share take one entry per relation: `blocks` one per
 # R or S of an M(R, S) miss (196 there), `spread` one per V that
 # K(R, S; V) reads.
-# Plan memos hold one entry per (algebra, power), condition spec or
-# universe size: search-n4 fills 122 image plans and 5 condition plans.
+# Plan memos hold one entry per condition spec or universe size (5
+# condition plans on search-n4).  Image plans take one entry per (algebra,
+# power), and the package closes in powers 2 (admissible closures) and 4
+# (M(R, S)) only, so they are kept for as many algebras as kernel objects
+# are, and no longer: `search` does not keep every candidate's plans.
 KERNEL_ENTRIES, KERNEL_OBJECTS, PLAN_ENTRIES = 65536, 16, 256
 
 # The counters of a memo, with the fields of `functools.lru_cache`'s.
@@ -362,7 +365,7 @@ def eval_op(alg: FiniteAlgebra, op_index: int, args) -> int:
     return op.table[_encode(alg.size, args)]
 
 
-@memo(PLAN_ENTRIES)
+@memo(2 * KERNEL_OBJECTS)
 def _image_plans(alg: FiniteAlgebra, power: int):
     """The image steps of `subuniverse_closure`, as (tables, products).
 

@@ -24,7 +24,8 @@ A^4, so it is a subuniverse, and it holds both blocks because R and S are
 reflexive.  The closure takes it as `within=` and stops as soon as it has
 every tuple of U(R, S), which is where most closures of large R and S end.
 The blocks and the factors S x S and swap(R x R) of U(R, S) depend on one
-relation each, so the kernel objects of one size share one memo of them
+relation each, and each factor is one product of two spreads of its
+pairs.  The kernel objects of one size share one memo of them
 (`relation_blocks`, the object's `blocks`), and a miss of M(R, S) spends
 no loop over pairs on them.
 
@@ -51,53 +52,29 @@ pure, so concurrent calls with equal arguments return equal values.
 
 from __future__ import annotations
 
-from .algebra import (
-    PLAN_ENTRIES,
-    FiniteAlgebra,
-    TupleSet,
-    _image,
-    _indices,
-    memo,
-    subuniverse_closure,
-)
+from .algebra import FiniteAlgebra, TupleSet, _indices, subuniverse_closure
 from .relations import BinRel, _bits_on, kernels, require_reflexive_admissible
-
-
-@memo(PLAN_ENTRIES)
-def swap_middle(n: int):
-    """The move descriptor of `algebra._image` that swaps the middle
-    coordinates of 4-tuples over n elements, (x, y, z, w) -> (x, z, y, w):
-    the tuples with z - y = d move d*(n*n - n) bits, one mask per d.  The
-    tuples of one (y, z) are n runs of n bits, one run per x, so each mask
-    is built for x = 0 and then repeated every n**3 bits.  Its 2n - 1
-    masks of n**4 bits are built once per size, on the first M(R, S) miss
-    there."""
-    moves = {}
-    for y in range(n):
-        for z in range(n):
-            d = (z - y) * (n * n - n)
-            moves[d] = moves.get(d, 0) | ((1 << n) - 1) << (y * n + z) * n
-    every_x = sum(1 << x * n**3 for x in range(n))
-    kept = moves.pop(0) * every_x
-    return kept, tuple((m * every_x, max(d, 0), max(-d, 0)) for d, m in moves.items())
 
 
 def relation_blocks(n: int, x: int):
     """What M(R, S) reads off a relation X with bits x on n elements, as
     4-tuple bits in the `TupleSet` encoding: (X's block as R, {(a, a, a',
     a') : a X a'}; its block as S, {(b, b', b, b') : b X b'}; X x X, the
-    (x, y, z, w) with (x, y) and (z, w) in X; and swap(X x X), that set
-    with its middle coordinates swapped by `swap_middle(n)`).  Pair bit i,
-    (a, a'), becomes bit (n + 1)*(a*n*n + a') of the first and bit
-    i*(n*n + 1) of the second.  The kernel objects of size n share one
-    memo of it, `k.blocks(x)`."""
+    (x, y, z, w) with (x, y) and (z, w) in X; and swap(X x X), the (a, c,
+    b, d) with (a, b) and (c, d) in X).  Pair bit i, (a, a'), becomes bit
+    (n + 1)*(a*n*n + a') of the first and bit i*(n*n + 1) of the second.
+    Each product term of the last two is the bit of one tuple, and no two
+    share a bit: X x X spreads X's pairs by n*n bits each and multiplies
+    by x, and swap(X x X) multiplies the spread that puts (a, b) at
+    (a*n*n + b)*n by the one that puts (c, d) at c*n*n + d.  The kernel
+    objects of size n share one memo of it, `k.blocks(x)`."""
     pairs = _indices(x)
-    square = sum(1 << i * n * n for i in pairs) * x
+    spread = [i // n * n * n + i % n for i in pairs]  # (a, a') at a*n*n + a'
     return (
-        sum(1 << (n + 1) * (i // n * n * n + i % n) for i in pairs),
+        sum(1 << (n + 1) * e for e in spread),
         sum(1 << i * (n * n + 1) for i in pairs),
-        square,
-        _image(square, (swap_middle(n),)),
+        sum(1 << i * n * n for i in pairs) * x,
+        sum(1 << e * n for e in spread) * sum(1 << e for e in spread),
     )
 
 

@@ -298,9 +298,7 @@ def _size_kernels(n: int):
     `converse_bits`, `compose_bits` and `star_bits` at n, and the slices
     (`commutator.spread_bits`) and blocks (`commutator.relation_blocks`)
     that K(R, S; V) and M(R, S) read off one relation.  They do not depend
-    on the operations, so every kernel object of that size shares them.
-    Making them builds nothing that grows with n (`relation_blocks` builds
-    its swap of n**4 bits on its first call)."""
+    on the operations, so every kernel object of that size shares them."""
     fns = (
         partial(converse_bits, n),
         partial(compose_bits, n),

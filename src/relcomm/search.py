@@ -205,11 +205,15 @@ def run_search(task: SearchTask) -> SearchReport:
 
     algs = [alg for _, alg in candidates]
     work = (_profile, algs, itertools.repeat(ids))
-    if task.jobs > 1:
+    # the pool forks every worker at its first task, so start no more than
+    # can run at once or have a chunk of candidates to profile
+    chunk = 4
+    workers = min(task.jobs, os.cpu_count() or 1, -(-len(algs) // chunk))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # off every other import path
 
-        with ProcessPoolExecutor(max_workers=task.jobs) as pool:
-            profiles = list(pool.map(*work, chunksize=4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            profiles = list(pool.map(*work, chunksize=chunk))
     else:
         profiles = list(map(*work))
 

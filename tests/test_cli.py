@@ -309,8 +309,7 @@ sys.exit(main(sys.argv[1:]))
 )
 def test_oversized_universe_is_refused_before_any_kernel_work(tmp_path, size, argv):
     # the caps on n are checked before the kernel object is built, whose
-    # diagonal alone takes n**2 bits; and building the object of a size
-    # makes nothing of n**4 bits, such as the swap that M(R, S) reads
+    # diagonal alone takes n**2 bits
     path = tmp_path / f"size{size}.alg"
     path.write_text(f"size {size}\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(relcomm.__file__)))

@@ -175,6 +175,89 @@ def test_run_search_parallel_matches_serial():
     assert serial.to_json_lines() == parallel.to_json_lines()
 
 
+@pytest.mark.parametrize("cpus", (None, 1, 3, 64))
+def test_run_search_starts_no_more_workers_than_cpus_or_chunks(monkeypatch, cpus):
+    # the pool forks every worker at its first task, so a huge --jobs must
+    # not reach it: 11 catalog algebras and 2 candidates are 4 chunks of 4.
+    # The stand-in pool records the workers asked for and maps in-process.
+    import concurrent.futures
+    import os
+
+    asked = []
+
+    class Pool:
+        def __init__(self, max_workers=None):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    if cpus is not None:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    task = dict(sizes=(3,), budget=2, seed=5)
+    serial = run_search(SearchTask(**task))
+    assert asked == []
+    pooled = run_search(SearchTask(**task, jobs=10**6))
+    workers = min(os.cpu_count() or 1, 4)
+    assert asked == ([workers] if workers > 1 else [])
+    assert pooled.to_json_lines() == serial.to_json_lines()
+
+
+def test_image_plans_are_kept_no_longer_than_kernel_objects():
+    # the benchmark's search-n4 job builds plans in powers 2 and 4 for 61
+    # algebras, each dropped with its kernel object after its profile
+    from relcomm import algebra, relations
+
+    relations.clear_caches()
+    run_search(SearchTask(sizes=(4,), budget=50, seed=0))
+    assert algebra._image_plans.cache_info().currsize <= 2 * algebra.KERNEL_OBJECTS
+
+
+def _renamed_back(witness, perm):
+    """The witness `witness` of a relabelled copy, in the original's names."""
+    back = {b: a for a, b in enumerate(perm)}
+    relations = {
+        name: [(back[a], back[b]) for a, b in pairs] for name, pairs in witness.relations.items()
+    }
+    pair = None if witness.pair is None else tuple(back[a] for a in witness.pair)
+    return witness._replace(relations=relations, pair=pair)
+
+
+def test_relabelling_keeps_every_exhaustive_verdict():
+    # isomorphic algebras satisfy the same conditions over their exhaustive
+    # families; RB3 and Set3 are left out for time (64-member families)
+    from relcomm.conditions import ALIASES, CONDITIONS, SAMPLED_ONLY
+    from relcomm.properties import recheck_witness
+    from relcomm.search import _relabelled
+
+    rng = random.Random(21)
+    algs = [alg for name, alg in catalog() if alg.size > 1 and name not in ("RB3", "Set3")]
+    algs += [random_algebra(Signature(size=2 + i % 2), f"relabel:{i}") for i in range(10)]
+    ids = [cid for cid in CONDITIONS if cid not in SAMPLED_ONLY and cid not in ALIASES]
+    fam = RelFamily(mode="exhaustive")
+    for alg in algs:
+        perm = list(range(alg.size))
+        while perm == sorted(perm):
+            rng.shuffle(perm)
+        ops = zip(alg.operations, _relabelled(alg, perm))
+        copy = FiniteAlgebra(alg.size, tuple((op.name, op.arity, t) for op, t in ops))
+        for cid in ids:
+            want, got = check_condition(alg, cid, fam), check_condition(copy, cid, fam)
+            assert got.holds == want.holds, (alg, perm, cid)
+            if got.holds:
+                assert got.relations_checked == want.relations_checked, (alg, perm, cid)
+            else:
+                witness = _renamed_back(got.witness, perm)
+                assert recheck_witness(alg, got._replace(witness=witness)), (alg, perm, cid)
+
+
 def test_search_task_validation():
     with pytest.raises(ValueError):
         SearchTask(budget=-1)
