@@ -14,7 +14,8 @@ arguments over decoded members.  Generators come in as a bitset in the
 already passes that part as a second bitset, `closed=`, and no
 combination inside that block is imaged.  A third bitset, `within=`, bounds
 the closure from above: saturation ends once it holds every tuple of that
-bound, which by default is the whole power.
+bound, which by default is the whole power, and the first tuple found
+outside it ends the run with an error.
 
 All values are immutable after construction and safe to share across
 threads; closure itself runs single-threaded.  Every value class of the
@@ -492,9 +493,10 @@ def subuniverse_closure(
     `within`, by default the whole power, is the caller's promise of a
     set that contains the closure.  Saturation stops as soon as every
     tuple of `within` is in, since no image can add one then, so the
-    members still queued are never processed.  The promise is checked,
-    once per call: a closure that ends with a tuple outside `within`
-    raises a `ValueError` naming it instead of returning.  The check sees
+    members still queued are never processed.  The promise is checked on
+    each batch of new tuples as it is found (`_saturate`): the first
+    tuple outside `within`, a generator's or an image's, raises a
+    `ValueError` naming the bound instead of returning.  The check sees
     only the tuples the run adds, so a run that reaches every tuple of a
     bound stops there even if the bound misses a tuple that the run would
     have added next.
@@ -508,11 +510,29 @@ def subuniverse_closure(
     for name, bits in (("generators", generators), ("closed", closed), ("within", within)):
         if not isinstance(bits, int) or not (0 <= bits <= whole):
             raise ValueError(f"{name} is not a bitset of {power}-tuples over 0..{n - 1}")
+    bits = _saturate(alg, power, generators, closed, within)
+    if bits is None:
+        raise ValueError(f"within does not contain the closure of these {power}-tuples")
+    return TupleSet(n, power, bits)
+
+
+def _saturate(alg, power, generators, closed, within, complete=False):
+    """The saturation loop of `subuniverse_closure`, on bitsets it has
+    checked: the closure's bits, or None as soon as a batch of new tuples
+    (the generators, then each member's images) has one outside `within`.
+    Bits equal to `within` may come from a run that stopped because it
+    filled its bound, so they do not prove that `within` is closed, unless
+    `complete` is set: then the run processes every member even once it
+    holds all of `within`, and what it returns is closed."""
+    n = alg.size
     done = closed  # members 0..i-1
     seen = done | generators
     for op in alg.operations:
         if op.arity == 0:
             seen |= 1 << _encode(n, op.table * power)
+    outside = ~within
+    if seen & outside:
+        return None
 
     tables, products = _image_plans(alg, power)
     half = n ** (power - power // 2)
@@ -522,7 +542,8 @@ def subuniverse_closure(
     order = []  # the encoding of each member outside `closed`, in addition order
     new = seen & ~done
     i = 0
-    while seen != within:
+    stop = -1 if complete else within  # no bitset equals -1
+    while seen != stop:
         if new:
             order += _indices(new)
         if i == len(order):
@@ -548,8 +569,8 @@ def subuniverse_closure(
                         found |= _image(sets[source], moving)
         done |= single
         new = found & ~seen
+        if new & outside:
+            return None
         seen |= new
         i += 1
-    if seen & ~within:
-        raise ValueError(f"within does not contain the closure of these {power}-tuples")
-    return TupleSet(n, power, seen)
+    return seen

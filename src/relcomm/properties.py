@@ -31,6 +31,10 @@ bindings and `recheck_witness` use it).
 Sampled verdicts are never reported as "holds": a sampled sweep that finds
 nothing says so explicitly.
 
+Every failing report's witness is re-evaluated with `eval_expr` before
+`check_condition` returns it (`recheck_witness`); a disagreement is an
+implementation failure (`InvariantViolation`).
+
 `check_ids` is the one path from ids to reports (for `check`,
 `check-all`, `check_meta`, the problem profile and `search`): an alias
 takes its original's report, and a meta-check (a row of
@@ -358,16 +362,28 @@ def _sweep(alg, spec, members):
 
 
 def check_condition(alg, cond_id: str, family: RelFamily) -> PropertyReport:
-    """Quantify one condition over its families; first violation wins."""
+    """Quantify one condition over its families; first violation wins.
+
+    A failing sweep's witness is re-evaluated by the reference evaluator
+    (`recheck_witness`) before the report is returned, so every report
+    that `check_ids` stores, and that an alias copies, was rechecked; a
+    witness that does not violate its condition raises InvariantViolation.
+    """
     spec = _spec(cond_id)
     checked, witness = _sweep(alg, spec, _members(alg, spec.quantifiers, family))
-    return PropertyReport(
+    report = PropertyReport(
         condition=cond_id,
         holds=witness is None,
         witness=witness,
         relations_checked=checked,
         family_mode=family.mode,
     )
+    if witness is not None and not recheck_witness(alg, report):
+        raise InvariantViolation(
+            f"the sweep of {cond_id} reports a binding that does not violate it: "
+            f"{witness.relations}"
+        )
+    return report
 
 
 def _eval_bound(alg, spec, env):

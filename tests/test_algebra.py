@@ -13,7 +13,7 @@ from conftest import tuple_bits
 from oracles import naive_tuple_closure
 import relcomm
 from relcomm import BinRel, FiniteAlgebra, adm_close, eval_op, load_algebra, subuniverse_closure
-from relcomm.algebra import Operation, TupleSet, _decode, _image, _image_plans
+from relcomm.algebra import Operation, TupleSet, _decode, _image, _image_plans, _saturate
 from relcomm import algebra
 from relcomm.relations import clear_caches
 
@@ -156,6 +156,89 @@ def test_bounded_closure_matches_naive_oracle():
         for within in (None, exact, superset):
             got = subuniverse_closure(alg, k, tuple_bits(n, gens), within=within)
             assert set(got.members()) == want, (ops, gens, within)
+
+
+def test_bounded_loop_gives_the_closure_inside_its_bound_or_rejects():
+    # `_saturate` checks each batch of new tuples against `within` as the
+    # batch is found: a closure inside the bound comes back whole, and
+    # one that leaves it is rejected (None).  Without `complete` a run may
+    # instead stop once it holds the whole bound and give the bound back;
+    # with it the run never stops early, so it always rejects
+    rng = random.Random(5150)
+    signatures = [(0,), (1,), (2,), (3,), (0, 2), (1, 2), (0, 1, 3), (2, 3)]
+    shapes = [(2, 2), (3, 2), (2, 4), (3, 4)]
+    outcomes = set()
+    for trial in range(240):
+        arities = signatures[trial % len(signatures)]
+        n, k = shapes[trial // len(signatures) % len(shapes)]
+        if 3 in arities and n**k > 27:
+            n = 2
+        ops = [(f"f{j}", a, tuple(rng.randrange(n) for _ in range(n**a))) for j, a in enumerate(arities)]
+        alg = FiniteAlgebra(n, tuple(ops))
+        tables = [t for _, _, t in ops]
+
+        def draw(count):
+            return {tuple(rng.randrange(n) for _ in range(k)) for _ in range(count)}
+
+        block = subuniverse_closure(alg, k, tuple_bits(n, draw(rng.randint(0, 1)))).bits
+        gens = draw(rng.randint(0, 3))
+        block_tuples = {_decode(n, k, e) for e in range(n**k) if block >> e & 1}
+        want = tuple_bits(n, naive_tuple_closure(n, k, arities, tables, gens | block_tuples))
+        whole = (1 << n**k) - 1
+        members = [1 << e for e in range(n**k) if want >> e & 1]
+        bounds = [want, whole, want | rng.getrandbits(n**k), rng.getrandbits(n**k)]
+        if members:
+            bounds.append(want & ~rng.choice(members) | rng.getrandbits(n**k))
+        for within in bounds:
+            inside = want & ~within == 0
+            for complete in (False, True):
+                got = _saturate(alg, k, tuple_bits(n, gens), block, within, complete)
+                if inside:
+                    assert got == want, (ops, block, gens, within, complete)
+                elif complete:
+                    assert got is None, (ops, block, gens, within)
+                else:
+                    assert got in (None, within), (ops, block, gens, within)
+                outcomes.add((inside, complete, got is None))
+    # every outcome occurs: kept, and rejected with and without `complete`
+    assert {(True, False, False), (False, False, True), (False, True, True)} <= outcomes
+
+
+def test_bounded_loop_checks_every_batch():
+    # constant maps to 0 and to 1 on the square of {0, 1}: member (0, 1)
+    # is the only one processed, and its one batch adds (0, 0) and (1, 1)
+    consts = FiniteAlgebra(2, (("zero", 1, (0, 0)), ("one", 1, (1, 1))))
+    gens, bound = tuple_bits(2, {(0, 1)}), tuple_bits(2, {(0, 1), (0, 0)})
+    # the batch that completes the bound also leaves it: rejected, though
+    # the run holds every tuple of the bound once that batch is in
+    for complete in (False, True):
+        assert _saturate(consts, 2, gens, 0, bound, complete) is None
+    with pytest.raises(ValueError, match="within"):
+        subuniverse_closure(consts, 2, gens, within=bound)
+    # a run that fills its bound stops there unless `complete`: the cyclic
+    # successor on {0, 1, 2} reaches 1 from 0, and 2 only from 1
+    succ = FiniteAlgebra(3, (("s", 1, (1, 2, 0)),))
+    assert _saturate(succ, 1, 0b001, 0, 0b011) == 0b011
+    assert subuniverse_closure(succ, 1, 0b001, within=0b011).bits == 0b011
+    assert _saturate(succ, 1, 0b001, 0, 0b011, True) is None
+    assert _saturate(succ, 1, 0b001, 0, 0b111, True) == 0b111
+
+
+def test_generators_outside_the_bound_are_rejected_before_any_image(monkeypatch):
+    calls = []
+
+    def counting(bits, descriptors):
+        calls.append(bits)
+        return _image(bits, descriptors)
+
+    monkeypatch.setattr(algebra, "_image", counting)
+    # (0, 1) is outside the diagonal, and a constant's tuple (1, 1) is too
+    assert _saturate(Z2, 2, tuple_bits(2, {(0, 0), (0, 1)}), 0, tuple_bits(2, {(0, 0)})) is None
+    with_const = FiniteAlgebra(2, (("c", 0, (1,)), ("+", 2, (0, 1, 1, 0))))
+    assert _saturate(with_const, 2, tuple_bits(2, {(0, 0)}), 0, tuple_bits(2, {(0, 0)}), True) is None
+    # so is a `closed` block that leaves the bound
+    assert _saturate(Z2, 2, 0, tuple_bits(2, {(0, 0), (1, 1)}), tuple_bits(2, {(0, 0)})) is None
+    assert calls == []
 
 
 def test_closure_matches_naive_oracle_on_random_groupoids():

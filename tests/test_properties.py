@@ -370,3 +370,48 @@ def test_plan_hoists_subterms_and_lists_families_once(algebras, monkeypatch):
     assert rep.holds and rep.relations_checked == 15_625
     assert calls["converse"] == 25 + 25 * 25
     assert calls["enumerate"] <= 3
+
+
+def _late_sweep_source(real):
+    """A `_Plan._source` whose sweep returns the binding after the first
+    violating one, with that one's bad bits."""
+
+    def source(self):
+        lines = real(self).split("\n")
+        at = next(i for i, line in enumerate(lines) if line.strip().startswith("bad = "))
+        pad = lines[at][: len(lines[at]) - len(lines[at].lstrip())]
+        found = lines[at + 2].strip()  # return checked, (names), bad
+        lines[at : at + 3] = [
+            pad + "if hit:",
+            pad + "    " + found[: -len("bad")] + "hit",
+            lines[at],
+            pad + "if bad:",
+            pad + "    hit = bad",
+        ]
+        lines.insert(2, "    hit = 0")
+        return "\n".join(lines)
+
+    return source
+
+
+def test_a_witness_that_does_not_recheck_raises(algebras, monkeypatch, capsys):
+    # T3_I fails on S2, and the binding after its first violating one
+    # does not violate it; a sweep that reports that binding must be
+    # caught before any report is stored, so check_ids, the alias PROB_II
+    # and the CLI all refuse it
+    from relcomm import cli, properties
+    from relcomm.relations import InvariantViolation
+
+    monkeypatch.setattr(properties._Plan, "_source", _late_sweep_source(properties._Plan._source))
+    properties._plan.cache_clear()
+    try:
+        for cid in ("T3_I", "PROB_II"):
+            with pytest.raises(InvariantViolation, match="T3_I reports a binding"):
+                properties.check_ids(algebras["S2"], [cid], EXH)
+        capsys.readouterr()
+        assert cli.main(["check", "-a", "algebras/s2.alg", "--condition", "T3_I"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[0].startswith("error: InvariantViolation: the sweep of T3_I")
+    finally:
+        properties._plan.cache_clear()

@@ -36,11 +36,13 @@ from relcomm import (
     tol_close,
     union_,
 )
+from relcomm import algebra
 from relcomm.relations import (
     FamilyBoundError,
     SizeMismatch,
     UsageError,
     _sample_relations,
+    clear_caches,
     compose_bits,
     converse_bits,
     delta_bits,
@@ -407,6 +409,51 @@ def test_enumerate_matches_oracle_on_random_groupoids():
     sig = Signature(size=4, ops=(("f", 2),))
     for seed in range(3):
         assert_family_matches_oracle(random_algebra(sig, f"enumerate:{seed}"))
+
+
+def test_enumerate_matches_oracle_on_small_groupoids_and_records_only_members():
+    # NextClosure drops a candidate at its first pair outside the
+    # canonicity bound; every family must still be the oracle's, and each
+    # relation the enumeration records as admissible on the kernel object
+    # must be admissible: afterwards every relation is judged as the
+    # oracle judges it
+    for n in (2, 3):
+        for seed in range(12):
+            alg = random_algebra(Signature(size=n, ops=(("f", 2),)), f"small:{seed}")
+            clear_caches()
+            assert_family_matches_oracle(alg)
+            for bits in range(1 << n * n):
+                r = BinRel(n, bits)
+                pairs = set(r.pairs())
+                admissible = naive_is_admissible(n, [2], [alg.operations[0].table], pairs)
+                assert is_admissible(alg, r) == admissible, (seed, r)
+                symmetric = admissible and is_reflexive(r) and is_symmetric(r)
+                assert is_tolerance(alg, r) == symmetric, (seed, r)
+                assert is_congruence(alg, r) == (symmetric and is_transitive(r)), (seed, r)
+
+
+def test_enumeration_makes_fewer_images_than_closing_every_candidate(monkeypatch):
+    # the images that exhaustive enumeration makes, per kind, on one
+    # random 4-element groupoid (101 reflexive admissible relations, 11
+    # tolerances, 4 congruences); closing every candidate in full before
+    # testing it against its bound took 4,126, 488 and 352 images
+    calls = []
+
+    def counting(bits, descriptors):
+        calls.append(bits)
+        return image(bits, descriptors)
+
+    image = algebra._image
+    monkeypatch.setattr(algebra, "_image", counting)
+    alg = random_algebra(Signature(size=4), "work:207")
+    full = {REFLEXIVE_ADMISSIBLE: 4126, TOLERANCE: 488, CONGRUENCE: 352}
+    for kind, before in full.items():
+        clear_caches()
+        del calls[:]
+        members = list(enumerate_relations(alg, RelFamily(kind=kind)))
+        assert len(members) == {REFLEXIVE_ADMISSIBLE: 101, TOLERANCE: 11, CONGRUENCE: 4}[kind]
+        assert len(calls) < before, (kind, len(calls))
+    clear_caches()
 
 
 @settings(max_examples=40, deadline=None)
