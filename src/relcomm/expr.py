@@ -426,7 +426,7 @@ def eval_expr(alg, env: dict, e: RelExpr, close_inputs: bool = False) -> BinRel:
     """
     n = alg.size
     k = relations.kernels(alg)
-    close = relations.family_closure(alg, relations.REFLEXIVE_ADMISSIBLE)
+    close = k.closure(relations.REFLEXIVE_ADMISSIBLE)
 
     def ev(node):
         if type(node) is NameRef:

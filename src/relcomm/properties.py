@@ -17,11 +17,12 @@ positions: the algebra enters as the tuple of step functions that
 `expr.NODES` binds on its kernel object (`relations.kernels`, looked up
 once per check), which are the object's memos themselves, and the family
 mode as the `members` function that gives each quantifier's relations
-(`_members`).  Exhaustive families are listed once per algebra and kind,
-on the same object.  So one plan per condition spec serves every algebra
-and both modes, cached by the spec's value (`_plan`).  A plan's values are the `bits` ints of relations, and
-sampled draws too; `BinRel`s appear only at the boundary, in the
-families' listing and the witness.
+(`_members`).  Exhaustive families come from `enumerate_relations`,
+which lists each kind once per algebra on the same object.  So one plan
+per condition spec serves every algebra and both modes, cached by the
+spec's value (`_plan`).  A plan's values are the `bits` ints of
+relations, and sampled draws too; `BinRel`s appear only at the boundary,
+in the families' listing and the witness.
 Bindings are visited in nested order, the first quantifier outermost and
 each family in enumeration order, and the first violating binding stops
 the sweep: the verdict, witness and count are those of a plain
@@ -69,7 +70,6 @@ from .relations import (
     UsageError,
     delta_bits,
     enumerate_relations,
-    family_closure,
     kernels,
     random_pairs,
     require_exhaustive,
@@ -263,9 +263,9 @@ class _Plan:
 
 
 def _family_lists(alg, quantifiers, family):
-    """Each quantifier's family as relation bits, listed once per algebra
-    and kind into its kernel object's `families`.  The caps on n are
-    checked on every call, before the kernel object is looked up."""
+    """Each quantifier's family as relation bits, by `enumerate_relations`
+    (once per kind).  The caps on n are checked on every call, before the
+    kernel object is looked up."""
     for q in quantifiers:
         if q.kind == ANY:
             raise ValueError(
@@ -273,13 +273,10 @@ def _family_lists(alg, quantifiers, family):
                 "only sampled mode can sweep it"
             )
         require_exhaustive(q.kind, alg.size)
-    k = kernels(alg)
-    listed = k.families
-    for q in quantifiers:
-        if q.kind not in listed:
-            listed[q.kind] = tuple(
-                rel.bits for rel in enumerate_relations(alg, family.with_kind(q.kind))
-            )
+    listed = {
+        kind: tuple(rel.bits for rel in enumerate_relations(alg, family.with_kind(kind)))
+        for kind in dict.fromkeys(q.kind for q in quantifiers)
+    }
     return [listed[q.kind] for q in quantifiers]
 
 
@@ -288,7 +285,7 @@ def _drawer(alg, kind):
     above the bits `above` (0 for no bound) unless `kind` is ANY."""
     n = alg.size
     if kind != ANY:
-        close = family_closure(alg, kind)
+        close = kernels(alg).closure(kind)
         return lambda above, rng: close(above | random_pairs(rng, n, rng.randint(0, 3)))
 
     def draw(above, rng):

@@ -4,16 +4,16 @@ closures, congruence join) and enumeration of relation families.
 
 Bit (a, b) of a relation lives at position a*n + b of the `bits` integer;
 that encoding is also the documented enumeration order.  Each family is
-the set of closed sets of one closure operator (`family_closure`): r is a
-member exactly when its closure adds nothing, which is how `is_admissible`,
-`is_tolerance` and `is_congruence` decide.  Exhaustive enumeration lists
-the closed sets with Ganter's NextClosure, which visits them in ascending
-order of `bits`.  It saturates each candidate under its canonicity bound
-and drops it at the first pair outside, rather than closing it in full
-first (`_closure_within`), and records each member it keeps as admissible
-on the kernel object, so that `adm_close` gives it back with no closure
-run.  The search for an operation that maps pairs of r outside r
-(`_admissibility_witness`) exists only to word error messages.
+the set of closed sets of one closure operator: r is a member exactly
+when its closure adds nothing, which is how `is_admissible`,
+`is_tolerance` and `is_congruence` decide.  The families live on the
+kernel object (below): per kind, one closure (`closure`), one bounded
+closure (`close_within`) and one listing (`family`), which exhaustive
+`enumerate_relations` and every sweep read.  The listing is Ganter's
+NextClosure (`_closed_sets`), ascending in `bits`; it drops a candidate
+at its first pair outside its canonicity bound, and records each member
+it keeps as admissible, so `adm_close` gives it back with no closure run.
+The witness search (`_admissibility_witness`) serves error messages only.
 
 The kernels take and return relation bits.  Those of n alone
 (`converse_bits`, `compose_bits`, `star_bits`) keep no memo.  An
@@ -332,7 +332,7 @@ class Kernels:
     the `BinRel` forms and condition plans.  The object also keeps the
     matrix sets that seed M(R, S) (`computed`, see `commutator.m_set_of`),
     the exhaustive families listed on the algebra by kind (`families`,
-    see `properties`), and the relations that exhaustive enumeration has
+    filled by `family`), and the relations that exhaustive enumeration has
     proved admissible (`admissible`), each of which `adm_close` gives back
     with no closure run.
     """
@@ -391,6 +391,54 @@ class Kernels:
         _join_argument(self, a, "first")
         _join_argument(self, b, "second")
         return self.star(self.compose(a, b))
+
+    def closure(self, kind):
+        """The closure operator, from relation bits to relation bits, whose
+        closed sets are the family `kind`: one of this object's memos."""
+        if kind == REFLEXIVE_ADMISSIBLE:
+            delta, adm_close = self.delta, self.adm_close
+            return lambda r: adm_close(delta | r)
+        if kind == TOLERANCE:
+            return self.tol_close
+        if kind == CONGRUENCE:
+            return self.cg
+        raise ValueError(f"unknown family kind {kind!r}")
+
+    def close_within(self, kind, r, allowed):
+        """The closure of the relation bits r under `closure(kind)` if it
+        lies within the bits `allowed`, else None: r's admissible closure
+        saturated under that bound (`algebra._saturate`), which stops at
+        the first new pair outside it.
+
+        The run starts from r, and r's converse for tolerances and
+        congruences, over the diagonal as a closed block (`closed=`).  It
+        processes every member, even once it holds its whole bound, so
+        what it returns is closed.  A congruence is the transitive closure
+        of that tolerance, checked against the bound and for admissibility
+        as `cg` checks it.  Each closure returned is recorded in
+        `admissible`.
+        """
+        generators = r
+        if kind != REFLEXIVE_ADMISSIBLE:
+            if kind != TOLERANCE and kind != CONGRUENCE:
+                raise ValueError(f"unknown family kind {kind!r}")
+            generators |= self.converse(r)
+        b = _saturate(self.alg, 2, generators, self.delta, allowed, True)
+        if b is None:
+            return None
+        if kind == CONGRUENCE:
+            b = self.star(b)
+            if b & ~allowed:
+                return None
+            self._check_cg(r, b)
+        self.admissible.add(b)
+        return b
+
+    def family(self, kind):
+        """The family `kind`, ascending in bits, listed once into `families`."""
+        if kind not in self.families:
+            self.families[kind] = tuple(_closed_sets(self.n, partial(self.close_within, kind)))
+        return self.families[kind]
 
 
 kernels = PerAlgebra(Kernels)
@@ -488,57 +536,10 @@ def require_exhaustive(kind: str, n: int):
         )
 
 
-def family_closure(alg: FiniteAlgebra, kind: str):
-    """The closure operator, from relation bits to relation bits, whose
-    closed sets are the family `kind`: one of alg's memoised kernels."""
-    k = kernels(alg)
-    if kind == REFLEXIVE_ADMISSIBLE:
-        delta, adm_close = k.delta, k.adm_close
-        return lambda r: adm_close(delta | r)
-    if kind == TOLERANCE:
-        return k.tol_close
-    if kind == CONGRUENCE:
-        return k.cg
-    raise ValueError(f"unknown family kind {kind!r}")
-
-
-def _closure_within(alg: FiniteAlgebra, kind: str):
-    """`close_within(r, allowed)`: the closure of the relation bits r under
-    `family_closure(alg, kind)` if it lies within the bits `allowed`, else
-    None.  It saturates r's admissible closure under that bound
-    (`algebra._saturate`), which stops at the first new pair outside it.
-
-    The run starts from what the family's closure closes: r, and r's
-    converse for tolerances and congruences, over the diagonal, which is
-    closed in every algebra (`closed=`).  It runs until no member is left,
-    even once it holds every pair of its bound, so what it returns is
-    closed.  For a congruence the run gives r's tolerance closure, whose
-    transitive closure must lie within the bound too and is checked to be
-    admissible as `cg` checks it.  Each closure returned is recorded as
-    admissible on the kernel object (`Kernels.admissible`).
-    """
-    k = kernels(alg)
-    delta, converse = k.delta, k.converse
-    symmetric = kind != REFLEXIVE_ADMISSIBLE
-
-    def close_within(r, allowed):
-        b = _saturate(alg, 2, r | converse(r) if symmetric else r, delta, allowed, True)
-        if b is None:
-            return None
-        if kind == CONGRUENCE:
-            b = k.star(b)
-            if b & ~allowed:
-                return None
-            k._check_cg(r, b)
-        k.admissible.add(b)
-        return b
-
-    return close_within
-
-
 def _closed_sets(n, close_within):
     """Every closed set of a closure operator on n*n-bit relations,
-    ascending in bits, given as `close_within` (`_closure_within`).
+    ascending in bits, given as `close_within(r, allowed)` for one kind
+    (`Kernels.close_within`); `Kernels.family` keeps what it lists.
 
     Ganter's NextClosure with higher bits more significant: the successor
     of A is the closure of A's bits above j | bit j for the least bit j not
@@ -597,18 +598,19 @@ def enumerate_relations(alg: FiniteAlgebra, family: RelFamily):
     """Stream the relations of a family.
 
     Exhaustive mode yields each member exactly once, in ascending order of
-    the bit encoding: the closed sets of `family_closure(alg, kind)`, listed
-    by NextClosure.  Sampled mode yields deduplicated closure-generated
-    relations in generation order, deterministically for a fixed seed.
+    the bit encoding: the kernel object's `family(kind)`, listed once, in
+    full, before the first is yielded.  Sampled mode yields deduplicated
+    closure-generated relations in generation order, deterministically for
+    a fixed seed.
     """
     kind = family.kind
     n = alg.size
     if family.mode == "sampled":
-        close = family_closure(alg, kind)
+        close = kernels(alg).closure(kind)
         members = _sample_relations(n, close, family.sample_count, family.seed)
     else:
         require_exhaustive(kind, n)  # before the kernel object exists
-        members = _closed_sets(n, _closure_within(alg, kind))
+        members = kernels(alg).family(kind)
     for bits in members:
         yield BinRel(n, bits)
 

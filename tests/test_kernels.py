@@ -530,3 +530,23 @@ def test_m_set_miss_looks_up_no_kernel_object(monkeypatch, algebras):
     assert lookups == []
     m_set(c3, BinRel(3, rels[0]), BinRel(3, rels[1]))
     assert lookups == [c3]
+
+
+def test_each_kind_is_listed_once_for_sweeps_and_enumeration(monkeypatch, algebras):
+    # a sweep and `enumerate_relations` read one listing of a kind on the
+    # kernel object: NextClosure runs once for both
+    c3 = algebras["C3"]
+    relations.clear_caches()
+    runs = []
+    closed_sets = relations._closed_sets
+
+    def counting(n, close_within):
+        runs.append(n)
+        return closed_sets(n, close_within)
+
+    monkeypatch.setattr(relations, "_closed_sets", counting)
+    assert check_condition(c3, "T2_I", RelFamily()).holds
+    listed = list(enumerate_relations(c3, RelFamily(kind=REFLEXIVE_ADMISSIBLE)))
+    assert runs == [3]
+    assert [r.bits for r in listed] == list(relations.kernels(c3).family(REFLEXIVE_ADMISSIBLE))
+    assert runs == [3]

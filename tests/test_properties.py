@@ -26,7 +26,7 @@ from relcomm.properties import (
     _members,
     _sweep,
 )
-from relcomm.relations import UsageError, family_closure
+from relcomm.relations import UsageError, kernels
 
 EXH = RelFamily(mode="exhaustive")
 EQUIVALENCE_IDS = [m for m, (rule, _) in META_CHECKS.items() if rule == "agree"]
@@ -39,7 +39,7 @@ def test_sampled_draw_lies_above_its_bound(algebras):
     assert q.above is not None
     rng = random.Random(3)
     for alg in algebras.values():
-        close = family_closure(alg, q.kind)
+        close = kernels(alg).closure(q.kind)
         for _ in range(20):
             above = rng.getrandbits(alg.size**2)
             bits = _drawer(alg, q.kind)(above, rng)

@@ -46,7 +46,7 @@ from relcomm.relations import (
     compose_bits,
     converse_bits,
     delta_bits,
-    family_closure,
+    kernels,
     random_pairs,
     star_bits,
 )
@@ -432,6 +432,33 @@ def test_enumerate_matches_oracle_on_small_groupoids_and_records_only_members():
                 assert is_congruence(alg, r) == (symmetric and is_transitive(r)), (seed, r)
 
 
+def test_bounded_closure_matches_the_memoised_closure(algebras):
+    # `Kernels.close_within`, the bounded path that NextClosure runs,
+    # against the memoised closure it shadows: with no bound it is that
+    # closure, and under a bound it gives None exactly when that closure
+    # has a pair outside the bound
+    rng = random.Random(30)
+    algs = [alg for alg in algebras.values() if alg.size <= 4]
+    algs += [
+        random_algebra(Signature(size=2 + seed % 3, ops=(("f", 2),)), f"bounded:{seed}")
+        for seed in range(20)
+    ]
+    for alg in algs:
+        clear_caches()
+        n = alg.size
+        whole = (1 << n * n) - 1
+        k = kernels(alg)
+        for kind in (REFLEXIVE_ADMISSIBLE, TOLERANCE, CONGRUENCE):
+            close = k.closure(kind)
+            for r in [0, whole] + [random_pairs(rng, n, rng.randint(1, 4)) for _ in range(8)]:
+                want = close(r)
+                assert k.close_within(kind, r, whole) == want, (alg, kind, r)
+                above = want | rng.getrandbits(n * n)
+                for allowed in (above, above & ~(1 << rng.randrange(n * n)), rng.getrandbits(n * n)):
+                    got = k.close_within(kind, r, allowed)
+                    assert got == (None if want & ~allowed else want), (alg, kind, r, allowed)
+
+
 def test_enumeration_makes_fewer_images_than_closing_every_candidate(monkeypatch):
     # the images that exhaustive enumeration makes, per kind, on one
     # random 4-element groupoid (101 reflexive admissible relations, 11
@@ -480,7 +507,7 @@ def _sample_without_stop(n, close, sample_count, seed):
 def test_sampling_stop_keeps_the_sampled_sequence(algebras, name):
     alg = algebras[name]
     for kind in (REFLEXIVE_ADMISSIBLE, TOLERANCE, CONGRUENCE):
-        close = family_closure(alg, kind)
+        close = kernels(alg).closure(kind)
         for count, seed in ((1, 0), (5, 1), (30, 5), (200, 0), (400, 3)):
             expected = list(_sample_without_stop(alg.size, close, count, seed))
             assert list(_sample_relations(alg.size, close, count, seed)) == expected
