@@ -5,11 +5,12 @@ saturation that images whole bitsets of k-tuples by masked shifts.
 Each operation step is a unary map per coordinate, given by move
 descriptors that `_image_plans` builds once per algebra and power.  A
 coordinate whose map is the identity has no descriptor, so an image
-touches only the coordinates that move.  The steps of unary and binary
-operations fix no argument but the member being processed, so their
-descriptors are looked up in two small tables, by the high and low halves
-of that member's encoding; wider operations enumerate their fixed
-arguments over decoded members.  Generators come in as a bitset in the
+touches only the coordinates that move.  Every step's descriptors are
+looked up by the high and low halves of its fixed members' encodings.  The
+steps of unary and binary operations fix no argument but the member being
+processed, so their two small tables are built up front; those of wider
+operations, keyed by the halves of two or three members, build each row
+the first time a closure asks for it.  Generators come in as a bitset in the
 `TupleSet` encoding; a caller that knows part of them to be closed
 already passes that part as a second bitset, `closed=`, and no
 combination inside that block is imaged.  A third bitset, `within=`, bounds
@@ -24,7 +25,6 @@ package, here and in the modules above, is a `Value`.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import threading
 from collections import namedtuple
@@ -366,6 +366,35 @@ def eval_op(alg: FiniteAlgebra, op_index: int, args) -> int:
     return op.table[_encode(alg.size, args)]
 
 
+class _Rows(dict):
+    """One half of a wide step: the row of descriptors for each key, built
+    on its first lookup, so a plan holds only the rows that closures read.
+
+    A key is the fixed members' halves of their encodings, member-major in
+    base n: the first fixed argument's half is its most significant digits.
+    Its row holds the non-identity descriptors of the half's coordinates,
+    `maps[c][code]` at the code of the fixed arguments' values at c, which
+    is the sum of their `spread` terms (see `_image_plans`).  Threads that
+    miss one key at once build equal rows, so it does not matter whose is
+    kept."""
+
+    __slots__ = ("maps", "spread", "size")
+
+    def __init__(self, maps, spread):
+        super().__init__()
+        self.maps, self.spread, self.size = maps, spread, len(spread[0])
+
+    def __missing__(self, key):
+        size, spread = self.size, self.spread
+        rest, x = divmod(key, size)
+        codes = spread[-1][x]
+        for scaled in spread[-2::-1]:
+            rest, x = divmod(rest, size)
+            codes = map(operator.add, scaled[x], codes)
+        row = self[key] = tuple(filter(None, map(tuple.__getitem__, self.maps, codes)))
+        return row
+
+
 @memo(2 * KERNEL_OBJECTS)
 def _image_plans(alg: FiniteAlgebra, power: int):
     """The image steps of `subuniverse_closure`, as (tables, products).
@@ -379,13 +408,17 @@ def _image_plans(alg: FiniteAlgebra, power: int):
     n, or None where that map is the identity.  Steps alike but for their
     sources merge into one, as at a commutative op's two positions.
 
+    Every step is split at the same place: `highs` holds the non-identity
+    descriptors of coordinates 0..power//2-1, `lows` those of the others,
+    each looked up by the matching halves of the fixed members' encodings.
     A step whose only fixed argument is member i itself (layout (2,), every
     step of a unary or binary op) becomes a row of `tables`, (source, highs,
-    lows): `highs[h]` holds the non-identity descriptors of coordinates
-    0..power//2-1 for a member whose encoding has high half h, `lows[l]`
-    those of the other coordinates for low half l, so a step has about
-    2*n**(power/2) rows rather than n**power.  Wider steps stay in
-    `products`, ((layout, ((maps, source), ...)), ...).
+    lows), with every row built up front: `highs[h]` for a member whose
+    encoding has high half h, `lows[l]` for low half l, so a step has about
+    2*n**(power/2) rows rather than n**power.  Wider steps, with two or
+    three fixed members, are in `products`, ((layout, ((highs, lows,
+    source), ...)), ...), their halves `_Rows` keyed member-major, and hold
+    no row until a closure looks one up.
     """
     n = alg.size
 
@@ -429,7 +462,28 @@ def _image_plans(alg: FiniteAlgebra, power: int):
         (source, rows(maps[:half]), rows(maps[half:]))
         for maps, source in groups.pop((2,), {}).items()
     )
-    return tables, tuple((layout, tuple(steps.items())) for layout, steps in groups.items())
+    # per width of a half and number of fixed members: per member j, per
+    # half x, x's digit at each coordinate times n**(fixed-1-j), its weight
+    # in that coordinate's code
+    spread = {
+        (width, fixed): tuple(
+            tuple(
+                tuple(d * n ** (fixed - 1 - j) for d in _decode(n, width, x))
+                for x in range(n**width)
+            )
+            for j in range(fixed)
+        )
+        for width in (half, power - half)
+        for fixed in {len(layout) for layout in groups}
+    }
+
+    def lazy(steps, fixed):
+        return tuple(
+            (_Rows(m[:half], spread[half, fixed]), _Rows(m[half:], spread[power - half, fixed]), source)
+            for m, source in steps.items()
+        )
+
+    return tables, tuple((layout, lazy(steps, len(layout))) for layout, steps in groups.items())
 
 
 def _image(bits: int, descriptors) -> int:
@@ -478,7 +532,8 @@ def subuniverse_closure(
     out.  A binary op costs member i two images (one if commutative) and a
     unary op one image of {i}, their descriptors looked up in the step
     tables by the halves of i's encoding; wider ops enumerate the remaining
-    positions over decoded members.  Nullary operations contribute their
+    positions over the members, and look their descriptors up by the halves
+    of the fixed members' encodings.  Nullary operations contribute their
     constant diagonal tuple; an empty generator set with no nullary
     operations yields the empty set.
 
@@ -487,8 +542,9 @@ def subuniverse_closure(
     start and are never listed, so no combination among them is imaged,
     while every combination that includes a later member is still applied
     when that member is processed.  Unary and binary steps read them only
-    inside the bitset of processed members; wide ops decode them once, up
-    front, as the fixed arguments that come before every later member.
+    inside the bitset of processed members; wide ops split their encodings
+    into halves once, up front, as the fixed arguments that come before
+    every later member.
 
     `within`, by default the whole power, is the caller's promise of a
     set that contains the closure.  Saturation stops as soon as every
@@ -536,9 +592,10 @@ def _saturate(alg, power, generators, closed, within, complete=False):
 
     tables, products = _image_plans(alg, power)
     half = n ** (power - power // 2)
-    # each member's decoded coordinates, `closed`'s first, for wide ops only
-    coords = [_decode(n, power, e) for e in _indices(done)] if products else []
-    first = len(coords)
+    top = n ** (power // 2)
+    # the halves of each processed member's encoding, `closed`'s first, as
+    # the fixed arguments of wide ops
+    halves = [divmod(e, half) for e in _indices(done)] if products else []
     order = []  # the encoding of each member outside `closed`, in addition order
     new = seen & ~done
     i = 0
@@ -556,17 +613,16 @@ def _saturate(alg, power, generators, closed, within, complete=False):
         for source, highs, lows in tables:
             found |= _image(sets[source], highs[high] + lows[low])
         if products:
-            coords += [_decode(n, power, m) for m in order[len(coords) - first :]]
-            at = first + i  # member i's place among all members
-            ranges = ((), coords[:at], (coords[at],), coords[: at + 1])
+            ranges = ((), halves[:], ((high, low),), halves)
+            halves.append((high, low))
             for layout, steps in products:
-                for fixed in itertools.product(*[ranges[j] for j in layout]):
-                    codes = fixed[0]
-                    for t in fixed[1:]:
-                        codes = [code * n + v for code, v in zip(codes, t)]
-                    for maps, source in steps:
-                        moving = filter(None, map(tuple.__getitem__, maps, codes))
-                        found |= _image(sets[source], moving)
+                # each combination's keys into the rows, member-major
+                keys = [(0, 0)]
+                for j in layout:
+                    keys = [(kh * top + h, kl * half + l) for kh, kl in keys for h, l in ranges[j]]
+                for kh, kl in keys:
+                    for highs, lows, source in steps:
+                        found |= _image(sets[source], highs[kh] + lows[kl])
         done |= single
         new = found & ~seen
         if new & outside:

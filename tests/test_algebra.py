@@ -329,9 +329,10 @@ def test_closed_block_gives_the_plain_closure():
 
 
 def test_closed_block_on_wide_ops_matches_naive_oracle():
-    # wide ops (arity 3 and 4) are the only steps that decode the members
-    # of `closed`, as fixed arguments; with a bound as well, the closure of
-    # gens onto a closed block must be the oracle's closure of both
+    # wide ops (arity 3 and 4) are the only steps that take the members of
+    # `closed` as fixed arguments, by the halves of their encodings; with a
+    # bound as well, the closure of gens onto a closed block must be the
+    # oracle's closure of both
     rng = random.Random(4242)
     signatures = [(3,), (4,), (1, 3), (0, 3), (2, 3), (2, 4), (0, 1, 4), (3, 4)]
     for trial in range(96):
@@ -565,6 +566,92 @@ def test_image_maps_each_decoded_tuple():
     ident = FiniteAlgebra(3, (("id", 1, (0, 1, 2)),))
     ((_, highs, lows),) = _image_plans(ident, 3)[0]
     assert set(highs) == set(lows) == {()}
+
+
+def _wide_candidates(arity):
+    """Per layout of a wide op's steps, the (fixed positions, free position)
+    of each step that can have it: the step at position p fixes every
+    position but r, the last one other than p."""
+    out = {}
+    for p in range(arity):
+        r = arity - 1 if p < arity - 1 else arity - 2
+        fixed = [q for q in range(arity) if q != r]
+        layout = tuple(1 if q < p else 2 if q == p else 3 for q in fixed)
+        out.setdefault(layout, []).append((fixed, r))
+    return out
+
+
+def test_wide_rows_map_each_decoded_tuple():
+    # a wide op's step fixes two or three members and images a bitset at
+    # its free position; its rows, looked up by the halves of the fixed
+    # members' encodings, member-major (the first fixed argument's half is
+    # the most significant), must give the op's images of the bitset's
+    # tuples, at every power, the odd ones with halves of unequal widths
+    rng = random.Random(31)
+    for trial in range(48):
+        arity, power = 3 + trial % 2, 1 + trial // 2 % 4
+        n = rng.randint(1, 6)
+        top, half = n ** (power // 2), n ** (power - power // 2)
+        table = tuple(rng.randrange(n) for _ in range(n**arity))
+        alg = FiniteAlgebra(n, (("f", arity, table),))
+        tables, products = _image_plans(alg, power)
+        candidates = _wide_candidates(arity)
+        assert tables == () and {layout for layout, _ in products} == set(candidates)
+        for layout, steps in products:
+            members = [rng.randrange(n**power) for _ in layout]
+            kh = kl = 0
+            for e in members:
+                kh, kl = kh * top + e // half, kl * half + e % half
+            bits = rng.getrandbits(n**power)
+            got = {_image(bits, highs[kh] + lows[kl]) for highs, lows, _ in steps}
+            fixed_coords = [_decode(n, power, e) for e in members]
+            want = set()
+            for fixed, r in candidates[layout]:
+                images = set()
+                for t in TupleSet(n, power, bits).members():
+                    image = []
+                    for c in range(power):
+                        args = [0] * arity
+                        for q, x in zip(fixed, fixed_coords):
+                            args[q] = x[c]
+                        args[r] = t[c]
+                        image.append(eval_op(alg, 0, args))
+                    images.add(tuple(image))
+                want.add(tuple_bits(n, images))
+            assert got == want, (n, power, table, layout, members)
+
+
+def test_wide_rows_are_built_only_when_looked_up(monkeypatch):
+    # an eager plan of one arity-4 op at n = 6, power 4 would hold 36**3
+    # rows per half of each step; the plan holds none, and after a closure
+    # each half holds rows only under keys that the closure looked up
+    class Recording(algebra._Rows):
+        __slots__ = ("asked",)
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.asked = set()
+
+        def __getitem__(self, key):
+            self.asked.add(key)
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(algebra, "_Rows", Recording)
+    clear_caches()
+    try:
+        args = itertools.product(range(6), repeat=4)
+        alg = FiniteAlgebra(6, (("q", 4, tuple((x - y + z) % 6 for x, y, z, _ in args)),))
+        tables, products = _image_plans(alg, 4)
+        halves = [rows for _, steps in products for highs, lows, _ in steps for rows in (highs, lows)]
+        assert tables == () and halves and all(len(rows) == 0 for rows in halves)
+        g, h = (0, 1, 2, 3), (5, 5, 0, 1)
+        got = subuniverse_closure(alg, 4, tuple_bits(6, {g, h}))
+        line = {tuple((a + k * (b - a)) % 6 for a, b in zip(g, h)) for k in range(6)}
+        assert set(got.members()) == line
+        for rows in halves:
+            assert type(rows) is Recording and set(rows) <= rows.asked < set(range(36**3))
+    finally:
+        clear_caches()  # no plan keeps the recording class
 
 
 def test_equal_algebras_share_cache_entries():

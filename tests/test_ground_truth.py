@@ -158,3 +158,53 @@ def test_distributive_lattice_commutator_is_the_meet(k):
     for alpha in congruences:
         for beta in congruences:
             assert comm(alg, alpha, beta) == alpha & beta, (alpha, beta)
+
+
+# Algebras whose only operation is ternary, so every M(R,S) closure runs
+# through the wide-op steps of `algebra._saturate`.
+
+
+def _ternary(n, f):
+    triples = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
+    return FiniteAlgebra(n, (("p", 3, tuple(f(x, y, z) for x, y, z in triples)),))
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+def test_affine_cyclic_commutators_are_trivial(n):
+    # (Z_n, x-y+z) is affine: its congruences are the coset partitions of
+    # the subgroups of Z_n, one per divisor of n, and it is abelian, so
+    # the commutator of any two of them is the diagonal
+    alg = _ternary(n, lambda x, y, z: (x - y + z) % n)
+    congruences = _congruences(alg)
+    assert len(congruences) == sum(1 for d in range(1, n + 1) if n % d == 0)
+    for alpha in congruences:
+        for beta in congruences:
+            assert comm(alg, alpha, beta) == BinRel.delta(n), (alpha, beta)
+
+
+@pytest.mark.parametrize("k", (2, 3, 4, 5))
+def test_median_chain_commutator_is_the_meet(k):
+    # the majority (median) operation alone makes the k-chain congruence
+    # distributive, so [a, b] = a & b
+    alg = _ternary(k, lambda x, y, z: sorted((x, y, z))[1])
+    congruences = _congruences(alg)
+    for alpha in congruences:
+        for beta in congruences:
+            assert comm(alg, alpha, beta) == alpha & beta, (alpha, beta)
+
+
+def test_heap_of_s3_has_the_congruences_and_commutators_of_the_group():
+    # the heap x*y^-1*z of a group has the group's congruences (the coset
+    # partitions of its normal subgroups) and, both being Mal'cev
+    # algebras, the same commutators of them
+    group = _group(*GROUPS["S3"])
+
+    def heap_op(x, y, z):
+        return _mul(group, _mul(group, x, _inverse(group, y)), z)
+
+    heap = _ternary(group.size, heap_op)
+    congruences = _congruences(group)
+    assert _congruences(heap) == congruences
+    for alpha in congruences:
+        for beta in congruences:
+            assert comm(heap, alpha, beta) == comm(group, alpha, beta), (alpha, beta)
