@@ -17,12 +17,11 @@ positions: the algebra enters as the tuple of step functions that
 `expr.NODES` binds on its kernel object (`relations.kernels`, looked up
 once per check), which are the object's memos themselves, and the family
 mode as the `members` function that gives each quantifier's relations
-(`_members`).  Exhaustive families come from `enumerate_relations`,
-which lists each kind once per algebra on the same object.  So one plan
-per condition spec serves every algebra and both modes, cached by the
-spec's value (`_plan`).  A plan's values are the `bits` ints of
-relations, and sampled draws too; `BinRel`s appear only at the boundary,
-in the families' listing and the witness.
+(`_members`).  Exhaustive families are the object's listings
+(`Kernels.family`, once per kind per algebra).  So one plan per
+condition spec serves every algebra and both modes, cached by the spec's
+value (`_plan`).  A plan's values are the `bits` ints of relations, and
+sampled draws too; `BinRel`s appear only in a failing sweep's witness.
 Bindings are visited in nested order, the first quantifier outermost and
 each family in enumeration order, and the first violating binding stops
 the sweep: the verdict, witness and count are those of a plain
@@ -69,10 +68,8 @@ from .relations import (
     RelFamily,
     UsageError,
     delta_bits,
-    enumerate_relations,
     kernels,
     random_pairs,
-    require_exhaustive,
 )
 
 VERDICT_HOLDS = "holds"
@@ -262,22 +259,19 @@ class _Plan:
         return "\n".join(lines) + "\n"
 
 
-def _family_lists(alg, quantifiers, family):
-    """Each quantifier's family as relation bits, by `enumerate_relations`
-    (once per kind).  The caps on n are checked on every call, before the
-    kernel object is looked up."""
+def _family_lists(alg, quantifiers):
+    """Each quantifier's family as relation bits, `Kernels.family(kind)`,
+    which checks the cap on n; `ANY` is refused in quantifier order."""
+    k = kernels(alg)
+    lists = []
     for q in quantifiers:
         if q.kind == ANY:
             raise ValueError(
                 f"quantifier {q.name!r} ranges over arbitrary relations; "
                 "only sampled mode can sweep it"
             )
-        require_exhaustive(q.kind, alg.size)
-    listed = {
-        kind: tuple(rel.bits for rel in enumerate_relations(alg, family.with_kind(kind)))
-        for kind in dict.fromkeys(q.kind for q in quantifiers)
-    }
-    return [listed[q.kind] for q in quantifiers]
+        lists.append(k.family(q.kind))
+    return lists
 
 
 def _drawer(alg, kind):
@@ -323,7 +317,7 @@ def _members(alg, quantifiers, family):
                 yield draw(bound, rng)
 
         return members
-    lists = _family_lists(alg, quantifiers, family)
+    lists = _family_lists(alg, quantifiers)
     return lambda i, bound: [m for m in lists[i] if not bound & ~m] if bound else lists[i]
 
 

@@ -8,11 +8,12 @@ the set of closed sets of one closure operator: r is a member exactly
 when its closure adds nothing, which is how `is_admissible`,
 `is_tolerance` and `is_congruence` decide.  The families live on the
 kernel object (below): per kind, one closure (`closure`), one bounded
-closure (`close_within`) and one listing (`family`), which exhaustive
-`enumerate_relations` and every sweep read.  The listing is Ganter's
-NextClosure (`_closed_sets`), ascending in `bits`; it drops a candidate
-at its first pair outside its canonicity bound, and records each member
-it keeps as admissible, so `adm_close` gives it back with no closure run.
+closure (`close_within`) and one listing (`family`), the one gate of
+exhaustive `enumerate_relations` and every sweep: it checks the cap on n
+on every call.  The listing is Ganter's NextClosure (`_closed_sets`),
+ascending in `bits`; it drops a candidate at its first pair outside its
+canonicity bound, and records each member it keeps as admissible, so
+`adm_close` gives it back with no closure run.
 The witness search (`_admissibility_witness`) serves error messages only.
 
 The kernels take and return relation bits.  Those of n alone
@@ -36,7 +37,7 @@ import math
 import os
 import random
 import warnings
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 from .algebra import (
     KERNEL_ENTRIES,
@@ -332,15 +333,16 @@ class Kernels:
     the `BinRel` forms and condition plans.  The object also keeps the
     matrix sets that seed M(R, S) (`computed`, see `commutator.m_set_of`),
     the exhaustive families listed on the algebra by kind (`families`,
-    filled by `family`), and the relations that exhaustive enumeration has
-    proved admissible (`admissible`), each of which `adm_close` gives back
-    with no closure run.
+    filled by `family`, which checks the cap on n first), and the relations
+    that exhaustive enumeration has proved admissible (`admissible`), each
+    of which `adm_close` gives back with no closure run.  The diagonal
+    `delta` is built on first use, so the object holds no n-sized int
+    until a kernel runs.
     """
 
     def __init__(self, alg: FiniteAlgebra):
         n = self.n = alg.size
         self.alg = alg
-        self.delta = delta_bits(n)
         self.converse, self.compose, self.star, self.spread, self.blocks = _size_kernels(n)
         self.admissible = set()
         cached = lru_cache(maxsize=KERNEL_ENTRIES)
@@ -354,6 +356,10 @@ class Kernels:
         self.comm_weak = partial(commutator.comm_weak_of, self)
         self.computed = {}
         self.families = {}
+
+    @cached_property
+    def delta(self):
+        return delta_bits(self.n)
 
     def _adm_close(self, r):
         """Smallest compatible relation containing r (closure in the
@@ -435,7 +441,13 @@ class Kernels:
         return b
 
     def family(self, kind):
-        """The family `kind`, ascending in bits, listed once into `families`."""
+        """The family `kind`, ascending in bits, listed once into `families`;
+        the cap on n is checked on every call, so it can refuse a listed one."""
+        if self.n > (bound := _family_max_n(kind)):
+            raise FamilyBoundError(
+                f"exhaustive {kind} enumeration is capped at n={bound} "
+                f"(algebra has n={self.n}); use sampled mode or {_ENV_OVERRIDE}"
+            )
         if kind not in self.families:
             self.families[kind] = tuple(_closed_sets(self.n, partial(self.close_within, kind)))
         return self.families[kind]
@@ -487,8 +499,8 @@ def cong_join(alg: FiniteAlgebra, gamma: BinRel, delta: BinRel) -> BinRel:
 class RelFamily(Value):
     """A quantifier range: which relations, and how they are produced.
 
-    kind is one of the family constants (may be None for templates that
-    checkers re-target per quantified name); mode is "exhaustive" or
+    kind is one of the family constants (None for checkers, which take
+    each quantifier's kind from its condition); mode is "exhaustive" or
     "sampled", and sampled mode draws `sample_count` closure-generated
     relations from `seed`.
     """
@@ -502,9 +514,6 @@ class RelFamily(Value):
         if not is_whole(sample_count):
             raise UsageError(f"sample_count must be an integer >= 1, got {sample_count!r}")
         Value.__init__(self, kind, mode, sample_count, seed)
-
-    def with_kind(self, kind: str) -> "RelFamily":
-        return self._replace(kind=kind)
 
 
 def _family_max_n(kind: str) -> int:
@@ -525,15 +534,6 @@ def _family_max_n(kind: str) -> int:
         "exhaustive sweeps may get very slow"
     )
     return bound
-
-
-def require_exhaustive(kind: str, n: int):
-    """Raise FamilyBoundError if the cap refuses exhaustive `kind` at n."""
-    if n > (bound := _family_max_n(kind)):
-        raise FamilyBoundError(
-            f"exhaustive {kind} enumeration is capped at n={bound} "
-            f"(algebra has n={n}); use sampled mode or {_ENV_OVERRIDE}"
-        )
 
 
 def _closed_sets(n, close_within):
@@ -605,12 +605,11 @@ def enumerate_relations(alg: FiniteAlgebra, family: RelFamily):
     """
     kind = family.kind
     n = alg.size
+    k = kernels(alg)
     if family.mode == "sampled":
-        close = kernels(alg).closure(kind)
-        members = _sample_relations(n, close, family.sample_count, family.seed)
+        members = _sample_relations(n, k.closure(kind), family.sample_count, family.seed)
     else:
-        require_exhaustive(kind, n)  # before the kernel object exists
-        members = kernels(alg).family(kind)
+        members = k.family(kind)
     for bits in members:
         yield BinRel(n, bits)
 

@@ -308,7 +308,8 @@ sys.exit(main(sys.argv[1:]))
     ids=("check", "check-all", "enumerate"),
 )
 def test_oversized_universe_is_refused_before_any_kernel_work(tmp_path, size, argv):
-    # the caps on n are checked before the kernel object is built, whose
+    # the kernel object's listing checks the cap on n before any family
+    # work; the object holds no n-sized int until a kernel runs, and the
     # diagonal alone takes n**2 bits
     path = tmp_path / f"size{size}.alg"
     path.write_text(f"size {size}\n")

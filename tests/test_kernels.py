@@ -550,3 +550,27 @@ def test_each_kind_is_listed_once_for_sweeps_and_enumeration(monkeypatch, algebr
     assert runs == [3]
     assert [r.bits for r in listed] == list(relations.kernels(c3).family(REFLEXIVE_ADMISSIBLE))
     assert runs == [3]
+
+
+@pytest.mark.parametrize(
+    "name, cond_id, holds, built",
+    (("C3", "L1A_I", True, 0), ("C3", "T2_V", True, 0), ("Z4", "T4_I_COR", True, 0),
+     ("RB3", "T3_I", False, 4)),
+)
+def test_a_repeated_exhaustive_check_builds_no_binrel(monkeypatch, algebras, name, cond_id, holds, built):
+    # a sweep reads the kernel object's listings as relation bits; once
+    # they are listed, only a failing check's witness and its recheck
+    # build `BinRel`s (T3_I binds R: the witness's R, the recheck's R and
+    # its two sides)
+    alg = algebras[name]
+    check_condition(alg, cond_id, RelFamily())
+    count = [0]
+    init = BinRel.__init__
+
+    def counting(self, size, bits):
+        count[0] += 1
+        init(self, size, bits)
+
+    monkeypatch.setattr(BinRel, "__init__", counting)
+    assert check_condition(alg, cond_id, RelFamily()).holds is holds
+    assert count[0] == built

@@ -208,7 +208,7 @@ def _reference_check(alg, cond_id, family):
             yield env
             return
         q = quantifiers[i]
-        for rel in enumerate_relations(alg, family.with_kind(q.kind)):
+        for rel in enumerate_relations(alg, family._replace(kind=q.kind)):
             if q.above is not None and not eval_expr(alg, env, q.above).is_subset(rel):
                 continue
             yield from bindings(i + 1, {**env, q.name: rel})

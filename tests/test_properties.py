@@ -347,29 +347,31 @@ def test_exhaustive_any_quantifier_rejected(algebras):
 def test_plan_hoists_subterms_and_lists_families_once(algebras, monkeypatch):
     # L1A_I sweeps R1, R2, S over C3's 25 reflexive admissible relations
     # (15,625 bindings); conv(R1) depends on R1 only and conv(R2) on R2, so
-    # a hoisted plan builds them 25 + 25 * 25 times, not twice per binding
-    from relcomm import properties, relations
+    # a hoisted plan builds them 25 + 25 * 25 times, not twice per binding;
+    # the three quantifiers read one listing of the family
+    from relcomm import relations
 
-    calls = {"converse": 0, "enumerate": 0}
+    calls = {"converse": 0, "listings": 0}
+    relations.clear_caches()
     kernels = relations.kernels(algebras["C3"])
     real_converse = kernels.converse
-    real_enumerate = properties.enumerate_relations
+    real_closed_sets = relations._closed_sets
 
     def converse(a):
         calls["converse"] += 1
         return real_converse(a)
 
-    def enumerate_relations(alg, family):
-        calls["enumerate"] += 1
-        return real_enumerate(alg, family)
+    def closed_sets(n, close_within):
+        calls["listings"] += 1
+        return real_closed_sets(n, close_within)
 
     # plans run the algebra's kernel, bound when the check builds its plan
     monkeypatch.setattr(kernels, "converse", converse)
-    monkeypatch.setattr(properties, "enumerate_relations", enumerate_relations)
+    monkeypatch.setattr(relations, "_closed_sets", closed_sets)
     rep = check_condition(algebras["C3"], "L1A_I", RelFamily())
     assert rep.holds and rep.relations_checked == 15_625
     assert calls["converse"] == 25 + 25 * 25
-    assert calls["enumerate"] <= 3
+    assert calls["listings"] == 1
 
 
 def _late_sweep_source(real):
