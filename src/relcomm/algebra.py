@@ -3,9 +3,12 @@ engine over finite powers that everything else is built on: one semi-naive
 saturation that images whole bitsets of k-tuples by masked shifts.
 
 Each operation step is a unary map per coordinate, given by move
-descriptors that `_image_plans` builds once per algebra and power.  A
-coordinate whose map is the identity has no descriptor, so an image
-touches only the coordinates that move.  Every step's descriptors are
+descriptors.  A descriptor depends on the universe size, the power and
+the map alone, so `_descriptors` builds each once, from the shared masks
+of `_slabs`, and every algebra of that size reads it; `_image_plans`
+assembles an algebra's steps from them once per power.  A coordinate
+whose map is the identity has no descriptor, so an image touches only
+the coordinates that move.  Every step's descriptors are
 looked up by the high and low halves of its fixed members' encodings.  The
 steps of unary and binary operations fix no argument but the member being
 processed, so their two small tables are built up front; those of wider
@@ -28,7 +31,8 @@ from __future__ import annotations
 import operator
 import threading
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import product
 
 # Operations with arity above this are rejected at construction time:
 # closure cost grows as |S|**(arity-1) images and nothing here needs more.
@@ -51,7 +55,16 @@ MEMOS = []
 # power), and the package closes in powers 2 (admissible closures) and 4
 # (M(R, S)) only, so they are kept for as many algebras as kernel objects
 # are, and no longer: `search` does not keep every candidate's plans.
+# Their parts are shared by every algebra of one size: `_slabs` takes one
+# entry per (size, power), a plan memo, and `_descriptors` one per (size,
+# power, unary map).  512 entries are every unary map on 4 elements in
+# powers 2 and 4, so `search-n4` describes each map once.  A descriptor
+# set holds at most n masks of n**power bits per coordinate: at n = 10,
+# power 4, 40 masks of 10,000 bits, about 48 KB, so the 512 sets take at
+# most 24 MB there, less than the 32 plans kept held before they shared
+# them (30 MB: 20 sets per plan of one binary operation).
 KERNEL_ENTRIES, KERNEL_OBJECTS, PLAN_ENTRIES = 65536, 16, 256
+DESCRIPTOR_ENTRIES = 512
 
 # The counters of a memo, with the fields of `functools.lru_cache`'s.
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -372,17 +385,17 @@ class _Rows(dict):
 
     A key is the fixed members' halves of their encodings, member-major in
     base n: the first fixed argument's half is its most significant digits.
-    Its row holds the non-identity descriptors of the half's coordinates,
-    `maps[c][code]` at the code of the fixed arguments' values at c, which
-    is the sum of their `spread` terms (see `_image_plans`).  Threads that
-    miss one key at once build equal rows, so it does not matter whose is
-    kept."""
+    Its row holds the non-identity descriptors of the half's coordinates
+    `coords`: at coordinate c, `maps[code][c]` (a `_Described`), `code`
+    being the fixed arguments' values at c in base n, the sum of their
+    `spread` terms (see `_image_plans`).  Threads that miss one key at
+    once build equal rows, so it does not matter whose is kept."""
 
-    __slots__ = ("maps", "spread", "size")
+    __slots__ = ("maps", "coords", "spread", "size")
 
-    def __init__(self, maps, spread):
+    def __init__(self, maps, coords, spread):
         super().__init__()
-        self.maps, self.spread, self.size = maps, spread, len(spread[0])
+        self.maps, self.coords, self.spread, self.size = maps, coords, spread, len(spread[0])
 
     def __missing__(self, key):
         size, spread = self.size, self.spread
@@ -391,8 +404,71 @@ class _Rows(dict):
         for scaled in spread[-2::-1]:
             rest, x = divmod(rest, size)
             codes = map(operator.add, scaled[x], codes)
-        row = self[key] = tuple(filter(None, map(tuple.__getitem__, self.maps, codes)))
+        maps = self.maps
+        row = [maps[code][c] for c, code in zip(self.coords, codes)]
+        row = self[key] = tuple(filter(None, row))
         return row
+
+
+class _Described(dict):
+    """The move descriptors (`_descriptors`) of a wide step's unary maps at
+    every coordinate, by code, each described on its first lookup: both
+    halves of the step read them, and a plan describes no map until a row
+    needs it.  Threads that miss one code at once describe it alike."""
+
+    __slots__ = ("describe", "unary")
+
+    def __init__(self, describe, unary):
+        super().__init__()
+        self.describe, self.unary = describe, unary
+
+    def __missing__(self, code):
+        descriptors = self[code] = self.describe(self.unary[code])
+        return descriptors
+
+
+@memo(PLAN_ENTRIES)
+def _slabs(n: int, power: int):
+    """Per coordinate c of the `power`-tuples over {0..n-1}, the bitset of
+    the tuples whose value at c is v, at index v: w = n**(power-1-c) bits
+    from bit v*w of every n*w."""
+    whole = (1 << n**power) - 1
+    out = []
+    for c in range(power):
+        w = n ** (power - 1 - c)
+        column = whole // ((1 << n * w) - 1) * ((1 << w) - 1)
+        out.append(tuple(column << v * w for v in range(n)))
+    return tuple(out)
+
+
+@memo(DESCRIPTOR_ENTRIES)
+def _descriptors(n: int, power: int, g):
+    """The move descriptor of the unary map g (a tuple, g[v] the image of
+    v) at each coordinate of the `power`-tuples over {0..n-1}: (kept,
+    ((mask, up, down), ...)), the tuples whose value there g fixes and, per
+    displacement d, in order of its first value, the tuples that move by
+    d, shifted up or down by d*n**(power-1-c) bits.  None at every
+    coordinate if g is the identity."""
+    shifted = {}
+    for v, gv in enumerate(g):
+        shifted.setdefault(gv - v, []).append(v)
+    fixed = shifted.pop(0, ())
+    if not shifted:
+        return (None,) * power
+    out = []
+    for c, slab in enumerate(_slabs(n, power)):
+        w = n ** (power - 1 - c)
+        kept = 0
+        for v in fixed:
+            kept |= slab[v]
+        moves = []
+        for d, values in shifted.items():
+            mask = 0
+            for v in values:
+                mask |= slab[v]
+            moves.append((mask, max(d * w, 0), max(-d * w, 0)))
+        out.append((kept, tuple(moves)))
+    return tuple(out)
 
 
 @memo(2 * KERNEL_OBJECTS)
@@ -403,10 +479,13 @@ def _image_plans(alg: FiniteAlgebra, power: int):
     than p (p itself if unary) takes the set `source` of members, and each
     other position one member of its set in `layout`; sets are flags: 1 for
     members 0..i-1 (before p), 2 for {i} (at p), 3 for members 0..i (after
-    p).  `maps[c][code]` is the move descriptor of y -> op(..., y at r, ...)
-    on coordinate c, `code` being the fixed arguments' values there in base
-    n, or None where that map is the identity.  Steps alike but for their
-    sources merge into one, as at a commutative op's two positions.
+    p).  With the other arguments fixed, `unary[code]` is the map y ->
+    op(..., y at r, ...), `code` being the fixed arguments' values at a
+    coordinate in base n, and `_descriptors` gives its move descriptor at
+    each coordinate, or None where it is the identity.  The descriptors
+    depend on n, the power and the map alone, so every algebra of that size
+    shares them.  Steps alike but for their sources merge into one, as at a
+    commutative op's two positions.
 
     Every step is split at the same place: `highs` holds the non-identity
     descriptors of coordinates 0..power//2-1, `lows` those of the others,
@@ -417,23 +496,10 @@ def _image_plans(alg: FiniteAlgebra, power: int):
     encoding has high half h, `lows[l]` for low half l, so a step has about
     2*n**(power/2) rows rather than n**power.  Wider steps, with two or
     three fixed members, are in `products`, ((layout, ((highs, lows,
-    source), ...)), ...), their halves `_Rows` keyed member-major, and hold
-    no row until a closure looks one up.
+    source), ...)), ...), their halves `_Rows` keyed member-major, which
+    hold no row, and describe no map, until a closure looks one up.
     """
     n = alg.size
-
-    def describe(c, g):
-        # coordinate c is v at w bits of every n*w, from bit v*w
-        w = n ** (power - 1 - c)
-        column = ((1 << n**power) - 1) // ((1 << n * w) - 1) * ((1 << w) - 1)
-        moves = {}
-        for v, gv in enumerate(g):
-            moves[(gv - v) * w] = moves.get((gv - v) * w, 0) | column << (v * w)
-        kept = moves.pop(0, 0)
-        if not moves:
-            return None
-        return kept, tuple((m, max(d, 0), max(-d, 0)) for d, m in moves.items())
-
     groups = {}
     for op in alg.operations:
         a = op.arity
@@ -445,23 +511,23 @@ def _image_plans(alg: FiniteAlgebra, power: int):
             for q in fixed:
                 starts = [s + v * n ** (a - 1 - q) * (q != r) for s in starts for v in range(n)]
             step = n ** (a - 1 - r)
-            unary = [op.table[s : s + n * step : step] for s in starts]
-            maps = tuple(tuple(describe(c, g) for g in unary) for c in range(power))
+            unary = tuple(op.table[s : s + n * step : step] for s in starts)
             layout = tuple(1 if q < p else 2 if q == p else 3 for q in fixed)
             steps = groups.setdefault(layout, {})
-            steps[maps] = steps.get(maps, 0) | (1 if r < p else 2 if r == p else 3)
+            steps[unary] = steps.get(unary, 0) | (1 if r < p else 2 if r == p else 3)
+
+    describe = partial(_descriptors, n, power)
+    half = power // 2
 
     def rows(maps):
-        return tuple(
-            tuple(filter(None, map(tuple.__getitem__, maps, _decode(n, len(maps), code))))
-            for code in range(n ** len(maps))
-        )
+        # per code of these coordinates, first coordinate most significant
+        # as in `_decode`, the descriptors of its maps that move
+        return tuple(tuple(filter(None, moving)) for moving in product(*maps))
 
-    half = power // 2
-    tables = tuple(
-        (source, rows(maps[:half]), rows(maps[half:]))
-        for maps, source in groups.pop((2,), {}).items()
-    )
+    tables = []
+    for unary, source in groups.pop((2,), {}).items():
+        maps = tuple(zip(*map(describe, unary)))  # maps[c][code]
+        tables.append((source, rows(maps[:half]), rows(maps[half:])))
     # per width of a half and number of fixed members: per member j, per
     # half x, x's digit at each coordinate times n**(fixed-1-j), its weight
     # in that coordinate's code
@@ -477,13 +543,16 @@ def _image_plans(alg: FiniteAlgebra, power: int):
         for fixed in {len(layout) for layout in groups}
     }
 
-    def lazy(steps, fixed):
-        return tuple(
-            (_Rows(m[:half], spread[half, fixed]), _Rows(m[half:], spread[power - half, fixed]), source)
-            for m, source in steps.items()
-        )
-
-    return tables, tuple((layout, lazy(steps, len(layout))) for layout, steps in groups.items())
+    products = []
+    for layout, steps in groups.items():
+        highs, lows = spread[half, len(layout)], spread[power - half, len(layout)]
+        wide = []
+        for unary, source in steps.items():
+            maps = _Described(describe, unary)
+            halves = _Rows(maps, range(half), highs), _Rows(maps, range(half, power), lows)
+            wide.append((*halves, source))
+        products.append((layout, tuple(wide)))
+    return tuple(tables), tuple(products)
 
 
 def _image(bits: int, descriptors) -> int:

@@ -425,6 +425,7 @@ def eval_expr(alg, env: dict, e: RelExpr, close_inputs: bool = False) -> BinRel:
     first replaced by their reflexive-admissible closure.
     """
     n = alg.size
+    relations.check_universe(n, "evaluation")
     k = relations.kernels(alg)
     close = k.closure(relations.REFLEXIVE_ADMISSIBLE)
 

@@ -67,6 +67,7 @@ from .relations import (
     InvariantViolation,
     RelFamily,
     UsageError,
+    check_universe,
     delta_bits,
     kernels,
     random_pairs,
@@ -308,6 +309,7 @@ def _members(alg, quantifiers, family):
     before, each drawn above `bound`.
     """
     if family.mode == "sampled":
+        check_universe(alg.size, "a sampled sweep")
         rng = random.Random(family.seed)
         draws = [_drawer(alg, q.kind) for q in quantifiers]
 

@@ -58,8 +58,10 @@ TOLERANCE = "tolerance"
 CONGRUENCE = "congruence"
 
 # Exhaustive enumeration caps (max universe size per family), chosen so a
-# full quantifier sweep stays in the seconds range.
-_DEFAULT_MAX_N = {REFLEXIVE_ADMISSIBLE: 4, TOLERANCE: 6, CONGRUENCE: 10}
+# full quantifier sweep stays in the seconds range.  Under None, the cap
+# of the work that lists no family (`check_universe`): one commutator
+# there closes sets of n**4 bits, which at n = 16 take 8 KB each.
+_DEFAULT_MAX_N = {REFLEXIVE_ADMISSIBLE: 4, TOLERANCE: 6, CONGRUENCE: 10, None: 16}
 
 _ENV_OVERRIDE = "RELCOMM_MAX_N"
 
@@ -365,10 +367,14 @@ class Kernels:
         """Smallest compatible relation containing r (closure in the
         square), through this module's `subuniverse_closure` name, which
         the benchmark's closure spans wrap.  A relation recorded in
-        `admissible` is its own closure, with no closure run."""
+        `admissible` is its own closure, with no closure run.  The diagonal
+        is closed in every algebra, so a reflexive r passes it as the
+        closed block and no image combines its pairs alone."""
         if r in self.admissible:
             return r
-        return subuniverse_closure(self.alg, 2, r).bits
+        delta = self.delta
+        closed = delta if r & delta == delta else 0
+        return subuniverse_closure(self.alg, 2, r, closed=closed).bits
 
     def _tol_close(self, r):
         """Smallest tolerance containing r."""
@@ -516,8 +522,9 @@ class RelFamily(Value):
         Value.__init__(self, kind, mode, sample_count, seed)
 
 
-def _family_max_n(kind: str) -> int:
-    """The cap on n for `kind`; an override warns from this one place."""
+def _family_max_n(kind) -> int:
+    """The cap on n for `kind`, or with kind None for the work that lists
+    no family; an override warns from this one place."""
     if kind not in _DEFAULT_MAX_N:
         raise ValueError(f"unknown family kind {kind!r}")
     override = os.environ.get(_ENV_OVERRIDE)
@@ -534,6 +541,16 @@ def _family_max_n(kind: str) -> int:
         "exhaustive sweeps may get very slow"
     )
     return bound
+
+
+def check_universe(n: int, what: str) -> None:
+    """Refuse `what` on n elements, work that lists no family (evaluation,
+    sampled sweeps and sampled enumeration), with a `FamilyBoundError` if
+    n is past its cap, before any relation of n*n bits is built."""
+    if n > (bound := _family_max_n(None)):
+        raise FamilyBoundError(
+            f"{what} is capped at n={bound} (algebra has n={n}); use {_ENV_OVERRIDE}"
+        )
 
 
 def _closed_sets(n, close_within):
@@ -605,11 +622,11 @@ def enumerate_relations(alg: FiniteAlgebra, family: RelFamily):
     """
     kind = family.kind
     n = alg.size
-    k = kernels(alg)
     if family.mode == "sampled":
-        members = _sample_relations(n, k.closure(kind), family.sample_count, family.seed)
+        check_universe(n, f"sampled {kind} enumeration")
+        members = _sample_relations(n, kernels(alg).closure(kind), family.sample_count, family.seed)
     else:
-        members = k.family(kind)
+        members = kernels(alg).family(kind)
     for bits in members:
         yield BinRel(n, bits)
 

@@ -233,3 +233,92 @@ def naive_bottom_rows(size, m, v):
         if v >> i & 1:
             out |= (m >> (i * nn)) & ((1 << nn) - 1)
     return out
+
+
+def _digits(size, width, x):
+    """x's `width` digits in base `size`, most significant first."""
+    out = []
+    for _ in range(width):
+        x, d = divmod(x, size)
+        out.append(d)
+    return out[::-1]
+
+
+def naive_image_plans(size, power, arities, tables):
+    """The image steps of `algebra._image_plans`, built per algebra: every
+    unary map described on each coordinate on its own, from a column mask
+    got by one division, and every row of a unary or binary step decoded
+    one code at a time.  `tables` are the rows as `_image_plans` gives
+    them; each wide step of `products` is (high_maps, low_maps, source),
+    `maps[i][code]` the descriptor at the half's i-th coordinate, for
+    `naive_plan_row`."""
+    n = size
+    whole = (1 << n**power) - 1
+
+    def describe(c, g):
+        w = n ** (power - 1 - c)
+        column = whole // ((1 << n * w) - 1) * ((1 << w) - 1)
+        moves = {}
+        for v, gv in enumerate(g):
+            moves[(gv - v) * w] = moves.get((gv - v) * w, 0) | column << (v * w)
+        kept = moves.pop(0, 0)
+        if not moves:
+            return None
+        return kept, tuple((m, max(d, 0), max(-d, 0)) for d, m in moves.items())
+
+    groups = {}
+    for a, table in zip(arities, tables):
+        for p in range(a):
+            r = a - 1 if p < a - 1 else max(a - 2, 0)
+            fixed = [q for q in range(a) if q != r or q == p]
+            maps = []
+            for c in range(power):
+                per_code = []
+                for code in range(n ** len(fixed)):
+                    args = [0] * a
+                    for q, v in zip(fixed, _digits(n, len(fixed), code)):
+                        args[q] = v
+                    g = []
+                    for y in range(n):
+                        args[r] = y
+                        g.append(table[sum(v * n ** (a - 1 - q) for q, v in enumerate(args))])
+                    per_code.append(describe(c, g))
+                maps.append(tuple(per_code))
+            maps = tuple(maps)
+            layout = tuple(1 if q < p else 2 if q == p else 3 for q in fixed)
+            steps = groups.setdefault(layout, {})
+            steps[maps] = steps.get(maps, 0) | (1 if r < p else 2 if r == p else 3)
+
+    def rows(maps):
+        return tuple(
+            tuple(m[d] for m, d in zip(maps, _digits(n, len(maps), code)) if m[d] is not None)
+            for code in range(n ** len(maps))
+        )
+
+    half = power // 2
+    plain = tuple(
+        (source, rows(maps[:half]), rows(maps[half:]))
+        for maps, source in groups.pop((2,), {}).items()
+    )
+    products = tuple(
+        (layout, tuple((maps[:half], maps[half:], source) for maps, source in steps.items()))
+        for layout, steps in groups.items()
+    )
+    return plain, products
+
+
+def naive_plan_row(size, maps, fixed, key):
+    """The row of one half of a wide step at `key`, the fixed members'
+    halves member-major: at the half's i-th coordinate, the descriptor of
+    the code that the members' i-th digits make, first member most
+    significant, left out where it is None."""
+    width = len(maps)
+    halves = _digits(size**width, fixed, key)
+    row = []
+    for i, per_code in enumerate(maps):
+        code = 0
+        for x in halves:
+            code = code * size + _digits(size, width, x)[i]
+        if per_code[code] is not None:
+            row.append(per_code[code])
+    return tuple(row)

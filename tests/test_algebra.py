@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tuple_bits
-from oracles import naive_tuple_closure
+from oracles import naive_image_plans, naive_plan_row, naive_tuple_closure
 import relcomm
 from relcomm import BinRel, FiniteAlgebra, adm_close, eval_op, load_algebra, subuniverse_closure
 from relcomm.algebra import Operation, TupleSet, _decode, _image, _image_plans, _saturate
@@ -566,6 +566,47 @@ def test_image_maps_each_decoded_tuple():
     ident = FiniteAlgebra(3, (("id", 1, (0, 1, 2)),))
     ((_, highs, lows),) = _image_plans(ident, 3)[0]
     assert set(highs) == set(lows) == {()}
+
+
+def _random_table(rng, n, arity, trial):
+    """A random table, or every few trials a commutative binary one (its
+    two steps merge) or a projection (its maps are identities)."""
+    table = [rng.randrange(n) for _ in range(n**arity)]
+    if arity == 2 and trial % 3 == 0:
+        table = [table[min(x, y) * n + max(x, y)] for x in range(n) for y in range(n)]
+    elif arity and trial % 5 == 0:
+        q = rng.randrange(arity)
+        table = [args[q] for args in itertools.product(range(n), repeat=arity)]
+    return tuple(table)
+
+
+def test_image_plans_match_a_builder_that_shares_nothing():
+    # plans assembled from the per-size memos (slabs, descriptors) equal
+    # those of a builder that describes every map of the algebra anew;
+    # sizes and powers are interleaved, so most plans are built with those
+    # memos warm from other algebras.  Wide steps' rows are compared at
+    # every key, or at a sample of keys where there are many
+    rng = random.Random(33)
+    clear_caches()
+    for trial in range(160):
+        n, power = rng.randint(1, 6), rng.randint(1, 4)
+        arities = [rng.randint(0, 4) for _ in range(rng.randint(1, 3))]
+        tables = [_random_table(rng, n, a, trial) for a in arities]
+        alg = FiniteAlgebra(n, [(f"f{i}", a, t) for i, (a, t) in enumerate(zip(arities, tables))])
+        want_tables, want_products = naive_image_plans(n, power, arities, tables)
+        got_tables, got_products = _image_plans(alg, power)
+        assert got_tables == want_tables, (alg, power)
+        assert [layout for layout, _ in got_products] == [layout for layout, _ in want_products]
+        for (layout, steps), (_, want_steps) in zip(got_products, want_products):
+            assert [step[2] for step in steps] == [step[2] for step in want_steps]
+            for (highs, lows, _), (high_maps, low_maps, _) in zip(steps, want_steps):
+                for rows, maps in ((highs, high_maps), (lows, low_maps)):
+                    count = n ** (len(maps) * len(layout))
+                    keys = range(count) if count <= 256 else rng.sample(range(count), 64) + [count - 1]
+                    for key in keys:
+                        want = naive_plan_row(n, maps, len(layout), key)
+                        assert rows[key] == want, (alg, power, layout, key)
+    clear_caches()
 
 
 def _wide_candidates(arity):

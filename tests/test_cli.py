@@ -303,14 +303,21 @@ sys.exit(main(sys.argv[1:]))
 
 @pytest.mark.parametrize("size", (160, 99999999))
 @pytest.mark.parametrize(
-    "argv",
-    (["check", "--condition", "T3_I"], ["check-all"], ["enumerate", "--family", "congruence"]),
-    ids=("check", "check-all", "enumerate"),
+    "argv, refused",
+    (
+        (["check", "--condition", "T3_I"], "exhaustive reflexive-admissible enumeration"),
+        (["check-all"], "exhaustive reflexive-admissible enumeration"),
+        (["enumerate", "--family", "congruence"], "exhaustive congruence enumeration"),
+        (["eval", "-e", "delta"], "evaluation"),
+        (["check", "--condition", "L1B_I"], "a sampled sweep"),
+    ),
+    ids=("check", "check-all", "enumerate", "eval", "sampled"),
 )
-def test_oversized_universe_is_refused_before_any_kernel_work(tmp_path, size, argv):
+def test_oversized_universe_is_refused_before_any_kernel_work(tmp_path, size, argv, refused):
     # the kernel object's listing checks the cap on n before any family
-    # work; the object holds no n-sized int until a kernel runs, and the
-    # diagonal alone takes n**2 bits
+    # work, and evaluation and sampled sweeps check theirs before they
+    # build a relation; the object holds no n-sized int until a kernel
+    # runs, and the diagonal alone takes n**2 bits
     path = tmp_path / f"size{size}.alg"
     path.write_text(f"size {size}\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(relcomm.__file__)))
@@ -318,9 +325,8 @@ def test_oversized_universe_is_refused_before_any_kernel_work(tmp_path, size, ar
         [sys.executable, "-c", _LIMITED_CLI, *argv, "-a", str(path)],
         env=env, capture_output=True, text=True, timeout=20,
     )
-    kind = argv[-1] if argv[0] == "enumerate" else "reflexive-admissible"
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr[-300:]
-    assert proc.stderr.startswith(f"error: exhaustive {kind} enumeration is capped at n=")
+    assert proc.stderr.startswith(f"error: {refused} is capped at n=")
     assert f"(algebra has n={size})" in proc.stderr and proc.stderr.count("\n") == 1
 
 

@@ -41,6 +41,7 @@ from relcomm import (
     m_set,
     properties,
     relations,
+    subuniverse_closure,
     tol_close,
 )
 from relcomm.algebra import KERNEL_OBJECTS
@@ -174,6 +175,51 @@ def test_closure_kernels_match_their_forms_and_the_oracle(name, alg):
                 {(a, c) for a, b in _pairs(n, x) for b2, c in _pairs(n, y) if b == b2}
             )
             assert got == _bits(n, chained)
+
+
+def test_reflexive_admissible_closure_over_the_diagonal_is_the_plain_closure():
+    # a reflexive argument is closed over the diagonal as a closed block;
+    # on random groupoids, with and without unary and ternary operations,
+    # every closure equals the one that starts from nothing closed
+    rng = random.Random(29)
+    for trial in range(60):
+        n = 1 + trial % 5
+        arities = ((2,), (1, 2), (2, 3), (0, 2))[trial % 4]
+        sig = Signature(n, tuple((f"f{i}", a) for i, a in enumerate(arities)))
+        alg = random_algebra(sig, f"adm-delta:{trial}")
+        relations.clear_caches()
+        k = relations.kernels(alg)
+        for _ in range(8):
+            r = rng.getrandbits(n * n) & rng.getrandbits(n * n)
+            for bits in (r, r | k.delta):
+                assert k.adm_close(bits) == subuniverse_closure(alg, 2, bits).bits, (alg, bits)
+    relations.clear_caches()
+
+
+def test_reflexive_admissible_closure_images_no_pair_of_the_diagonal_alone(monkeypatch):
+    # the diagonal's members are never processed, so each reflexive
+    # argument costs fewer images than a closure that processes them
+    calls = []
+
+    def counting(bits, descriptors):
+        calls.append(bits)
+        return image(bits, descriptors)
+
+    image = algebra._image
+    monkeypatch.setattr(algebra, "_image", counting)
+    alg = random_algebra(Signature(4), "adm-delta:count")
+    rng = random.Random(4)
+    relations.clear_caches()
+    k = relations.kernels(alg)
+    for _ in range(12):
+        r = k.delta | 1 << rng.randrange(16)
+        del calls[:]
+        seeded = k.adm_close(r)
+        fewer = len(calls)
+        del calls[:]
+        assert subuniverse_closure(alg, 2, r).bits == seeded
+        assert fewer < len(calls), (r, fewer, len(calls))
+    relations.clear_caches()
 
 
 def _raised(fn, *args):

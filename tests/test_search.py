@@ -218,6 +218,12 @@ def test_image_plans_are_kept_no_longer_than_kernel_objects():
     relations.clear_caches()
     run_search(SearchTask(sizes=(4,), budget=50, seed=0))
     assert algebra._image_plans.cache_info().currsize <= 2 * algebra.KERNEL_OBJECTS
+    # the plans' shared parts: each unary map is described once per size
+    # and power, none evicted, and slabs are kept for sizes 1-4 at powers 2
+    # and 4 at most
+    info = algebra._descriptors.cache_info()
+    assert info.misses == info.currsize <= algebra.DESCRIPTOR_ENTRIES
+    assert algebra._slabs.cache_info().currsize <= 2 * 4
 
 
 def _renamed_back(witness, perm):
