@@ -1,6 +1,6 @@
 """Finite algebras as flat operation tables, plus the subuniverse-closure
 engine over finite powers that everything else is built on: one semi-naive
-saturation that images whole bitsets of k-tuples by masked shifts.
+saturation by rounds that images whole bitsets of k-tuples by masked shifts.
 
 Each operation step is a unary map per coordinate, given by move
 descriptors.  A descriptor depends on the universe size, the power and
@@ -10,10 +10,13 @@ assembles an algebra's steps from them once per power.  A coordinate
 whose map is the identity has no descriptor, so an image touches only
 the coordinates that move.  Every step's descriptors are
 looked up by the high and low halves of its fixed members' encodings.  The
-steps of unary and binary operations fix no argument but the member being
-processed, so their two small tables are built up front; those of wider
-operations, keyed by the halves of two or three members, build each row
-the first time a closure asks for it.  Generators come in as a bitset in the
+steps of unary and binary operations fix one member, so their two small
+tables are built up front; those of wider operations, keyed by the halves
+of two or three members, build each row the first time a closure asks for
+it.  Each round of a closure takes every tuple that the round before found
+at once: per step it images its source once per distinct low key, ORs those
+images per high key, and images each union once under the high key's row.
+Generators come in as a bitset in the
 `TupleSet` encoding; a caller that knows part of them to be closed
 already passes that part as a second bitset, `closed=`, and no
 combination inside that block is imaged.  A third bitset, `within=`, bounds
@@ -475,11 +478,12 @@ def _descriptors(n: int, power: int, g):
 def _image_plans(alg: FiniteAlgebra, power: int):
     """The image steps of `subuniverse_closure`, as (tables, products).
 
-    Per operation and position p of member i, the last position r other
-    than p (p itself if unary) takes the set `source` of members, and each
-    other position one member of its set in `layout`; sets are flags: 1 for
-    members 0..i-1 (before p), 2 for {i} (at p), 3 for members 0..i (after
-    p).  With the other arguments fixed, `unary[code]` is the map y ->
+    Per operation and position p of a member x of a round's frontier F,
+    the last position r other than p (p itself if unary) takes the set
+    `source` of members, and each other position one member of its set in
+    `layout`; sets are flags: 1 for `done`, the members of the rounds
+    before (before p), 2 for x itself (at p), 3 for done | F (after p).
+    With the other arguments fixed, `unary[code]` is the map y ->
     op(..., y at r, ...), `code` being the fixed arguments' values at a
     coordinate in base n, and `_descriptors` gives its move descriptor at
     each coordinate, or None where it is the identity.  The descriptors
@@ -487,10 +491,16 @@ def _image_plans(alg: FiniteAlgebra, power: int):
     shares them.  Steps alike but for their sources merge into one, as at a
     commutative op's two positions.
 
+    Only a unary op's steps have source 2, since a step that a binary or
+    wider op shares ORs its flags to 3.  Its one fixed argument is the
+    member it maps, so its map is the op itself at every code: every row of
+    its `highs` is equal, and so is every row of its `lows`, and
+    `_saturate` reads row 0 to image a whole frontier at once.
+
     Every step is split at the same place: `highs` holds the non-identity
     descriptors of coordinates 0..power//2-1, `lows` those of the others,
     each looked up by the matching halves of the fixed members' encodings.
-    A step whose only fixed argument is member i itself (layout (2,), every
+    A step whose only fixed argument is x itself (layout (2,), every
     step of a unary or binary op) becomes a row of `tables`, (source, highs,
     lows), with every row built up front: `highs[h]` for a member whose
     encoding has high half h, `lows[l]` for low half l, so a step has about
@@ -590,41 +600,46 @@ def subuniverse_closure(
     under one check: an int in 0 <= bits < 2**(n**k), else a `ValueError`
     naming it.
 
-    Semi-naive worklist saturation (Bancilhon & Ramakrishnan, 1986):
-    members are processed in the order they were added, and processing
-    member i applies each operation only to the argument tuples over members
-    0..i that contain i, at the position p of its first occurrence, so every
-    argument combination is applied exactly once.  One position r takes its
-    members as a bitset: with the other arguments fixed the operation is a
-    unary map on each coordinate, and `_image` maps the whole bitset by
-    masked shifts, one moving coordinate at a time; identity maps are left
-    out.  A binary op costs member i two images (one if commutative) and a
-    unary op one image of {i}, their descriptors looked up in the step
-    tables by the halves of i's encoding; wider ops enumerate the remaining
-    positions over the members, and look their descriptors up by the halves
-    of the fixed members' encodings.  Nullary operations contribute their
-    constant diagonal tuple; an empty generator set with no nullary
-    operations yields the empty set.
+    Semi-naive saturation (Bancilhon & Ramakrishnan, 1986) by rounds.  A
+    round's frontier F holds the tuples found since the round before, and
+    `done` those of the rounds before it.  The round applies each operation
+    once to every argument tuple over done | F that holds a member of F, at
+    the position p of its first member of F: the positions before p range
+    over done, those after p over done | F.  Then F joins done, and the run
+    ends with a round that finds nothing new.  One position r takes its
+    members as a bitset, the step's source: with the other arguments fixed
+    the operation is a unary map on each coordinate, and `_image` maps the
+    whole bitset by masked shifts, one moving coordinate at a time;
+    identity maps are left out.  A step's descriptors are looked up by the
+    high and low halves of its fixed members' encodings (one member of F
+    for a binary op, two or three members for wider ops, member-major).
+    The two halves' coordinates are disjoint, so their maps commute, and an
+    image of a union is the union of the images: per high key h, the round
+    ORs the source's images under the low rows of h's low keys, each made
+    once per step and round, and images that union once under h's row.  A
+    high key with one low key takes both rows in one image.  A unary op
+    maps every member alike, so its step makes one image of F per round.
+    Nullary operations contribute their constant diagonal tuple; an empty
+    generator set with no nullary operations yields the empty set.
 
     `closed`, if given, must already be closed under the operations (the
-    caller's promise, not checked): its tuples count as processed from the
-    start and are never listed, so no combination among them is imaged,
+    caller's promise, not checked): its tuples are in `done` from the
+    start and never in a frontier, so no combination among them is imaged,
     while every combination that includes a later member is still applied
-    when that member is processed.  Unary and binary steps read them only
-    inside the bitset of processed members; wide ops split their encodings
-    into halves once, up front, as the fixed arguments that come before
-    every later member.
+    in that member's round.  Unary and binary steps read them only inside
+    their sources; wide ops read their encodings, grouped by high half, as
+    fixed arguments that range over `done`.
 
     `within`, by default the whole power, is the caller's promise of a
     set that contains the closure.  Saturation stops as soon as every
-    tuple of `within` is in, since no image can add one then, so the
-    members still queued are never processed.  The promise is checked on
-    each batch of new tuples as it is found (`_saturate`): the first
-    tuple outside `within`, a generator's or an image's, raises a
-    `ValueError` naming the bound instead of returning.  The check sees
-    only the tuples the run adds, so a run that reaches every tuple of a
-    bound stops there even if the bound misses a tuple that the run would
-    have added next.
+    tuple of `within` is in, after any image that adds tuples, mid-round
+    if need be, since no image can add one then.  The promise is checked
+    on each batch of new tuples as it is found (`_saturate`): the
+    generators, a round's unary images, then each high image.  The first
+    tuple outside `within` raises a `ValueError` naming the bound instead
+    of returning.  The check sees only the tuples the run adds, so a run
+    that reaches every tuple of a bound stops there even if the bound
+    misses a tuple that the run would have added next.
     """
     if not is_whole(power):
         raise ValueError(f"power must be a positive integer, got {power!r}")
@@ -641,16 +656,31 @@ def subuniverse_closure(
     return TupleSet(n, power, bits)
 
 
+def _by_high(bits: int, half: int) -> dict:
+    """The members of a bitset, by the high halves of their encodings: the
+    ascending low halves of each high half that occurs, `half` being
+    n**(power - power//2), each high half's lows read from its slice."""
+    groups = {}
+    mask = (1 << half) - 1
+    h = 0
+    while bits:
+        if bits & mask:
+            groups[h] = _indices(bits & mask)
+        bits >>= half
+        h += 1
+    return groups
+
+
 def _saturate(alg, power, generators, closed, within, complete=False):
     """The saturation loop of `subuniverse_closure`, on bitsets it has
     checked: the closure's bits, or None as soon as a batch of new tuples
-    (the generators, then each member's images) has one outside `within`.
-    Bits equal to `within` may come from a run that stopped because it
-    filled its bound, so they do not prove that `within` is closed, unless
-    `complete` is set: then the run processes every member even once it
-    holds all of `within`, and what it returns is closed."""
+    (the generators, then each batch that `_round` yields) has one outside
+    `within`.  Bits equal to `within` may come from a run that stopped
+    because it filled its bound, so they do not prove that `within` is
+    closed, unless `complete` is set: then the run finishes every round even
+    once it holds all of `within`, and what it returns is closed."""
     n = alg.size
-    done = closed  # members 0..i-1
+    done = closed  # the members of the rounds before this one
     seen = done | generators
     for op in alg.operations:
         if op.arity == 0:
@@ -660,42 +690,65 @@ def _saturate(alg, power, generators, closed, within, complete=False):
         return None
 
     tables, products = _image_plans(alg, power)
-    half = n ** (power - power // 2)
-    top = n ** (power // 2)
-    # the halves of each processed member's encoding, `closed`'s first, as
-    # the fixed arguments of wide ops
-    halves = [divmod(e, half) for e in _indices(done)] if products else []
-    order = []  # the encoding of each member outside `closed`, in addition order
-    new = seen & ~done
-    i = 0
+    # a unary op's step maps every member alike (source 2), by its row 0
+    unary = [highs[0] + lows[0] for source, highs, lows in tables if source == 2]
+    plan = unary, tables, products, n ** (power - power // 2), n ** (power // 2)
     stop = -1 if complete else within  # no bitset equals -1
     while seen != stop:
-        if new:
-            order += _indices(new)
-        if i == len(order):
+        frontier = seen & ~done
+        if not frontier:
             break
-        e = order[i]
-        single = 1 << e
-        sets = (0, done, single, done | single)
-        high, low = divmod(e, half)
-        found = 0
-        for source, highs, lows in tables:
-            found |= _image(sets[source], highs[high] + lows[low])
-        if products:
-            ranges = ((), halves[:], ((high, low),), halves)
-            halves.append((high, low))
-            for layout, steps in products:
-                # each combination's keys into the rows, member-major
-                keys = [(0, 0)]
-                for j in layout:
-                    keys = [(kh * top + h, kl * half + l) for kh, kl in keys for h, l in ranges[j]]
-                for kh, kl in keys:
-                    for highs, lows, source in steps:
-                        found |= _image(sets[source], highs[kh] + lows[kl])
-        done |= single
-        new = found & ~seen
-        if new & outside:
-            return None
-        seen |= new
-        i += 1
+        for found in _round(plan, done, frontier):
+            new = found & ~seen
+            if new & outside:
+                return None
+            seen |= new
+            if seen == stop:
+                return seen
+        done |= frontier
     return seen
+
+
+def _round(plan, done, frontier):
+    """Yield the batches of tuples that one round of `_saturate` finds from
+    the members of the rounds before it, `done`, and its `frontier`: first
+    the frontier's images under every unary op, as one batch, then each
+    other step's images, one per high key.  A step images its source once
+    under the row of each low key that goes with a high key (memoised for
+    that step), ORs the low images of each high key, and images that union
+    once under the high key's row; a high key with one low key takes both
+    rows in one image."""
+    unary, tables, products, half, top = plan
+    if unary:
+        found = 0
+        for row in unary:
+            found |= _image(frontier, row)
+        yield found
+    sources = (0, done, frontier, done | frontier)
+    now = _by_high(frontier, half)
+    # per step, its source, its rows and its fixed members' low keys by high key
+    steps = [(sources[source], highs, lows, now) for source, highs, lows in tables if source != 2]
+    if products:
+        ranges = (None, _by_high(done, half), now, _by_high(sources[3], half))
+        for layout, wide in products:
+            keys = {0: [0]}  # member-major, as `_Rows` reads them
+            for j in layout:
+                keys = {
+                    kh * top + h: [kl * half + l for kl in kls for l in ls]
+                    for kh, kls in keys.items()
+                    for h, ls in ranges[j].items()
+                }
+            steps += [(sources[source], highs, lows, keys) for highs, lows, source in wide]
+    for source, highs, lows, keys in steps:
+        images = {}  # the source's image under each low key's row
+        for h, kls in keys.items():
+            if len(kls) == 1 and kls[0] not in images:
+                yield _image(source, highs[h] + lows[kls[0]])
+            else:
+                union = 0
+                for l in kls:
+                    image = images.get(l)
+                    if image is None:
+                        image = images[l] = _image(source, lows[l])
+                    union |= image
+                yield _image(union, highs[h])

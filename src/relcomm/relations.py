@@ -420,12 +420,12 @@ class Kernels:
         """The closure of the relation bits r under `closure(kind)` if it
         lies within the bits `allowed`, else None: r's admissible closure
         saturated under that bound (`algebra._saturate`), which stops at
-        the first new pair outside it.
+        the first image with a new pair outside it.
 
         The run starts from r, and r's converse for tolerances and
         congruences, over the diagonal as a closed block (`closed=`).  It
-        processes every member, even once it holds its whole bound, so
-        what it returns is closed.  A congruence is the transitive closure
+        finishes every round, even once it holds its whole bound, so what
+        it returns is closed.  A congruence is the transitive closure
         of that tolerance, checked against the bound and for admissibility
         as `cg` checks it.  Each closure returned is recorded in
         `admissible`.

@@ -3,12 +3,16 @@
 Everything here is deliberately naive and kept separate from the package:
 relations are plain pair sets, tuple sets are plain frozensets, and term
 functions are enumerated level by level with an explicit depth cap.  None
-of it shares code with the worklist closure engine it is meant to check.
+of it shares code with the closure engine it is meant to check, except
+`per_member_saturate`: the engine's earlier loop, kept as the differential
+reference of the rounds that replaced it, reads the same image plans.
 """
 
 import itertools
 
 import numpy as np
+
+from relcomm import algebra
 
 
 def naive_tuple_closure(size, k, arities, tables, generators):
@@ -322,3 +326,67 @@ def naive_plan_row(size, maps, fixed, key):
         if per_code[code] is not None:
             row.append(per_code[code])
     return tuple(row)
+
+
+def per_member_saturate(alg, power, generators, closed, within, complete=False):
+    """`algebra._saturate` as it was before it ran by rounds: semi-naive
+    saturation one member at a time, in the order the members were added.
+    Processing member i applies each operation to the argument tuples over
+    members 0..i that contain i, at the position of its first occurrence,
+    with one image per step of i, its descriptors looked up by the halves
+    of i's encoding (and, for wide ops, of the fixed members' encodings).
+    The batch of new tuples that one member's images find is checked
+    against `within` (None if one is outside it), and the run stops once
+    it holds all of `within` unless `complete` is set.  It calls
+    `algebra._image` through the module, so a test that counts the
+    engine's images counts these too."""
+    n = alg.size
+    done = closed  # members 0..i-1
+    seen = done | generators
+    for op in alg.operations:
+        if op.arity == 0:
+            seen |= 1 << algebra._encode(n, op.table * power)
+    outside = ~within
+    if seen & outside:
+        return None
+
+    tables, products = algebra._image_plans(alg, power)
+    half = n ** (power - power // 2)
+    top = n ** (power // 2)
+    # the halves of each processed member's encoding, `closed`'s first, as
+    # the fixed arguments of wide ops
+    halves = [divmod(e, half) for e in algebra._indices(done)] if products else []
+    order = []  # the encoding of each member outside `closed`, in addition order
+    new = seen & ~done
+    i = 0
+    stop = -1 if complete else within  # no bitset equals -1
+    while seen != stop:
+        if new:
+            order += algebra._indices(new)
+        if i == len(order):
+            break
+        e = order[i]
+        single = 1 << e
+        sets = (0, done, single, done | single)
+        high, low = divmod(e, half)
+        found = 0
+        for source, highs, lows in tables:
+            found |= algebra._image(sets[source], highs[high] + lows[low])
+        if products:
+            ranges = ((), halves[:], ((high, low),), halves)
+            halves.append((high, low))
+            for layout, steps in products:
+                # each combination's keys into the rows, member-major
+                keys = [(0, 0)]
+                for j in layout:
+                    keys = [(kh * top + h, kl * half + l) for kh, kl in keys for h, l in ranges[j]]
+                for kh, kl in keys:
+                    for highs, lows, source in steps:
+                        found |= algebra._image(sets[source], highs[kh] + lows[kl])
+        done |= single
+        new = found & ~seen
+        if new & outside:
+            return None
+        seen |= new
+        i += 1
+    return seen

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tuple_bits
-from oracles import naive_image_plans, naive_plan_row, naive_tuple_closure
+from oracles import naive_image_plans, naive_plan_row, naive_tuple_closure, per_member_saturate
 import relcomm
 from relcomm import BinRel, FiniteAlgebra, adm_close, eval_op, load_algebra, subuniverse_closure
 from relcomm.algebra import Operation, TupleSet, _decode, _image, _image_plans, _saturate
@@ -607,6 +607,88 @@ def test_image_plans_match_a_builder_that_shares_nothing():
                         want = naive_plan_row(n, maps, len(layout), key)
                         assert rows[key] == want, (alg, power, layout, key)
     clear_caches()
+
+
+def test_unary_steps_map_every_member_alike():
+    # only a unary op's steps have source 2, and all rows of each half of
+    # such a step are equal, so a round images its whole frontier under
+    # row 0; a binary op that applies a unary op to its second argument
+    # shares that op's step, which then has source 3
+    rng = random.Random(35)
+    unary_steps = 0
+    for trial in range(120):
+        n, power = rng.randint(1, 5), rng.randint(1, 4)
+        arities = [1] + [rng.randint(0, 4) for _ in range(rng.randint(0, 2))]
+        tables = [_random_table(rng, n, a, trial) for a in arities]
+        alg = FiniteAlgebra(n, [(f"f{i}", a, t) for i, (a, t) in enumerate(zip(arities, tables))])
+        for source, highs, lows in _image_plans(alg, power)[0]:
+            if source == 2:
+                unary_steps += 1
+                assert len(set(highs)) == len(set(lows)) == 1, (alg, power)
+        f = tables[0]
+        shared = FiniteAlgebra(n, (("f", 1, f), ("g", 2, tuple(f[y] for _ in range(n) for y in range(n)))))
+        sources = [source for source, _, _ in _image_plans(shared, power)[0]]
+        assert 2 not in sources and 3 in sources, (shared, power)
+        gens = {tuple(rng.randrange(n) for _ in range(power)) for _ in range(2)}
+        got = set(subuniverse_closure(shared, power, tuple_bits(n, gens)).members())
+        want = naive_tuple_closure(n, power, [1, 2], [op.table for op in shared.operations], gens)
+        assert got == want, (shared, power, gens)
+    assert unary_steps >= 100
+
+
+def test_rounds_match_the_per_member_engine(monkeypatch):
+    # the closure by rounds against the engine it replaced, which processed
+    # one member at a time (`oracles.per_member_saturate`): random algebras
+    # on up to 5 elements with arities 0-4, some tables commutative,
+    # projections or constants, in powers 1-4, onto random closed blocks.
+    # Where the bound holds the closure, or `complete` is set, both give
+    # the same answer; elsewhere either run may stop at the bound it has
+    # filled, so each gives None or the bound.  A complete run by rounds
+    # images each distinct half key once per step and round where the old
+    # engine imaged each member, so it never makes more coordinate passes
+    passes = [0, None]  # so far, and the most allowed
+
+    def counting(bits, descriptors):
+        passes[0] += len(descriptors)
+        if passes[1] is not None and passes[0] > passes[1]:
+            raise AssertionError("more coordinate passes than the per-member engine")
+        return _image(bits, descriptors)
+
+    monkeypatch.setattr(algebra, "_image", counting)
+    rng = random.Random(3434)
+    signatures = [(1,), (2,), (0, 1), (1, 2), (0, 2), (2, 2), (3,), (1, 3), (0, 2, 3), (4,), (1, 4), (1, 2, 3, 4)]
+    outcomes = set()
+    for trial in range(240):
+        arities = signatures[trial % len(signatures)]
+        cap = {4: 16, 3: 27}.get(max(arities), 625)
+        n, k = rng.choice([(n, k) for n in range(1, 6) for k in range(1, 5) if n**k <= cap])
+        tables = [_random_table(rng, n, a, trial) for a in arities]
+        if trial % 7 == 0:
+            tables[-1] = (rng.randrange(n),) * n ** arities[-1]
+        alg = FiniteAlgebra(n, [(f"f{i}", a, t) for i, (a, t) in enumerate(zip(arities, tables))])
+        whole = (1 << n**k) - 1
+
+        def draw(count):
+            return tuple_bits(n, {tuple(rng.randrange(n) for _ in range(k)) for _ in range(count)})
+
+        block = subuniverse_closure(alg, k, draw(rng.randint(0, 2))).bits
+        gens = draw(rng.randint(0, 3))
+        passes[:] = [0, None]
+        want = per_member_saturate(alg, k, gens, block, whole, True)
+        passes[:] = [0, passes[0]]
+        assert _saturate(alg, k, gens, block, whole, True) == want, (alg, k, block, gens)
+        passes[1] = None
+        for within in (whole, want | rng.getrandbits(n**k), rng.getrandbits(n**k)):
+            inside = want & ~within == 0
+            for complete in (False, True):
+                got = _saturate(alg, k, gens, block, within, complete)
+                old = per_member_saturate(alg, k, gens, block, within, complete)
+                if inside or complete:
+                    assert got == old == (want if inside else None), (alg, k, block, gens, within)
+                else:
+                    assert got in (None, within) and old in (None, within), (alg, k, block, gens, within)
+                outcomes.add((inside, complete, got is None))
+    assert {(True, False, False), (False, False, True), (False, True, True)} <= outcomes
 
 
 def _wide_candidates(arity):

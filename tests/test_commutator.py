@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import refl, tuple_bits
-from oracles import naive_bottom_rows, naive_matrix_bound, naive_tuple_closure
+from oracles import naive_bottom_rows, naive_matrix_bound, naive_tuple_closure, per_member_saturate
 from relcomm import (
     REFLEXIVE_ADMISSIBLE,
     BinRel,
@@ -30,8 +30,8 @@ from relcomm import (
     tol_close,
     union_,
 )
-from relcomm import commutator, relations
-from relcomm.algebra import eval_op
+from relcomm import algebra, commutator, relations
+from relcomm.algebra import _saturate, eval_op
 from relcomm.relations import (
     InvariantViolation,
     NotAdmissible,
@@ -49,6 +49,10 @@ CHAIN4 = FiniteAlgebra(4, (
     ("meet", 2, tuple(min(a, b) for a in range(4) for b in range(4))),
     ("join", 2, tuple(max(a, b) for a in range(4) for b in range(4))),
 ))
+# the ternary algebras of the benchmark's commutators-ternary workload:
+# the median of the 3-element chain and x - y + z on Z4
+MAJORITY3 = FiniteAlgebra(3, (("maj", 3, tuple(sorted(t)[1] for t in itertools.product(range(3), repeat=3))),))
+MALCEV4 = FiniteAlgebra(4, (("q", 3, tuple((x - y + z) % 4 for x, y, z in itertools.product(range(4), repeat=3))),))
 
 
 def test_m_set_pure_set_is_generators():
@@ -308,6 +312,76 @@ def test_seeds_never_cross_algebras(algebras):
                     if (r2 == r.bits and s2 & ~s.bits == 0) or (s2 == s.bits and r2 & ~r.bits == 0)
                 )
     assert crossing
+
+
+def _m_set_closures(alg):
+    """The arguments of `algebra._saturate` for the unseeded closure of
+    M(R, S), for every pair of reflexive admissible relations R, S: S's
+    block closed onto R's, within U(R, S)."""
+    relations.clear_caches()
+    k = relations.kernels(alg)
+    rels = [rel.bits for rel in enumerate_relations(alg, RelFamily(REFLEXIVE_ADMISSIBLE))]
+    return [
+        (alg, 4, k.blocks(s)[1], k.blocks(r)[0], commutator.matrix_bound_bits(k, r, s))
+        for r in rels
+        for s in rels
+    ]
+
+
+def test_ternary_m_sets_by_rounds_match_the_per_member_engine(monkeypatch):
+    # M(R, S) on both ternary algebras, whose steps are all wide (two fixed
+    # members each), closed by rounds and by the engine that processed one
+    # member at a time: equal, with and without `complete`, and the rounds,
+    # which image each distinct half key once per step and round, make
+    # fewer coordinate passes.  The per-member engine's count is a budget
+    # that the rounds may not exceed at any point, so a run that never
+    # ends fails instead of hanging
+    passes = [0, None]  # so far, and the most allowed
+
+    def counting(bits, descriptors):
+        passes[0] += len(descriptors)
+        if passes[1] is not None and passes[0] > passes[1]:
+            raise AssertionError("more coordinate passes than the per-member engine")
+        return image(bits, descriptors)
+
+    image = algebra._image
+    monkeypatch.setattr(algebra, "_image", counting)
+    for alg in (MAJORITY3, MALCEV4):
+        closures = _m_set_closures(alg)
+        assert len(closures) >= 9, alg
+        for complete in (False, True):
+            passes[:] = [0, None]
+            want = [per_member_saturate(*args, complete) for args in closures]
+            passes[:] = [0, passes[0]]
+            got = [_saturate(*args, complete) for args in closures]
+            assert got == want, (alg, complete)
+            assert passes[0] < passes[1], (alg, complete, passes)
+    relations.clear_caches()
+
+
+def test_m_set_stops_mid_round_once_it_fills_its_bound(monkeypatch):
+    # on the 4-chain, R = (<=) with (1, 0) and S = (<=) with all of
+    # {1, 2, 3}^2 have M(R, S) = U(R, S).  Its closure from R's block
+    # holds every tuple of U(R, S) after 39 images, partway through a
+    # round; the round that fills U(R, S) would take the run to 68 images
+    calls = []
+
+    def counting(bits, descriptors):
+        calls.append(bits)
+        return image(bits, descriptors)
+
+    image = algebra._image
+    r = BinRel.from_pairs(4, [(a, b) for a in range(4) for b in range(4) if a <= b] + [(1, 0)])
+    s = BinRel.from_pairs(4, [(a, b) for a in range(4) for b in range(4) if a <= b or min(a, b) >= 1])
+    relations.clear_caches()
+    k = relations.kernels(CHAIN4)
+    bound = commutator.matrix_bound_bits(k, r.bits, s.bits)
+    rows, columns = k.blocks(r.bits)[0], k.blocks(s.bits)[1]
+    monkeypatch.setattr(algebra, "_image", counting)
+    got = subuniverse_closure(CHAIN4, 4, columns, closed=rows, within=bound)
+    assert got.bits == bound
+    assert 0 < len(calls) < 68, len(calls)
+    relations.clear_caches()
 
 
 def test_m_set_closes_within_its_bound(monkeypatch):

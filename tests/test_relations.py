@@ -483,6 +483,34 @@ def test_enumeration_makes_fewer_images_than_closing_every_candidate(monkeypatch
     clear_caches()
 
 
+def test_bounded_closure_stops_at_its_first_image_outside_the_bound(monkeypatch):
+    # on the 3-chain lattice, the candidate delta + {(0, 2), (1, 0), (2, 1)}
+    # starts one round with three pairs of distinct high halves, six
+    # images over meet and join; the first, meet with (0, 2), already
+    # gives (0, 1), outside the candidate itself, so the run rejects it
+    # after that one image, without finishing the round
+    calls = []
+
+    def counting(bits, descriptors):
+        calls.append(bits)
+        return image(bits, descriptors)
+
+    image = algebra._image
+    chain = FiniteAlgebra(3, (
+        ("meet", 2, tuple(min(a, b) for a in range(3) for b in range(3))),
+        ("join", 2, tuple(max(a, b) for a in range(3) for b in range(3))),
+    ))
+    clear_caches()
+    k = kernels(chain)
+    r = refl(3, (0, 2), (1, 0), (2, 1)).bits
+    monkeypatch.setattr(algebra, "_image", counting)
+    assert k.close_within(REFLEXIVE_ADMISSIBLE, r, r) is None
+    assert len(calls) == 1
+    # unbounded, the same candidate closes to all pairs but (2, 0)
+    assert k.close_within(REFLEXIVE_ADMISSIBLE, r, (1 << 9) - 1) == (1 << 9) - 1 - (1 << 6)
+    clear_caches()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3), st.sets(st.sampled_from((0, 1, 2, 3)), min_size=1), st.integers())
 def test_enumerate_matches_oracle_on_mixed_arities(n, arities, seed):
