@@ -3,26 +3,23 @@ engine over finite powers that everything else is built on: one semi-naive
 saturation by rounds that images whole bitsets of k-tuples by masked shifts.
 
 Each operation step is a unary map per coordinate, given by move
-descriptors.  A descriptor depends on the universe size, the power and
-the map alone, so `_descriptors` builds each once, from the shared masks
-of `_slabs`, and every algebra of that size reads it; `_image_plans`
-assembles an algebra's steps from them once per power.  A coordinate
-whose map is the identity has no descriptor, so an image touches only
-the coordinates that move.  Every step's descriptors are
-looked up by the high and low halves of its fixed members' encodings.  The
-steps of unary and binary operations fix one member, so their two small
-tables are built up front; those of wider operations, keyed by the halves
-of two or three members, build each row the first time a closure asks for
-it.  Each round of a closure takes every tuple that the round before found
-at once: per step it images its source once per distinct low key, ORs those
-images per high key, and images each union once under the high key's row.
-Generators come in as a bitset in the
-`TupleSet` encoding; a caller that knows part of them to be closed
-already passes that part as a second bitset, `closed=`, and no
-combination inside that block is imaged.  A third bitset, `within=`, bounds
-the closure from above: saturation ends once it holds every tuple of that
-bound, which by default is the whole power, and the first tuple found
-outside it ends the run with an error.
+descriptors.  A descriptor depends on the universe size, the power and the
+map alone, so `_descriptors` builds each once, from the shared masks of
+`_slabs`, and every algebra of that size reads it; `_image_plans`
+assembles an algebra's steps from them once per power.  A coordinate whose
+map is the identity has no descriptor, so an image touches only the
+coordinates that move.  Every step's descriptors are looked up by the high
+and low halves of its fixed members' encodings.  The steps of unary and
+binary operations fix one member, so their two small tables are built up
+front; those of wider operations, keyed by the halves of two or three
+members, build each row the first time a closure asks for it.  One loop,
+`_saturate`, runs a closure by rounds, as `subuniverse_closure` tells.
+Generators come in as a bitset in the `TupleSet` encoding; a caller that
+knows part of them to be closed already passes that part as a second
+bitset, `closed=`, and no combination inside that block is imaged.  A
+third bitset, `within=`, bounds the closure from above: saturation ends
+once it holds every tuple of that bound, which by default is the whole
+power, and the first tuple found outside it ends the run with an error.
 
 All values are immutable after construction and safe to share across
 threads; closure itself runs single-threaded.  Every value class of the
@@ -34,7 +31,7 @@ from __future__ import annotations
 import operator
 import threading
 from collections import namedtuple
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import product
 
 # Operations with arity above this are rejected at construction time:
@@ -65,9 +62,11 @@ MEMOS = []
 # set holds at most n masks of n**power bits per coordinate: at n = 10,
 # power 4, 40 masks of 10,000 bits, about 48 KB, so the 512 sets take at
 # most 24 MB there, less than the 32 plans kept held before they shared
-# them (30 MB: 20 sets per plan of one binary operation).
+# them (30 MB: 20 sets per plan of one binary operation).  The slice table
+# (`_lows`) takes one list per slice it meets: 700 on commutators-binary.
 KERNEL_ENTRIES, KERNEL_OBJECTS, PLAN_ENTRIES = 65536, 16, 256
 DESCRIPTOR_ENTRIES = 512
+SLICE_ENTRIES = 4096
 
 # The counters of a memo, with the fields of `functools.lru_cache`'s.
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -494,8 +493,8 @@ def _image_plans(alg: FiniteAlgebra, power: int):
     Only a unary op's steps have source 2, since a step that a binary or
     wider op shares ORs its flags to 3.  Its one fixed argument is the
     member it maps, so its map is the op itself at every code: every row of
-    its `highs` is equal, and so is every row of its `lows`, and
-    `_saturate` reads row 0 to image a whole frontier at once.
+    its `highs` is equal, and so is every row of its `lows`, and `_plan`
+    keeps row 0 of each, which images a whole frontier at once.
 
     Every step is split at the same place: `highs` holds the non-identity
     descriptors of coordinates 0..power//2-1, `lows` those of the others,
@@ -565,6 +564,24 @@ def _image_plans(alg: FiniteAlgebra, power: int):
     return tuple(tables), tuple(products)
 
 
+@memo(2 * KERNEL_OBJECTS)
+def _plan(alg: FiniteAlgebra, power: int):
+    """What `_saturate` reads of `_image_plans(alg, power)`, built once per
+    (algebra, power): row 0 of each unary op's step, which images a whole
+    frontier; every other step as (source, highs, lows, layout), those of
+    `tables` first with layout None; the layouts of `products`; the bits of
+    the nullary ops' constants; and the numbers of low and high keys."""
+    n = alg.size
+    tables, products = _image_plans(alg, power)
+    nullary = (1 << _encode(n, op.table * power) for op in alg.operations if op.arity == 0)
+    constants = reduce(operator.or_, nullary, 0)
+    unary = tuple(highs[0] + lows[0] for source, highs, lows in tables if source == 2)
+    steps = [(source, highs, lows, None) for source, highs, lows in tables if source != 2]
+    steps += [(source, highs, lows, layout) for layout, wide in products for highs, lows, source in wide]
+    layouts = tuple(layout for layout, _ in products)
+    return unary, tuple(steps), layouts, constants, n ** (power - power // 2), n ** (power // 2)
+
+
 def _image(bits: int, descriptors) -> int:
     """The image of a set of encoded tuples under one unary map per moving
     coordinate, each given by its move descriptor (kept, ((mask, up, down),
@@ -588,6 +605,10 @@ def _indices(bits: int) -> list[int]:
         bits ^= low
         out.append(low.bit_length() - 1)
     return out
+
+
+# the ascending low keys of a slice of low halves, shared: never changed
+_lows = memo(SLICE_ENTRIES)(_indices)
 
 
 def subuniverse_closure(
@@ -618,9 +639,9 @@ def subuniverse_closure(
     ORs the source's images under the low rows of h's low keys, each made
     once per step and round, and images that union once under h's row.  A
     high key with one low key takes both rows in one image.  A unary op
-    maps every member alike, so its step makes one image of F per round.
-    Nullary operations contribute their constant diagonal tuple; an empty
-    generator set with no nullary operations yields the empty set.
+    maps every member alike, so its step makes one image of F per round,
+    first.  Nullary operations contribute their constant diagonal tuple;
+    an empty generator set with no nullary operations yields the empty set.
 
     `closed`, if given, must already be closed under the operations (the
     caller's promise, not checked): its tuples are in `done` from the
@@ -656,99 +677,76 @@ def subuniverse_closure(
     return TupleSet(n, power, bits)
 
 
-def _by_high(bits: int, half: int) -> dict:
-    """The members of a bitset, by the high halves of their encodings: the
-    ascending low halves of each high half that occurs, `half` being
-    n**(power - power//2), each high half's lows read from its slice."""
-    groups = {}
-    mask = (1 << half) - 1
-    h = 0
-    while bits:
-        if bits & mask:
-            groups[h] = _indices(bits & mask)
-        bits >>= half
-        h += 1
-    return groups
-
-
 def _saturate(alg, power, generators, closed, within, complete=False):
     """The saturation loop of `subuniverse_closure`, on bitsets it has
-    checked: the closure's bits, or None as soon as a batch of new tuples
-    (the generators, then each batch that `_round` yields) has one outside
-    `within`.  Bits equal to `within` may come from a run that stopped
-    because it filled its bound, so they do not prove that `within` is
-    closed, unless `complete` is set: then the run finishes every round even
-    once it holds all of `within`, and what it returns is closed."""
-    n = alg.size
+    checked: the closure's bits, or None as soon as a batch (the
+    generators, a round's unary images, then each high image) has a tuple
+    outside `within`.  A run may stop because it filled its bound, so bits
+    equal to `within` do not prove it closed unless `complete` is set: then
+    every round runs to its end, and what the run returns is closed."""
+    unary, steps, layouts, constants, half, top = _plan(alg, power)
     done = closed  # the members of the rounds before this one
-    seen = done | generators
-    for op in alg.operations:
-        if op.arity == 0:
-            seen |= 1 << _encode(n, op.table * power)
+    seen = done | generators | constants
     outside = ~within
     if seen & outside:
         return None
-
-    tables, products = _image_plans(alg, power)
-    # a unary op's step maps every member alike (source 2), by its row 0
-    unary = [highs[0] + lows[0] for source, highs, lows in tables if source == 2]
-    plan = unary, tables, products, n ** (power - power // 2), n ** (power // 2)
     stop = -1 if complete else within  # no bitset equals -1
+    mask = (1 << half) - 1
     while seen != stop:
         frontier = seen & ~done
         if not frontier:
             break
-        for found in _round(plan, done, frontier):
-            new = found & ~seen
-            if new & outside:
+        if unary:
+            found = 0
+            for row in unary:
+                found |= _image(frontier, row)
+            if found & outside:
                 return None
-            seen |= new
+            seen |= found
             if seen == stop:
                 return seen
+        sources = (0, done, frontier, done | frontier)
+        # the low keys of the frontier's members, and for wide steps those
+        # of done and done | frontier, by high key, from the slice table
+        groups = []
+        for bits in (frontier, done, sources[3]) if layouts else (frontier,):
+            by_high, h = {}, 0
+            while bits:
+                if low := bits & mask:
+                    by_high[h] = _lows(low)
+                bits >>= half
+                h += 1
+            groups.append(by_high)
+        by_layout = {None: groups[0]}  # the steps' keys, by layout
+        if layouts:
+            # a wide step's fixed members' keys, member-major as `_Rows` reads them
+            ranges = (None, groups[1], groups[0], groups[2])
+            for layout in layouts:
+                keys = {0: [0]}
+                for j in layout:
+                    keys = {
+                        kh * top + h: [kl * half + l for kl in kls for l in ls]
+                        for kh, kls in keys.items()
+                        for h, ls in ranges[j].items()
+                    }
+                by_layout[layout] = keys
+        for source, highs, lows, layout in steps:
+            source = sources[source]
+            images = {}  # the source's image under each low key's row
+            for h, kls in by_layout[layout].items():
+                if len(kls) == 1 and kls[0] not in images:
+                    found = _image(source, highs[h] + lows[kls[0]])
+                else:
+                    union = 0
+                    for l in kls:
+                        if l not in images:
+                            images[l] = _image(source, lows[l])
+                        union |= images[l]
+                    found = _image(union, highs[h])
+                if found & outside:
+                    return None
+                seen |= found
+                if seen == stop:
+                    return seen
         done |= frontier
     return seen
-
-
-def _round(plan, done, frontier):
-    """Yield the batches of tuples that one round of `_saturate` finds from
-    the members of the rounds before it, `done`, and its `frontier`: first
-    the frontier's images under every unary op, as one batch, then each
-    other step's images, one per high key.  A step images its source once
-    under the row of each low key that goes with a high key (memoised for
-    that step), ORs the low images of each high key, and images that union
-    once under the high key's row; a high key with one low key takes both
-    rows in one image."""
-    unary, tables, products, half, top = plan
-    if unary:
-        found = 0
-        for row in unary:
-            found |= _image(frontier, row)
-        yield found
-    sources = (0, done, frontier, done | frontier)
-    now = _by_high(frontier, half)
-    # per step, its source, its rows and its fixed members' low keys by high key
-    steps = [(sources[source], highs, lows, now) for source, highs, lows in tables if source != 2]
-    if products:
-        ranges = (None, _by_high(done, half), now, _by_high(sources[3], half))
-        for layout, wide in products:
-            keys = {0: [0]}  # member-major, as `_Rows` reads them
-            for j in layout:
-                keys = {
-                    kh * top + h: [kl * half + l for kl in kls for l in ls]
-                    for kh, kls in keys.items()
-                    for h, ls in ranges[j].items()
-                }
-            steps += [(sources[source], highs, lows, keys) for highs, lows, source in wide]
-    for source, highs, lows, keys in steps:
-        images = {}  # the source's image under each low key's row
-        for h, kls in keys.items():
-            if len(kls) == 1 and kls[0] not in images:
-                yield _image(source, highs[h] + lows[kls[0]])
-            else:
-                union = 0
-                for l in kls:
-                    image = images.get(l)
-                    if image is None:
-                        image = images[l] = _image(source, lows[l])
-                    union |= image
-                yield _image(union, highs[h])

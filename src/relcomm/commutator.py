@@ -115,24 +115,26 @@ def m_set_of(k, r: int, s: int) -> int:
     object k (`relations.Kernels`), for relations with bits r and s: the
     computation behind `k.m_set`, which memoises it.
 
-    R and S are checked to be reflexive and admissible first, on every
-    miss.  The closure starts from the largest closed set at hand, passed
-    as `closed=`: a matrix set M(R, S') with S' <= S or M(R', S) with
-    R' <= R computed earlier on the algebra, which `k.computed` holds by
-    side and relation bits, else the R block, which that check makes
-    closed.  M is monotone in both arguments, so each lies in M(R, S).
-    The generators are S's block beside the R block or an M(R, S'), and
-    R's block beside an M(R', S).  Every seed closes to the same set, so
-    the result does not depend on what was computed before.  The same
-    check makes U(R, S) (`matrix_bound_bits`) a subuniverse holding both
-    blocks, so it contains M(R, S) and is passed as `within=`: the closure
-    stops once it reaches U(R, S), and raises if it ever leaves it.  Both
-    blocks and both factors of U(R, S) are read from `k.blocks`, built
-    once per relation.  The call goes through this module's
-    `subuniverse_closure` name, which the benchmark's closure spans
-    wrap."""
-    require_reflexive_admissible(k, BinRel(k.n, r), "R")
-    require_reflexive_admissible(k, BinRel(k.n, s), "S")
+    R, then S, is checked to be reflexive and admissible on every miss, on
+    its bits; only a failing one becomes a `BinRel`, on which
+    `require_reflexive_admissible` raises.  The closure starts from the
+    largest closed set at hand, passed as `closed=`: a matrix set M(R, S')
+    with S' <= S or M(R', S) with R' <= R computed earlier on the algebra,
+    which `k.computed` holds by side and relation bits, else the R block,
+    which that check makes closed.  M is monotone in both arguments, so
+    each lies in M(R, S).  The generators are S's block beside the R block
+    or an M(R, S'), and R's block beside an M(R', S).  Every seed closes
+    to the same set, so the result does not depend on what was computed
+    before.  The same check makes U(R, S) (`matrix_bound_bits`) a
+    subuniverse holding both blocks, so it contains M(R, S) and is passed
+    as `within=`: the closure stops once it reaches U(R, S), and raises if
+    it ever leaves it.  Both blocks and both factors of U(R, S) are read
+    from `k.blocks`, built once per relation.  The call goes through this
+    module's `subuniverse_closure` name, which the benchmark's closure
+    spans wrap."""
+    for x, name in ((r, "R"), (s, "S")):
+        if type(x) is not int or x >> k.n * k.n or k.delta & ~x or k.adm_close(x) != x:
+            require_reflexive_admissible(k, BinRel(k.n, x), name)
     rows, columns = k.blocks(r)[0], k.blocks(s)[1]
     by_s = k.computed.setdefault(("R", r), {})
     by_r = k.computed.setdefault(("S", s), {})

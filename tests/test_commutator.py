@@ -384,6 +384,44 @@ def test_m_set_stops_mid_round_once_it_fills_its_bound(monkeypatch):
     relations.clear_caches()
 
 
+def test_image_work_is_pinned(monkeypatch, algebras):
+    # the `_image` calls of fixed work: M(R, S) for 200 pairs of the
+    # 4-chain's reflexive admissible relations, drawn at a fixed seed (the
+    # first 200 in order all have R = delta, whose closures stop at once),
+    # every M(R, S) of the ternary majority algebra (wide steps), and
+    # NextClosure's listing of each family of every catalog algebra.  A
+    # rewrite of the closure loop that makes the same images in the same
+    # order keeps these counts
+    calls = [0]
+
+    def counting(bits, descriptors):
+        calls[0] += 1
+        return image(bits, descriptors)
+
+    image = algebra._image
+    monkeypatch.setattr(algebra, "_image", counting)
+    counts = {}
+    for name, alg, count in (("CHAIN4", CHAIN4, 200), ("MAJORITY3", MAJORITY3, None)):
+        relations.clear_caches()
+        rels = [rel.bits for rel in enumerate_relations(alg, RelFamily(REFLEXIVE_ADMISSIBLE))]
+        pairs = list(itertools.product(rels, rels))
+        if count is not None:
+            pairs = random.Random(35).sample(pairs, count)
+        calls[0] = 0
+        k = relations.kernels(alg)
+        for r, s in pairs:
+            k.m_set(r, s)
+        counts[name] = calls[0]
+    relations.clear_caches()
+    calls[0] = 0
+    for alg in algebras.values():
+        for kind in (REFLEXIVE_ADMISSIBLE, relations.TOLERANCE, relations.CONGRUENCE):
+            relations.kernels(alg).family(kind)
+    counts["catalog families"] = calls[0]
+    relations.clear_caches()
+    assert counts == {"CHAIN4": 6899, "MAJORITY3": 8784, "catalog families": 1141}
+
+
 def test_m_set_closes_within_its_bound(monkeypatch):
     # the bound only lets the closure stop early, so an unbounded closure
     # would give every M(R, S) unchanged: check that the bound is passed
@@ -434,6 +472,58 @@ def test_m_set_rejects_bad_inputs():
     with pytest.raises(NotAdmissible) as exc:
         m_set(Z2, FULL2, refl(2, (0, 1)))
     assert exc.value.rel_name == "S"
+
+
+def _relation_check_failure(k, r, s):
+    """What M(R, S)'s input check raises on the `BinRel`s of the bits r and
+    s, R before S (`require_reflexive_admissible`): (class, rel_name,
+    message), or None if both pass."""
+    for x, name in ((r, "R"), (s, "S")):
+        try:
+            require_reflexive_admissible(k, BinRel(k.n, x), name)
+        except Exception as exc:
+            return type(exc), getattr(exc, "rel_name", None), str(exc)
+    return None
+
+
+def test_m_set_checks_its_inputs_on_bits_as_on_relations():
+    # a miss of `k.m_set` checks R and S on their bits, and builds their
+    # `BinRel`s only to raise: every failure is the one the check on the
+    # `BinRel`s raises, R before S and reflexivity before admissibility,
+    # and every pair that passes gives the matrix set closed from R's block
+    rng = random.Random(35)
+    groupoid = FiniteAlgebra(3, (("f", 2, tuple(rng.randrange(3) for _ in range(9))),))
+    delta3 = relations.delta_bits(3)
+    malformed = [-1, 1 << 4, (1 << 4) | 0b1001, 9.5]  # bits that are not a relation on Z2
+    cases = [
+        (Z2, [*range(16), *malformed]),
+        (L2, range(16)),
+        (groupoid, [delta3 | x for x in range(512) if not x & delta3]),
+    ]
+    outcomes = set()
+    for alg, inputs in cases:
+        relations.clear_caches()
+        k = relations.kernels(alg)
+        for r in inputs:
+            for s in inputs:
+                want = _relation_check_failure(k, r, s)
+                if want is None:
+                    assert k.m_set(r, s) == _unseeded_m_set_bits(alg, BinRel(k.n, r), BinRel(k.n, s))
+                else:
+                    with pytest.raises(Exception) as info:
+                        k.m_set(r, s)
+                    got = type(info.value), getattr(info.value, "rel_name", None), str(info.value)
+                    assert got == want, (alg, r, s)
+                outcomes.add(want and want[:2])
+    relations.clear_caches()
+    assert outcomes == {
+        None,
+        (NotReflexive, "R"),
+        (NotReflexive, "S"),
+        (NotAdmissible, "R"),
+        (NotAdmissible, "S"),
+        (ValueError, None),
+    }
 
 
 def test_not_admissible_witness_is_first_in_product_order():
